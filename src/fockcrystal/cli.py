@@ -6,7 +6,8 @@ Every command reads parameters from a JSON file (--params), writes JSON
 canonically so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
-3 signature ambiguity, 4 truncation overflow.
+3 signature ambiguity, 4 truncation overflow, 5 internal error (any
+other exception, reported as "internal error: <Type>: <message>").
 """
 
 from __future__ import annotations
@@ -326,6 +327,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FockcrystalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .errors import (
 from .linalg import RowSpan, kernel_basis
 from .params import CherednikParams, Residue, make_params
 from .partitions import (
+    Box,
     Multipartition,
     Partition,
     enumerate_multipartitions,
@@ -349,15 +350,23 @@ def plethysm_class(mu, e: int) -> FockVector:
     return acc
 
 
-def _basis_at_degree(level: int, degree: int) -> list[Multipartition]:
-    return enumerate_multipartitions(level, degree)
+def _residue_lookup(params: CherednikParams) -> Callable[[Box], Residue]:
+    """params.residue memoized on (component, content) for one call; a
+    box's residue depends on nothing else."""
+    seen: dict[tuple[int, int], Residue] = {}
+
+    def residue(b: Box) -> Residue:
+        key = (b.comp, b.x - b.y)
+        z = seen.get(key)
+        if z is None:
+            z = seen[key] = params.residue(b)
+        return z
+
+    return residue
 
 
-def _vector_coords(v: FockVector, basis_index: dict[Multipartition, int], ncols: int):
-    coords = [Fraction(0)] * ncols
-    for lam, c in v.entries.items():
-        coords[basis_index[lam]] = c
-    return coords
+def _residue_order(z: Residue):
+    return (z.class_id, z.value)
 
 
 def singular_subspace(
@@ -380,47 +389,36 @@ def singular_subspace(
 def _singular_subspace_cached(
     level: int, n: int, params: CherednikParams
 ) -> tuple[FockVector, ...]:
-    basis = _basis_at_degree(level, n)
-    index = {lam: i for i, lam in enumerate(basis)}
-    ncols = len(basis)
+    basis = enumerate_multipartitions(level, n)
+    residue = _residue_lookup(params)
 
-    residues = sorted(
-        {
-            params.residue(b)
-            for lam in basis
-            for b in lam.removable_boxes()
-        },
-        key=lambda z: (z.class_id, z.value),
-    )
-    lowerings: list[Callable[[FockVector], FockVector]] = [
-        (lambda v, zz=z: e_z_op(v, zz, params)) for z in residues
+    # One pass over the basis fills the matrix of every e_z at once:
+    # the row of (z, mu) holds a 1 in column j when removing one box of
+    # residue z from basis[j] gives mu (distinct boxes give distinct mu).
+    e_rows: dict[Residue, dict[Multipartition, dict[int, int]]] = {}
+    for j, lam in enumerate(basis):
+        for b in lam.removable_boxes():
+            targets = e_rows.setdefault(residue(b), {})
+            targets.setdefault(lam.remove_box(b), {})[j] = 1
+    rows = [
+        row
+        for z in sorted(e_rows, key=_residue_order)
+        for row in e_rows[z].values()
     ]
     e = params.kappa.e
     if e is not None and e >= 2:
         for d in range(1, n // e + 1):
-            lowerings.append(lambda v, dd=d: b_minus_op(v, dd, params))
+            b_rows: dict[Multipartition, dict[int, Fraction]] = {}
+            for j, lam in enumerate(basis):
+                image = b_minus_op(basis_vector(lam, n), d, params)
+                for mu, c in image.entries.items():
+                    b_rows.setdefault(mu, {})[j] = c
+            rows.extend(b_rows.values())
 
-    rows: list[list[Fraction]] = []
-    for op in lowerings:
-        images = [op(basis_vector(lam, n)) for lam in basis]
-        targets = sorted(
-            {mu for img in images for mu in img.entries},
-            key=lambda m: (m.size, m.sort_key()),
-        )
-        for mu in targets:
-            rows.append([img.coeff(mu) for img in images])
-
-    kernel = kernel_basis(rows, ncols)
-    out = []
-    for vec in kernel:
-        out.append(
-            FockVector(
-                level,
-                n,
-                {basis[i]: c for i, c in enumerate(vec) if c != 0},
-            )
-        )
-    return tuple(out)
+    return tuple(
+        FockVector(level, n, {basis[i]: c for i, c in vec.items()})
+        for vec in kernel_basis(rows, len(basis))
+    )
 
 
 def _heisenberg_monomials(q: int, e: Optional[int]) -> list[Partition]:
@@ -453,11 +451,11 @@ def filtration_dim(
             "integer kappa (e = 1) is outside the supported parameter range"
         )
 
-    bases = {g: _basis_at_degree(level, g) for g in range(n + 1)}
     indexes = {
-        g: {lam: i for i, lam in enumerate(basis)} for g, basis in bases.items()
+        g: {lam: i for i, lam in enumerate(enumerate_multipartitions(level, g))}
+        for g in range(n + 1)
     }
-    spans = {g: RowSpan(len(bases[g])) for g in range(n + 1)}
+    spans = {g: RowSpan(len(index)) for g, index in indexes.items()}
 
     def insert(v: FockVector) -> bool:
         if v.is_zero():
@@ -465,8 +463,8 @@ def filtration_dim(
         degs = v.degrees()
         if len(degs) != 1:
             raise InvalidInputError("filtration vectors must be homogeneous")
-        g = degs[0]
-        return spans[g].insert(_vector_coords(v, indexes[g], len(bases[g])))
+        index = indexes[degs[0]]
+        return spans[degs[0]].insert({index[lam]: c for lam, c in v.entries.items()})
 
     layer: list[FockVector] = []
     for g in range(n + 1):
@@ -481,21 +479,21 @@ def filtration_dim(
                 if insert(vec):
                     layer.append(vec)
 
+    residue = _residue_lookup(params)
     for _ in range(p):
         next_layer: list[FockVector] = []
         for vec in layer:
             if max(vec.degrees(), default=n) >= n:
                 continue
-            residues = sorted(
-                {
-                    params.residue(b)
-                    for lam in vec.entries
-                    for b in lam.addable_boxes()
-                },
-                key=lambda z: (z.class_id, z.value),
-            )
-            for z in residues:
-                image = f_z_op(vec, z, params)
+            # f_z(vec) for every residue z, from one pass over vec's terms
+            images: dict[Residue, dict[Multipartition, Fraction]] = {}
+            for lam, c in vec.entries.items():
+                for b in lam.addable_boxes():
+                    terms = images.setdefault(residue(b), {})
+                    mu = lam.add_box(b)
+                    terms[mu] = terms.get(mu, 0) + c
+            for z in sorted(images, key=_residue_order):
+                image = FockVector(level, vec.truncation, images[z])
                 if insert(image):
                     next_layer.append(image)
         if not next_layer:
@@ -616,8 +614,8 @@ def operator_matrix(
     """Matrix of a linear operator between graded pieces: returns the
     row basis (degree_to), column basis (degree_from), and the sparse
     entry dict keyed by (row, column)."""
-    cols = _basis_at_degree(level, degree_from)
-    rows = _basis_at_degree(level, degree_to)
+    cols = enumerate_multipartitions(level, degree_from)
+    rows = enumerate_multipartitions(level, degree_to)
     row_index = {lam: i for i, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
     entries: dict[tuple[int, int], Fraction] = {}

@@ -1,10 +1,12 @@
 """Command line behavior: output documents, canonical byte stability,
 file output, and the exit code contract."""
 
+import hashlib
 import json
 
 import pytest
 
+from fockcrystal import cli
 from fockcrystal.cli import main
 
 GOLDEN_DOC = {"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, -1]}
@@ -286,6 +288,50 @@ class TestFockCommand:
         assert code == 2
 
 
+# sha256 of the stdout of `fock singular` / `fock filtration --n N`
+# (whole table), captured from the dense Fraction elimination this
+# package used before its sparse integer echelon.  Level 3 carries a
+# charge off the integer lattice, so it has two component classes.
+PINNED_FOCK = [
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 2}, "s": [0, "1/2", -1]},
+        ("singular", 4, "8de7b67319384c354c2d4ab65359d408daa7cf0c021fea789d38638982fff04e"),
+        ("filtration", 4, "06ca9133cf69a7e41742b613ef59f4ae8823ba22bf567d1f06007377f2a24b7e"),
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, "1/2", -1]},
+        ("singular", 5, "f17e33b5a8e64fc0f3005565b08d1839073a628c210defa5fbf73a165c7dca76"),
+        ("filtration", 4, "4a0a2e3665015fbc530e442e32cdcc186086a1f27743efedbe1c29443210eb79"),
+    ),
+    (
+        {"level": 2, "kappa": "irrational", "s": [[0, 0], [1, 1]]},
+        ("singular", 6, "6d42d02b1a00147c3cbcbe4b095f4cc14e2f7c0e13ca7a3ca9604647d9180238"),
+        ("filtration", 6, "aa45e0f83b3aa25290d5e52164c2b5effc529501648f1f8890a757fd8e1e009a"),
+    ),
+    (
+        {"level": 2, "kappa": {"num": 2, "den": 3}, "s": [0, 1]},
+        ("singular", 6, "cc993c2ec830e806d2dd9b92762d34976263741320c1876139c0963986fee388"),
+        ("filtration", 6, "616101ee333f83e24016e3b3d3cb9873c5f961e6aedc143b18cb6962a9158fe3"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,subop,n,digest",
+    [
+        pytest.param(doc, subop, n, digest, id=f"case{k}-{subop}")
+        for k, (doc, *runs) in enumerate(PINNED_FOCK)
+        for subop, n, digest in runs
+    ],
+)
+def test_fock_output_pinned(capsys, tmp_path, doc, subop, n, digest):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["fock", subop, "--params", str(path), "--n", str(n)])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestWallcrossCommand:
     def test_golden_table(self, capsys, golden):
         table = run_json(
@@ -360,6 +406,16 @@ class TestIOContract:
         bad.write_text("{")
         code, _, _ = run(capsys, ["support", "--params", str(bad), "--n", "2"])
         assert code == 2
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch, golden):
+        def overflow(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli._DISPATCH, "support", overflow)
+        code, out, err = run(capsys, ["support", "--params", golden, "--n", "2"])
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def test_unknown_flag_is_usage_error(self, golden):
         with pytest.raises(SystemExit) as exc:

@@ -56,7 +56,6 @@ from .params import (
     rank_one_verma_hom,
 )
 from .partitions import enumerate_multipartitions
-from .selftest import run_selftest
 from .supports import WallCrossStep, support, wall_cross
 
 
@@ -296,6 +295,10 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here: the suite builds its parameter grid on import, which
+    # no other subcommand needs
+    from .selftest import run_selftest
+
     lines: list[str] = []
     failures = run_selftest(args.depth, writer=lines.append)
     _emit("\n".join(lines) + "\n", args)

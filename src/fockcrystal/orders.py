@@ -50,19 +50,32 @@ def preceq(lam: Multipartition, lam2: Multipartition, params: CherednikParams) -
 
 
 def _max_bipartite_matching(adj: list[list[int]], n_right: int) -> int:
+    """Size of a maximum matching, by augmenting paths (Kuhn).  Each path
+    is walked with an explicit stack, so its length is not bounded by the
+    recursion limit."""
     match_right = [-1] * n_right
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
     count = 0
-    for i in range(len(adj)):
-        if augment(i, [False] * n_right):
-            count += 1
+    for root in range(len(adj)):
+        seen = [False] * n_right
+        # lefts[k] reaches lefts[k + 1] through rights[k] = its partner
+        lefts, rights, todo = [root], [], [iter(adj[root])]
+        while todo:
+            for j in todo[-1]:
+                if not seen[j]:
+                    seen[j] = True
+                    break
+            else:
+                todo.pop()
+                lefts.pop()
+                if rights:
+                    rights.pop()
+                continue
+            rights.append(j)
+            if match_right[j] == -1:
+                for i, r in zip(lefts, rights):
+                    match_right[r] = i
+                count += 1
+                break
+            lefts.append(match_right[j])
+            todo.append(iter(adj[match_right[j]]))
     return count

@@ -224,10 +224,7 @@ class CherednikParams:
 
     def box_equivalent(self, b1: Box, b2: Box) -> bool:
         d = self.charged_content(b1) - self.charged_content(b2)
-        if self.kappa.is_rational:
-            scaled = self.kappa.value * (d.a + d.b / self.kappa.value)
-            return scaled.denominator == 1
-        return d.a == 0 and d.b.denominator == 1
+        return _in_kappa_inv_lattice(d, self.kappa)
 
     def component_classes(self) -> tuple[tuple[int, ...], ...]:
         return _component_classes(self)

@@ -308,13 +308,13 @@ def divide_with_remainder(nu: Partition, e: int) -> tuple[Partition, Partition]:
     return quot, rem
 
 
-def divide_with_remainder_search(nu: Partition, e: int) -> tuple[Partition, Partition]:
-    """Reference implementation of divide_with_remainder by direct search
-    over all candidate quotients.  Exponential; for cross-checks only.
-    """
+def division_candidates(nu: Partition, e: int) -> Iterator[tuple[Partition, Partition]]:
+    """Every (quot, rem) with nu = e*quot + rem row by row and rem a
+    partition whose consecutive row differences are below e, found by
+    direct search over all candidate quotients, smallest quotients first.
+    Exponential; for cross-checks only."""
     if e < 1:
         raise InvalidInputError("modulus must be a positive integer")
-    best: tuple[Partition, Partition] | None = None
     for qsize in range(nu.size // e + 1):
         for quot in enumerate_partitions(qsize):
             if len(quot) > len(nu):
@@ -333,9 +333,12 @@ def divide_with_remainder_search(nu: Partition, e: int) -> tuple[Partition, Part
             ]
             if any(d >= e for d in diffs):
                 continue
-            best = (quot, Partition(rem_rows))
-            break
-        if best:
-            break
-    assert best is not None, "remainder search must at least reach quot = nu div e"
-    return best
+            yield quot, Partition(rem_rows)
+
+
+def divide_with_remainder_search(nu: Partition, e: int) -> tuple[Partition, Partition]:
+    """Reference implementation of divide_with_remainder: the first
+    (largest-remainder) candidate of division_candidates."""
+    for found in division_candidates(nu, e):
+        return found
+    raise AssertionError("remainder search must at least reach quot = nu div e")

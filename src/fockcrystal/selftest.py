@@ -1,9 +1,18 @@
 """Built-in invariant suites behind the `selftest` subcommand.
 
-Each check is a small assertion bundle over exhaustively enumerated
-small inputs.  `quick` keeps every suite within a few seconds; `full`
-widens the enumeration bounds.  The runner prints one line per check
-and reports the failure count, so the CLI can exit nonzero on any red.
+This module is the one home of every cross-check between independent
+realizations; the test suite calls these functions rather than
+re-implementing them.  Each invariant is a function of explicit
+parameters (a parameter point and a size bound, say), and each entry of
+`CHECKS` runs one invariant over the shared parameter grid `GRID`.
+
+`quick` runs the first five grid points (levels 1 and 2) at small
+bounds and keeps every suite within a few seconds.  `full` runs the
+whole grid, level 3 included, at the widest bounds any test uses; it is
+the depth the test suite (tier-1) runs.  The runner prints one line per
+check and reports the failure count, so the CLI can exit nonzero on any
+red.  The checks are assertions, so under `python -O` the runner reports
+one failure instead of running them.
 """
 
 from __future__ import annotations
@@ -12,93 +21,154 @@ import traceback
 from fractions import Fraction
 from typing import Callable
 
-from .crystal import e_tilde, f_tilde, is_singular, km_depth, relevant_residues
+from .crystal import (
+    crystal_component,
+    e_tilde,
+    f_tilde,
+    is_singular,
+    reduce_signature,
+    relevant_residues,
+    z_signature,
+)
 from .fock import (
     b_minus_op,
     b_plus_op,
     basis_vector,
+    charged_to_multipartition,
     e_z_op,
     embed_to_charged,
     f_z_op,
-    inner_product,
+    filtration_dim,
     operator_matrix,
     plethysm_class,
     singular_subspace,
+    wedge_e_op,
     wedge_f_op,
 )
 from .orders import leq_c, preceq
-from .params import ChargeDifferenceWall, make_params
+from .params import ChargeDifferenceWall, Residue, make_params
 from .partitions import (
     Multipartition,
     Partition,
+    division_candidates,
     divide_with_remainder,
-    divide_with_remainder_search,
     enumerate_multipartitions,
     enumerate_partitions,
 )
-from .supports import WallCrossStep, support, wall_cross
+from .supports import WallCrossStep, heis_q, support, wall_cross
 
+E2 = make_params(1, Fraction(-1, 2), [0])
+E3 = make_params(1, Fraction(-1, 3), [0])
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 
+# The shared parameter grid of the grid checks (`_on_grid`).  `quick`
+# uses the first five points; level 3 comes last and is checked two sizes
+# below the level-1/2 bound, at most up to size 4.
+GRID = [
+    E2,
+    E3,
+    GOLDEN,
+    make_params(2, Fraction(-1, 3), [0, 1]),
+    make_params(2, None, [(0, 0), (1, 1)]),
+    make_params(1, Fraction(-1, 3), [1]),
+    make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
+    make_params(2, None, [0, -1]),
+    make_params(3, Fraction(-1, 2), [0, 1, -1]),
+    make_params(3, Fraction(-1, 3), [0, 1, -1]),
+    make_params(3, Fraction(-2, 3), [0, Fraction(1, 2), -1]),
+    make_params(3, None, [0, -1, (1, 1)]),
+]
 
-def _all_multipartitions(level: int, max_size: int):
-    for n in range(max_size + 1):
-        yield from enumerate_multipartitions(level, n)
 
-
-def _sample_params(level: int):
-    if level == 1:
-        return [
-            make_params(1, Fraction(-1, 2), [0]),
-            make_params(1, Fraction(-1, 3), [0]),
-        ]
+def _grid(full: bool, rational: bool = False, max_level: int = 3):
+    points = GRID if full else GRID[:5]
     return [
-        GOLDEN,
-        make_params(2, Fraction(-1, 3), [0, 1]),
-        make_params(2, None, [(0, 0), (1, 1)]),
+        p
+        for p in points
+        if p.level <= max_level and (p.kappa.is_rational or not rational)
     ]
 
 
-def check_golden_signature(full: bool) -> None:
-    from .crystal import reduce_signature, z_signature
-    from .params import Residue
+def _labels(params, bound: int):
+    for n in range(bound + 1):
+        yield from enumerate_multipartitions(params.level, n)
 
+
+# -- invariants --------------------------------------------------------
+
+
+def golden_signature() -> None:
     lam = Multipartition([[2, 2], [3, 1, 1, 1]])
     z = Residue(0, 0)
     sig = z_signature(lam, z, GOLDEN)
     assert sig.word == "++-+-", sig.word
     assert reduce_signature(sig).word == "++-"
     assert e_tilde(lam, z, GOLDEN) == Multipartition([[2, 2], [3, 1, 1]])
-    assert f_tilde(lam, z, GOLDEN) == Multipartition([[3, 2], [3, 1, 1, 1]])
+    down = f_tilde(lam, z, GOLDEN)
+    assert down == Multipartition([[3, 2], [3, 1, 1, 1]])
+    assert e_tilde(down, z, GOLDEN) == lam
 
 
-def check_crystal_axioms(full: bool) -> None:
-    bound = 5 if full else 4
-    for level in (1, 2):
-        for params in _sample_params(level):
-            for lam in _all_multipartitions(level, bound):
-                for z in relevant_residues(lam, params):
-                    up = e_tilde(lam, z, params)
-                    if up is not None:
-                        assert up.size == lam.size - 1
-                        assert f_tilde(up, z, params) == lam
-                    down = f_tilde(lam, z, params)
-                    if down is not None:
-                        assert down.size == lam.size + 1
-                        assert e_tilde(down, z, params) == lam
+def crystal_axioms(params, bound: int) -> None:
+    """f~ adds one box of its residue, e~ removes one, and they invert
+    each other.  (Every e~ move reverses an f~ move of a smaller label,
+    so its box residue is checked there.)"""
+    for lam in _labels(params, bound):
+        for z in relevant_residues(lam, params):
+            down = f_tilde(lam, z, params)
+            if down is not None:
+                (box,) = set(down.boxes()) - set(lam.boxes())
+                assert params.residue(box) == z, (lam, z, down)
+                assert e_tilde(down, z, params) == lam, (lam, z, down)
+            up = e_tilde(lam, z, params)
+            if up is not None:
+                assert up.size == lam.size - 1, (lam, z, up)
+                assert f_tilde(up, z, params) == lam, (lam, z, up)
 
 
-def check_level1_singular(full: bool) -> None:
-    bound = 8 if full else 6
-    for e in (2, 3):
-        params = make_params(1, Fraction(-1, e), [0])
-        for lam in _all_multipartitions(1, bound):
-            divisible = all(part % e == 0 for part in lam.component(0).parts)
-            assert is_singular(lam, params) == divisible, (lam, e)
+def level1_singular(params, bound: int) -> None:
+    """At level 1, lam is singular iff every part is divisible by e."""
+    for lam in _labels(params, bound):
+        divisible = all(x % params.e == 0 for x in lam.component(0).parts)
+        assert is_singular(lam, params) == divisible, lam
 
 
-def check_division(full: bool) -> None:
-    bound = 12 if full else 8
+def restricted_component(params, bound: int) -> None:
+    """The level-1 component of the empty partition is the e-restricted
+    partitions: consecutive rows differ by less than e."""
+    comp = crystal_component(Multipartition([[]]), params, size_bound=bound)
+    want = set()
+    for lam in _labels(params, bound):
+        padded = lam.component(0).parts + (0,)
+        if all(padded[i] - padded[i + 1] < params.e for i in range(len(padded) - 1)):
+            want.add(lam)
+    assert set(comp.nodes) == want
+
+
+def component_isomorphism(params, bound: int) -> None:
+    """At level 1, rowwise addition of the singular mu = e*shape maps the
+    component of the empty partition onto the component of mu, residues
+    kept; the base component runs to size max(bound - |mu|, bound // 2)."""
+    for shape in ((1,), (2,), (1, 1)):
+        mu = Partition([params.e * x for x in shape])
+        assert is_singular(Multipartition([mu]), params), mu
+
+        def shifted(lam):
+            rows = range(1, max(len(lam.component(0)), len(mu)) + 1)
+            return Multipartition([[lam.component(0).row(y) + mu.row(y) for y in rows]])
+
+        size = max(bound - mu.size, bound // 2)
+        base = crystal_component(Multipartition([[]]), params, size_bound=size)
+        image = crystal_component(
+            Multipartition([mu]), params, size_bound=size + mu.size
+        )
+        assert {shifted(v) for v in base.nodes} == set(image.nodes), mu
+        edges = {(shifted(a), z, shifted(b)) for a, z, b in base.edges}
+        assert edges == set(image.edges), mu
+
+
+def division(bound: int) -> None:
+    """divide_with_remainder is the one decomposition the search finds."""
     assert divide_with_remainder(Partition([7, 3, 1]), 3) == (
         Partition([1]),
         Partition([4, 3, 1]),
@@ -106,149 +176,273 @@ def check_division(full: bool) -> None:
     for n in range(bound + 1):
         for nu in enumerate_partitions(n):
             for e in (2, 3, 4):
-                assert divide_with_remainder(nu, e) == divide_with_remainder_search(nu, e)
+                found = list(division_candidates(nu, e))
+                assert found == [divide_with_remainder(nu, e)], (nu, e, found)
 
 
-def check_heisenberg_models(full: bool) -> None:
-    bound = 8 if full else 5
-    for level, params in ((1, make_params(1, Fraction(-1, 2), [0])), (2, GOLDEN)):
-        e = params.kappa.e
-        for lam in _all_multipartitions(level, bound):
-            for d in (1, 2):
-                v = basis_vector(lam, lam.size + d * e)
-                assert b_plus_op(v, d, params, "ribbon") == b_plus_op(
-                    v, d, params, "wedge"
-                ), (lam, d)
-                assert b_minus_op(v, d, params, "ribbon") == b_minus_op(
-                    v, d, params, "wedge"
-                ), (lam, d)
+def heisenberg_models(params, bound: int) -> None:
+    """Ribbon and charged-word realizations of B_d and B_{-d} agree."""
+    for d in (1, 2):
+        for lam in _labels(params, bound):
+            v = basis_vector(lam, lam.size + d * params.e)
+            for op in (b_plus_op, b_minus_op):
+                ribbon = op(v, d, params, "ribbon")
+                assert ribbon == op(v, d, params, "wedge"), (lam, d, op.__name__)
 
 
-def check_heisenberg_commutator(full: bool) -> None:
-    bound = 5 if full else 4
-    for level, params in ((1, make_params(1, Fraction(-1, 2), [0])), (2, GOLDEN)):
-        e = params.kappa.e
-        for d in (1, 2):
-            for lam in _all_multipartitions(level, bound):
-                v = basis_vector(lam, lam.size + d * e)
-                lhs = b_minus_op(b_plus_op(v, d, params), d, params) - b_plus_op(
-                    b_minus_op(v, d, params), d, params
-                )
-                assert lhs == v.scale(d * e * level), (lam, d)
+def heisenberg_commutator(params, bound: int) -> None:
+    """[B_{-d}, B_d] is the scalar d*e*level."""
+    for d in (1, 2):
+        for lam in _labels(params, bound):
+            v = basis_vector(lam, lam.size + d * params.e)
+            lhs = b_minus_op(b_plus_op(v, d, params), d, params) - b_plus_op(
+                b_minus_op(v, d, params), d, params
+            )
+            assert lhs == v.scale(d * params.e * params.level), (lam, d)
 
 
-def check_order_refinement(full: bool) -> None:
-    bound = 5 if full else 4
-    for level in (1, 2):
-        for params in _sample_params(level):
-            for n in range(bound + 1):
-                basis = enumerate_multipartitions(level, n)
-                for lam in basis:
-                    for mu in basis:
-                        if preceq(lam, mu, params):
-                            assert leq_c(lam, mu, params), (lam, mu)
+def heisenberg_box_commute(params, bound: int) -> None:
+    """B_1 commutes with every e_z and f_z (the residues of charge class
+    0 are all there are at the rational grid points)."""
+    for lam in _labels(params, bound):
+        v = basis_vector(lam, lam.size + params.e + 1)
+        for z in (Residue(0, value) for value in range(params.e)):
+            for op in (e_z_op, f_z_op):
+                assert op(b_plus_op(v, 1, params), z, params) == b_plus_op(
+                    op(v, z, params), 1, params
+                ), (lam, z, op.__name__)
 
 
-def check_support_table(full: bool) -> None:
-    params = make_params(1, Fraction(-1, 2), [0])
-    rows = {
-        lam: support(lam, params) for lam in enumerate_multipartitions(1, 2)
-    }
+def adjointness(params, bound: int) -> None:
+    """<B_d lam, mu> = <lam, B_{-d} mu> on basis vectors."""
+    for d in (1, 2):
+        for n in range(bound + 1):
+            top = n + d * params.e
+            up = {
+                lam: b_plus_op(basis_vector(lam, top), d, params)
+                for lam in enumerate_multipartitions(params.level, n)
+            }
+            for mu in enumerate_multipartitions(params.level, top):
+                down = b_minus_op(basis_vector(mu, top), d, params)
+                for lam, image in up.items():
+                    assert image.coeff(mu) == down.coeff(lam), (lam, mu, d)
+
+
+def order_refinement(params, bound: int) -> None:
+    """The matching order refines the c-order."""
+    for n in range(bound + 1):
+        nodes = enumerate_multipartitions(params.level, n)
+        for lam in nodes:
+            for mu in nodes:
+                ok = leq_c(lam, mu, params) or not preceq(lam, mu, params)
+                assert ok, (lam, mu)
+
+
+def _supports(params, n: int):
+    return [support(lam, params) for lam in enumerate_multipartitions(params.level, n)]
+
+
+def filtration_counts(params, bound: int) -> None:
+    """dim F^{p,q}_n counts the labels of size n with support <= (p, q)."""
+    for n in range(bound + 1):
+        rows = _supports(params, n)
+        for p in range(n + 1):
+            for q in range(n // params.e + 1):
+                count = sum(1 for s in rows if s.p <= p and s.q <= q)
+                dim = filtration_dim(p, q, n, params.level, params)
+                assert dim == count, (n, p, q)
+
+
+def singular_dimension(params, bound: int) -> None:
+    """The degree-n singular subspace has one vector per label of full
+    support, (p, q) = (0, 0)."""
+    for n in range(bound + 1):
+        count = sum(1 for s in _supports(params, n) if s.p == 0 and s.q == 0)
+        assert len(singular_subspace(params.level, n, params)) == count, n
+
+
+def embed_intertwines(params, bound: int) -> None:
+    """Embedding at charges s + shift carries f_z and e_z to the wedge
+    operators on charged words.  Needs integer charges; other points
+    have no charged-word embedding and are skipped."""
+    if any(c.b != 0 or c.a.denominator != 1 for c in params.s):
+        return
+    e = params.e
+    for shift in (7, 8):
+        charges = [shift + int(c.a) for c in params.s]
+        for lam in _labels(params, bound):
+            word = embed_to_charged(lam, charges)
+            v = basis_vector(lam, lam.size + 1)
+            for z in relevant_residues(lam, params):
+                i = (z.value + shift) % e
+                for box_op, wedge_op in ((f_z_op, wedge_f_op), (e_z_op, wedge_e_op)):
+                    got = {
+                        charged_to_multipartition(w): c
+                        for w, c in wedge_op(word, i, e).items()
+                    }
+                    assert got == dict(box_op(v, z, params).items()), (lam, z)
+
+
+def plethysm_lowering(params, bound: int) -> None:
+    """At level 1, every e_z kills s_mu[p_e] for 1 <= |mu| <= bound."""
+    for n in range(1, bound + 1):
+        for mu in enumerate_partitions(n):
+            vec = plethysm_class(mu, params.e)
+            for value in range(params.e):
+                assert e_z_op(vec, Residue(0, value), params).is_zero(), (mu, value)
+
+
+def support_table() -> None:
+    rows = {lam: support(lam, E2) for lam in enumerate_multipartitions(1, 2)}
     two = rows[Multipartition([[2]])]
     assert (two.p, two.q, two.dim_support, two.finite_dimensional) == (0, 1, 0, True)
     col = rows[Multipartition([[1, 1]])]
     assert (col.p, col.q, col.dim_support, col.finite_dimensional) == (2, 0, 1, False)
 
 
-def check_wallcross_bijection(full: bool) -> None:
-    bound = 4 if full else 3
-    params = make_params(2, None, [(0, 0), (0, 0)])
-    step = WallCrossStep(ChargeDifferenceWall(0, 1, 0))
+def level1_finite_dimensional(params, bound: int) -> None:
+    """At level 1 and rank 2 <= n <= bound (rank one is degenerate), the
+    only finite-dimensional simple, and the only one of zero-dimensional
+    support, is (e) at n = e; there is none when e does not divide n."""
+    for n in range(2, bound + 1):
+        rows = dict(zip(enumerate_multipartitions(1, n), _supports(params, n)))
+        finite = [lam for lam, s in rows.items() if s.finite_dimensional]
+        if n == params.e:
+            point = [lam for lam, s in rows.items() if s.dim_support == 0]
+            assert finite == point == [Multipartition([[n]])], (finite, point)
+        elif n % params.e:
+            assert not finite, (n, finite)
+
+
+def wall_crossing(params, step, target, bound: int) -> None:
+    """Crossing one essential charge wall from params to target permutes
+    the labels of each size, is undone by crossing back, and keeps the
+    support (p, q) and the crystal operators f~."""
+    back = WallCrossStep(step.wall, "down" if step.direction == "up" else "up")
     for n in range(bound + 1):
-        basis = enumerate_multipartitions(2, n)
-        images = [wall_cross(lam, step, params) for lam in basis]
-        assert sorted(i.sort_key() for i in images) == sorted(
-            b.sort_key() for b in basis
-        )
-        for lam, image in zip(basis, images):
-            assert image.size == lam.size
+        basis = enumerate_multipartitions(params.level, n)
+        images = {lam: wall_cross(lam, step, params) for lam in basis}
+        assert set(images.values()) == set(basis), n
+        for lam, image in images.items():
+            assert wall_cross(image, back, target) == lam, lam
+            before, after = support(lam, params), support(image, target)
+            assert (before.p, before.q) == (after.p, after.q), lam
+            residues = set(relevant_residues(lam, params, removable=False))
+            residues.update(relevant_residues(image, target, removable=False))
+            for z in residues:
+                down = f_tilde(lam, z, params)
+                want = None if down is None else wall_cross(down, step, params)
+                assert f_tilde(image, z, target) == want, (lam, z)
 
 
-def check_fock_matrix(full: bool) -> None:
-    params = make_params(1, Fraction(-1, 2), [0])
-    rows, cols, entries = operator_matrix(
-        lambda v: b_plus_op(v, 1, params), 1, 0, 2
-    )
+def heis_q_lowering_choice(params, bound: int) -> None:
+    """heis_q does not depend on which component of a two-component
+    charge class is transported."""
+    for lam in _labels(params, bound):
+        assert heis_q(lam, params, lowering={0: 0}) == heis_q(
+            lam, params, lowering={0: 1}
+        ), lam
+
+
+def transpose_reduction(pos, neg, bound: int) -> None:
+    """At positive kappa, the support of lam is that of its transpose at
+    the negated parameters."""
+    for lam in _labels(pos, bound):
+        assert support(lam, pos) == support(lam.transpose(), neg), lam
+
+
+def fock_matrix() -> None:
+    rows, cols, entries = operator_matrix(lambda v: b_plus_op(v, 1, E2), 1, 0, 2)
     assert cols == [Multipartition([[]])]
     coeffs = {rows[r].components[0]: val for (r, c), val in entries.items()}
     assert coeffs == {Partition([2]): 1, Partition([1, 1]): -1}
 
 
-def check_plethysm_lowering(full: bool) -> None:
-    for e in (2, 3):
-        params = make_params(1, Fraction(-1, e), [0])
-        vec = plethysm_class(Partition([1]), e)
-        zs = {params.residue(b) for lam in vec.entries for b in lam.removable_boxes()}
-        for z in zs:
-            assert e_z_op(vec, z, params).is_zero(), (e, z)
+# -- checks ------------------------------------------------------------
 
 
-def check_singular_dimension(full: bool) -> None:
-    for e in (2, 3):
-        params = make_params(1, Fraction(-1, e), [0])
-        assert len(singular_subspace(1, 0, params)) == 1
-        assert len(singular_subspace(1, 1, params)) == 0
+def _on_grid(invariant, quick: int, full: int, **select) -> Callable[[bool], None]:
+    """A check running invariant(params, bound) at the grid points that
+    `select` picks, with bound `quick` or `full`; level-3 points get two
+    sizes less, at most 4."""
+
+    def check(is_full: bool) -> None:
+        bound = full if is_full else quick
+        for params in _grid(is_full, **select):
+            invariant(params, min(bound - 2, 4) if params.level >= 3 else bound)
+
+    return check
 
 
-def check_embed_intertwines(full: bool) -> None:
-    bound = 4 if full else 3
-    e = 2
-    params = make_params(1, Fraction(-1, e), [0])
-    charges = [bound + 1]
-    for lam in _all_multipartitions(1, bound - 1):
-        word = embed_to_charged(lam, charges)
-        for z in relevant_residues(lam, params, removable=False):
-            image = f_z_op(basis_vector(lam, bound), z, params)
-            expected = {
-                embed_to_charged(mu, charges): c for mu, c in image.entries.items()
-            }
-            content = (z.value + charges[0]) % e
-            assert wedge_f_op(word, content, e) == expected, (lam, z)
+# One essential wall per point, crossed upward: (params, step, target).
+WALLS = [
+    (
+        GOLDEN,
+        WallCrossStep(ChargeDifferenceWall(0, 1, 1), "up"),
+        make_params(2, Fraction(-1, 2), [0, -3]),
+    ),
+    (
+        make_params(2, None, [(0, 0), (0, 0)]),
+        WallCrossStep(ChargeDifferenceWall(0, 1, 0), "up"),
+        make_params(2, None, [(0, 0), (0, 1)]),
+    ),
+]
 
 
-def check_adjointness(full: bool) -> None:
-    params = make_params(1, Fraction(-1, 2), [0])
-    n, d = 3, 1
-    e = params.kappa.e
-    for lam in enumerate_multipartitions(1, n + d * e):
-        for mu in enumerate_multipartitions(1, n):
-            u = basis_vector(lam, n + d * e)
-            v = basis_vector(mu, n + d * e)
-            assert inner_product(b_minus_op(u, d, params), v) == inner_product(
-                u, b_plus_op(v, d, params)
-            )
+def check_wall_crossing(full: bool) -> None:
+    for params, step, target in WALLS:
+        wall_crossing(params, step, target, 4 if full else 2)
 
 
+def check_heis_q_lowering(full: bool) -> None:
+    for params in (GOLDEN, make_params(2, Fraction(-1, 2), [0, 0])):
+        heis_q_lowering_choice(params, 4 if full else 2)
+
+
+def check_transpose_reduction(full: bool) -> None:
+    for level, kappa, charges in (
+        (1, Fraction(1, 2), [0]),
+        (1, Fraction(2, 3), [Fraction(1, 2)]),
+        (2, Fraction(1, 2), [0, -1]),
+        (2, Fraction(2, 3), [0, Fraction(1, 2)]),
+    ):
+        pos = make_params(level, kappa, charges)
+        neg = make_params(level, -kappa, [-c for c in charges])
+        transpose_reduction(pos, neg, 3 if full else 2)
+
+
+# Level 3 stays out of the support-based checks: `heis_q` gives wrong
+# level-3 supports (p + e*q > n at kappa = -1/3), a known open defect.
 CHECKS: list[tuple[str, Callable[[bool], None]]] = [
-    ("golden-signature", check_golden_signature),
-    ("crystal-axioms", check_crystal_axioms),
-    ("level1-singular", check_level1_singular),
-    ("division", check_division),
-    ("heisenberg-models", check_heisenberg_models),
-    ("heisenberg-commutator", check_heisenberg_commutator),
-    ("order-refinement", check_order_refinement),
-    ("support-table", check_support_table),
-    ("wallcross-bijection", check_wallcross_bijection),
-    ("fock-matrix", check_fock_matrix),
-    ("plethysm-lowering", check_plethysm_lowering),
-    ("singular-dimension", check_singular_dimension),
-    ("embed-intertwines", check_embed_intertwines),
-    ("adjointness", check_adjointness),
+    ("golden-signature", lambda full: golden_signature()),
+    ("crystal-axioms", _on_grid(crystal_axioms, 4, 6)),
+    ("level1-singular", _on_grid(level1_singular, 6, 8, max_level=1)),
+    ("level1-restricted", _on_grid(restricted_component, 4, 8, max_level=1)),
+    ("level1-isomorphism", _on_grid(component_isomorphism, 4, 8, max_level=1)),
+    ("division", lambda full: division(12 if full else 8)),
+    ("heisenberg-models", _on_grid(heisenberg_models, 4, 8, rational=True)),
+    ("heisenberg-commutator", _on_grid(heisenberg_commutator, 3, 5, rational=True)),
+    ("heisenberg-box-commute", _on_grid(heisenberg_box_commute, 1, 4, rational=True)),
+    ("adjointness", _on_grid(adjointness, 1, 3, rational=True)),
+    ("order-refinement", _on_grid(order_refinement, 3, 5)),
+    ("support-table", lambda full: support_table()),
+    ("level1-finite-dimensional", _on_grid(level1_finite_dimensional, 5, 7, max_level=1)),
+    ("wall-crossing", check_wall_crossing),
+    ("heis-q-lowering", check_heis_q_lowering),
+    ("transpose-reduction", check_transpose_reduction),
+    ("fock-matrix", lambda full: fock_matrix()),
+    ("plethysm-lowering", _on_grid(plethysm_lowering, 1, 3, max_level=1)),
+    ("singular-dimension", _on_grid(singular_dimension, 2, 5, rational=True, max_level=2)),
+    ("filtration-counts", _on_grid(filtration_counts, 2, 5, rational=True, max_level=2)),
+    ("embed-intertwines", _on_grid(embed_intertwines, 2, 5, rational=True)),
 ]
 
 
 def run_selftest(depth: str = "quick", writer=print) -> int:
     """Run every check; returns the number of failures."""
+    if not __debug__:
+        writer("FAIL assertions are disabled (python -O); no check can fail")
+        return 1
     full = depth == "full"
     failures = 0
     for name, fn in CHECKS:

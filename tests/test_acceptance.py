@@ -2,59 +2,60 @@
 
 Each test prints a single "criterion NN <label>: PASS/FAIL" line (use
 pytest -rA to see the lines for passing tests too) and enforces a time
-budget where the guarantee has one.
+budget where the guarantee has one.  Most criteria run the named
+`fockcrystal.selftest` checks at full depth, so each invariant has one
+implementation shared with the `selftest` command.
 """
 
 import time
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from fockcrystal import (
-    ChargeDifferenceWall,
     Multipartition,
-    Partition,
     Residue,
-    WallCrossStep,
     b_minus_op,
-    b_plus_op,
-    basis_vector,
-    charged_to_multipartition,
-    crystal_component,
-    divide_with_remainder,
     e_tilde,
     e_z_op,
-    embed_to_charged,
-    enumerate_multipartitions,
     enumerate_partitions,
     f_tilde,
-    f_z_op,
-    filtration_dim,
-    heis_q,
-    inner_product,
-    is_singular,
-    leq_c,
     make_params,
     plethysm_class,
-    preceq,
     reduce_signature,
-    relevant_residues,
-    support,
-    wall_cross,
-    wedge_f_op,
     z_signature,
 )
+from fockcrystal.selftest import CHECKS, GOLDEN
 
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 GOLDEN_LAM = Multipartition([[2, 2], [3, 1, 1, 1]])
-FAR = make_params(2, Fraction(-1, 2), [0, -3])
 
-PARAM_SAMPLES = [
-    make_params(1, Fraction(-1, 2), [0]),
-    make_params(1, Fraction(-1, 3), [0]),
-    GOLDEN,
-    make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
-]
+# The selftest checks each criterion runs at full depth; the checks no
+# criterion names run one by one in test_selftest_check.
+CRITERION_CHECKS = {
+    2: ["crystal-axioms"],
+    3: ["level1-singular", "level1-restricted", "level1-isomorphism"],
+    4: ["division"],
+    5: [
+        "heisenberg-models",
+        "heisenberg-commutator",
+        "heisenberg-box-commute",
+        "adjointness",
+    ],
+    7: ["filtration-counts"],
+    8: ["level1-finite-dimensional"],
+    9: ["wall-crossing", "heis-q-lowering"],
+    10: ["embed-intertwines"],
+    11: ["order-refinement"],
+    12: ["transpose-reduction"],
+}
+WRAPPED = {name for names in CRITERION_CHECKS.values() for name in names}
+
+
+def run_checks(num):
+    check = dict(CHECKS)
+    for name in CRITERION_CHECKS[num]:
+        check[name](True)
 
 
 @contextmanager
@@ -68,11 +69,6 @@ def reported(num, label):
         raise
     elapsed = time.perf_counter() - start
     print(f"criterion {num:02d} {label}: PASS ({elapsed:.3f} s)")
-
-
-def all_multipartitions(level, n_max):
-    for n in range(n_max + 1):
-        yield from enumerate_multipartitions(level, n)
 
 
 def test_criterion_01_golden_example():
@@ -101,144 +97,25 @@ def test_criterion_01_golden_example():
 def test_criterion_02_crystal_axioms():
     with reported(2, "crystal axiom suite"):
         start = time.perf_counter()
-        for params in PARAM_SAMPLES:
-            for lam in all_multipartitions(params.level, 6):
-                for z in relevant_residues(lam, params):
-                    down = f_tilde(lam, z, params)
-                    if down is not None:
-                        assert down.size == lam.size + 1
-                        added = set(down.boxes()) - set(lam.boxes())
-                        assert len(added) == 1
-                        assert params.residue(added.pop()) == z
-                        assert e_tilde(down, z, params) == lam
-                    up = e_tilde(lam, z, params)
-                    if up is not None:
-                        assert up.size == lam.size - 1
-                        removed = set(lam.boxes()) - set(up.boxes())
-                        assert len(removed) == 1
-                        assert params.residue(removed.pop()) == z
-                        assert f_tilde(up, z, params) == lam
+        run_checks(2)
         elapsed = time.perf_counter() - start
         assert elapsed < 10, f"axiom suite took {elapsed:.1f} s"
 
 
 def test_criterion_03_level_one_classifications():
     with reported(3, "level-one classifications"):
-        for e in (2, 3):
-            params = make_params(1, Fraction(-1, e), [0])
-            empty = Multipartition([[]])
-            component = {
-                lam.component(0)
-                for lam in crystal_component(empty, params, size_bound=8).nodes
-            }
-            for n in range(9):
-                for part in enumerate_partitions(n):
-                    lam = Multipartition([part])
-                    divisible = all(x % e == 0 for x in part.parts)
-                    assert is_singular(lam, params) == divisible
-                    col_mults = Counter(part.transpose().parts)
-                    restricted = all(v < e for v in col_mults.values())
-                    assert (part in component) == restricted
-            # rowwise addition of a singular partition is a component
-            # isomorphism preserving residue labels
-            for mu in (Partition([e]), Partition([e, e])):
-                bound = 8 - mu.size
-                base = crystal_component(empty, params, size_bound=bound)
-                shifted = crystal_component(
-                    Multipartition([mu]), params, size_bound=8
-                )
-                def translate(lam):
-                    rows = max(len(lam.component(0)), len(mu))
-                    return Multipartition(
-                        [[lam.component(0).row(y) + mu.row(y) for y in range(1, rows + 1)]]
-                    )
-                assert {translate(v) for v in base.nodes} == set(shifted.nodes)
-                assert {
-                    (translate(a), z, translate(b)) for a, z, b in base.edges
-                } == set(shifted.edges)
-
-
-def brute_division(nu, e):
-    """Maximal-remainder division by exhaustive search over quotients."""
-    best = None
-    for qsize in range(nu.size // e + 1):
-        for quot in enumerate_partitions(qsize):
-            if len(quot.parts) > len(nu.parts):
-                continue
-            rows = [nu.row(y) - e * quot.row(y) for y in range(1, len(nu.parts) + 1)]
-            if any(r < 0 for r in rows):
-                continue
-            if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-                continue
-            padded = rows + [0]
-            if any(padded[i] - padded[i + 1] >= e for i in range(len(rows))):
-                continue
-            rem = Partition(rows)
-            if best is None or rem.size > best[1].size:
-                best = (quot, rem)
-    return best
+        run_checks(3)
 
 
 def test_criterion_04_division_with_remainder():
     with reported(4, "division with remainder"):
-        assert divide_with_remainder(Partition([7, 3, 1]), 3) == (
-            Partition([1]),
-            Partition([4, 3, 1]),
-        )
-        for n in range(13):
-            for nu in enumerate_partitions(n):
-                for e in (2, 3, 4):
-                    assert divide_with_remainder(nu, e) == brute_division(nu, e)
+        run_checks(4)
 
 
 def test_criterion_05_heisenberg_suite():
     with reported(5, "Heisenberg operator suite"):
         start = time.perf_counter()
-        samples = [
-            make_params(1, Fraction(-1, 2), [0]),
-            make_params(1, Fraction(-1, 3), [0]),
-            GOLDEN,
-        ]
-        for params in samples:
-            e, level = params.kappa.e, params.level
-            for d in (1, 2):
-                for lam in all_multipartitions(level, 8 - e * d):
-                    v = basis_vector(lam, lam.size + e * d)
-                    assert b_plus_op(v, d, params, model="ribbon") == b_plus_op(
-                        v, d, params, model="wedge"
-                    )
-                    assert b_minus_op(v, d, params, model="ribbon") == b_minus_op(
-                        v, d, params, model="wedge"
-                    )
-            for d in (1, 2):
-                for lam in all_multipartitions(level, 4):
-                    v = basis_vector(lam, lam.size + e * d)
-                    got = b_minus_op(b_plus_op(v, d, params), d, params) - b_plus_op(
-                        b_minus_op(v, d, params), d, params
-                    )
-                    assert got == v.scale(d * e * level)
-            residues = [Residue(0, value) for value in range(e)]
-            for lam in all_multipartitions(level, 4):
-                v = basis_vector(lam, lam.size + e + 1)
-                for z in residues:
-                    assert e_z_op(b_plus_op(v, 1, params), z, params) == b_plus_op(
-                        e_z_op(v, z, params), 1, params
-                    )
-                    assert f_z_op(b_plus_op(v, 1, params), z, params) == b_plus_op(
-                        f_z_op(v, z, params), 1, params
-                    )
-            for n in range(3):
-                for lam in enumerate_multipartitions(level, n):
-                    for mu in enumerate_multipartitions(level, n + e):
-                        lhs = inner_product(
-                            b_plus_op(basis_vector(lam, n + e), 1, params),
-                            basis_vector(mu, n + e),
-                        )
-                        rhs = inner_product(
-                            basis_vector(lam, n + e),
-                            b_minus_op(basis_vector(mu, n + e), 1, params),
-                        )
-                        assert lhs == rhs
+        run_checks(5)
         elapsed = time.perf_counter() - start
         assert elapsed < 30, f"Heisenberg suite took {elapsed:.1f} s"
 
@@ -268,131 +145,37 @@ def test_criterion_06_plethysm_singular_class():
 
 def test_criterion_07_filtration_equality():
     with reported(7, "filtration dimension equality"):
-        for params in PARAM_SAMPLES:
-            level, e = params.level, params.kappa.e
-            for n in range(6):
-                descriptors = [
-                    support(lam, params)
-                    for lam in enumerate_multipartitions(level, n)
-                ]
-                for p0 in range(n + 1):
-                    for q0 in range(n // e + 1):
-                        count = sum(
-                            1 for s in descriptors if s.p <= p0 and s.q <= q0
-                        )
-                        assert (
-                            filtration_dim(p0, q0, n, level, params) == count
-                        ), (params, n, p0, q0)
+        run_checks(7)
 
 
 def test_criterion_08_support_sanity():
     with reported(8, "level-one support sanity"):
-        for e in (2, 3):
-            params = make_params(1, Fraction(-1, e), [0])
-            zero_dim = [
-                lam
-                for lam in enumerate_multipartitions(1, e)
-                if support(lam, params).dim_support == 0
-            ]
-            assert zero_dim == [Multipartition([[e]])]
-            # rank one is the degenerate reduced category; start at two
-            for n in range(2, 8):
-                if n % e == 0:
-                    continue
-                for lam in enumerate_multipartitions(1, n):
-                    assert not support(lam, params).finite_dimensional, (lam, e)
+        run_checks(8)
 
 
 def test_criterion_09_wall_crossing():
     with reported(9, "wall-crossing bijection properties"):
-        wall1 = WallCrossStep(ChargeDifferenceWall(0, 1, 1), "up")
-        for n in range(5):
-            nodes = enumerate_multipartitions(2, n)
-            images = []
-            for lam in nodes:
-                out = wall_cross(lam, wall1, GOLDEN)
-                assert out.size == lam.size
-                images.append(out)
-                before = support(lam, GOLDEN)
-                after = support(out, FAR)
-                assert before.q == after.q
-                assert before.p == after.p
-            assert set(images) == set(nodes)
-        for n in range(4):
-            for lam in enumerate_multipartitions(2, n):
-                crossed = wall_cross(lam, wall1, GOLDEN)
-                for z in (Residue(0, 0), Residue(0, 1)):
-                    down = f_tilde(lam, z, GOLDEN)
-                    if down is None:
-                        assert f_tilde(crossed, z, FAR) is None
-                    else:
-                        assert wall_cross(down, wall1, GOLDEN) == f_tilde(
-                            crossed, z, FAR
-                        )
-        # two distinct admissible orderings of the transport chain: one
-        # per choice of the designated lowering component of the class
-        merged = make_params(2, Fraction(-1, 2), [0, 0])
-        for n in range(5):
-            for lam in enumerate_multipartitions(2, n):
-                assert heis_q(lam, GOLDEN, lowering={0: 0}) == heis_q(
-                    lam, GOLDEN, lowering={0: 1}
-                )
-                assert heis_q(lam, merged, lowering={0: 0}) == heis_q(
-                    lam, merged, lowering={0: 1}
-                )
+        run_checks(9)
 
 
 def test_criterion_10_charged_word_model():
     with reported(10, "charged-word model intertwines"):
-        cases = [
-            (make_params(1, Fraction(-1, 2), [0]), [7]),
-            (make_params(1, Fraction(-1, 3), [0]), [8]),
-            (GOLDEN, [7, 6]),
-        ]
-        for params, charges in cases:
-            e = params.kappa.e
-            shift = charges[0] - int(params.s[0].a)
-            for lam in all_multipartitions(params.level, 5):
-                word = embed_to_charged(lam, charges)
-                for z in relevant_residues(lam, params):
-                    i = (z.value + shift) % e
-                    got = {
-                        charged_to_multipartition(w): c
-                        for w, c in wedge_f_op(word, i, e).items()
-                    }
-                    want = dict(f_z_op(basis_vector(lam, lam.size + 1), z, params).items())
-                    assert got == want, (lam, z)
+        run_checks(10)
 
 
 def test_criterion_11_order_refinement():
     with reported(11, "matching order refines c-order"):
-        samples = PARAM_SAMPLES + [make_params(2, None, [0, -1])]
-        for params in samples:
-            for n in range(6):
-                nodes = enumerate_multipartitions(params.level, n)
-                for lam in nodes:
-                    for mu in nodes:
-                        if preceq(lam, mu, params):
-                            assert leq_c(lam, mu, params), (lam, mu, params)
+        run_checks(11)
 
 
 def test_criterion_12_transpose_reduction():
     with reported(12, "transpose reduction for positive kappa"):
-        cases = [
-            (1, Fraction(1, 2), [0]),
-            (1, Fraction(2, 3), [Fraction(1, 2)]),
-            (2, Fraction(1, 2), [0, -1]),
-            (2, Fraction(2, 3), [0, Fraction(1, 2)]),
-        ]
-        for level, kappa, charges in cases:
-            pos = make_params(level, kappa, charges)
-            neg = make_params(level, -kappa, [-c for c in charges])
-            for lam in all_multipartitions(level, 3):
-                got = support(lam, pos)
-                want = support(lam.transpose(), neg)
-                assert (got.p, got.q, got.dim_support, got.finite_dimensional) == (
-                    want.p,
-                    want.q,
-                    want.dim_support,
-                    want.finite_dimensional,
-                ), (lam, level, kappa)
+        run_checks(12)
+
+
+@pytest.mark.parametrize(
+    "check", [pytest.param(fn, id=name) for name, fn in CHECKS if name not in WRAPPED]
+)
+def test_selftest_check(check):
+    """Every selftest check that no criterion above runs, at full depth."""
+    check(True)

@@ -433,3 +433,16 @@ class TestIOContract:
         )
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
+
+    def test_selftest_fails_when_assertions_are_stripped(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fockcrystal", "selftest", "quick"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("FAIL assertions are disabled")
+        assert "checks passed" not in proc.stdout

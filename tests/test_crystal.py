@@ -7,11 +7,9 @@ from fractions import Fraction
 import pytest
 
 from fockcrystal import (
-    AmbiguityError,
     Box,
     InvalidInputError,
     Multipartition,
-    Partition,
     Residue,
     Signature,
     UnsupportedParameterError,
@@ -19,7 +17,6 @@ from fockcrystal import (
     crystal_graph,
     e_tilde,
     enumerate_multipartitions,
-    enumerate_partitions,
     f_tilde,
     is_singular,
     km_depth,
@@ -28,23 +25,14 @@ from fockcrystal import (
     relevant_residues,
     z_signature,
 )
+from fockcrystal import selftest
+from fockcrystal.selftest import GOLDEN
 
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 GOLDEN_LAM = Multipartition([[2, 2], [3, 1, 1, 1]])
 
 
 def sig_of(signs):
     return Signature(Residue(0, 0), tuple((Box(1, 1, 0), s) for s in signs))
-
-
-def restricted(p, e):
-    padded = p.parts + (0,)
-    return all(padded[i] - padded[i + 1] < e for i in range(len(p.parts)))
-
-
-def add_rowwise(lam, mu):
-    rows = max(len(lam.parts), len(mu.parts))
-    return Partition([lam.row(y) + mu.row(y) for y in range(1, rows + 1)])
 
 
 class TestSignatures:
@@ -100,15 +88,7 @@ class TestCrystalAxioms:
 
     @pytest.mark.parametrize("params", SAMPLES)
     def test_inverse_pair(self, params):
-        for n in range(5):
-            for lam in enumerate_multipartitions(params.level, n):
-                for z in relevant_residues(lam, params):
-                    down = f_tilde(lam, z, params)
-                    if down is not None:
-                        assert e_tilde(down, z, params) == lam
-                    up = e_tilde(lam, z, params)
-                    if up is not None:
-                        assert f_tilde(up, z, params) == lam
+        selftest.crystal_axioms(params, 4)
 
     @pytest.mark.parametrize("params", SAMPLES)
     def test_lowering_injective_per_residue(self, params):
@@ -140,46 +120,19 @@ class TestCrystalAxioms:
 class TestLevelOneClassifications:
     @pytest.mark.parametrize("e", [2, 3])
     def test_singular_iff_all_parts_divisible(self, e):
-        p = make_params(1, Fraction(-1, e), [0])
-        for n in range(9):
-            for part in enumerate_partitions(n):
-                lam = Multipartition([part])
-                expected = all(x % e == 0 for x in part.parts)
-                assert is_singular(lam, p) == expected, (part, e)
+        selftest.level1_singular(make_params(1, Fraction(-1, e), [0]), 8)
 
     @pytest.mark.parametrize("e", [2, 3])
     def test_empty_component_is_restricted(self, e):
-        p = make_params(1, Fraction(-1, e), [0])
-        comp = crystal_component(Multipartition([[]]), p, size_bound=8)
-        got = {lam.component(0) for lam in comp.nodes}
-        expected = {
-            part
-            for n in range(9)
-            for part in enumerate_partitions(n)
-            if restricted(part, e)
-        }
-        assert got == expected
+        selftest.restricted_component(make_params(1, Fraction(-1, e), [0]), 8)
 
     @pytest.mark.parametrize("e", [2, 3])
     @pytest.mark.parametrize("mu_shape", [(1,), (2,), (1, 1)])
     def test_component_isomorphism(self, e, mu_shape):
         """Rowwise addition of a singular partition maps the component of
         the empty partition onto the component of mu, preserving residues."""
-        mu = Partition([e * x for x in mu_shape])
-        p = make_params(1, Fraction(-1, e), [0])
-        assert is_singular(Multipartition([mu]), p)
-        bound = 8 - mu.size if mu.size <= 4 else 4
-        base = crystal_component(Multipartition([[]]), p, size_bound=bound)
-        shifted = crystal_component(
-            Multipartition([mu]), p, size_bound=bound + mu.size
-        )
-        translate = {
-            lam: Multipartition([add_rowwise(lam.component(0), mu)])
-            for lam in base.nodes
-        }
-        assert set(shifted.nodes) == set(translate.values())
-        base_edges = {(translate[a], z, translate[b]) for a, z, b in base.edges}
-        assert base_edges == set(shifted.edges)
+        params = make_params(1, Fraction(-1, e), [0])
+        selftest.component_isomorphism(params, 8)
 
 
 class TestSymbolicSingularFamilies:

@@ -30,16 +30,14 @@ from fockcrystal import (
     make_params,
     operator_matrix,
     plethysm_class,
-    relevant_residues,
     singular_subspace,
     support,
     wedge_e_op,
     wedge_f_op,
 )
+from fockcrystal import selftest
+from fockcrystal.selftest import E2, E3, GOLDEN
 
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
-E2 = make_params(1, Fraction(-1, 2), [0])
-E3 = make_params(1, Fraction(-1, 3), [0])
 
 ZERO2 = Residue(0, 0)
 ONE2 = Residue(0, 1)
@@ -137,29 +135,12 @@ class TestHeisenberg:
     @pytest.mark.parametrize("params", [E2, E3, GOLDEN])
     @pytest.mark.parametrize("d", [1, 2])
     def test_models_agree(self, params, d):
-        e = params.kappa.e
-        for n in range(6):
-            for lam in enumerate_multipartitions(params.level, n):
-                v = bv(lam, n + e * d)
-                assert b_plus_op(v, d, params, model="ribbon") == b_plus_op(
-                    v, d, params, model="wedge"
-                )
-                assert b_minus_op(v, d, params, model="ribbon") == b_minus_op(
-                    v, d, params, model="wedge"
-                )
+        selftest.heisenberg_models(params, 5)
 
     @pytest.mark.parametrize("params", [E2, E3, GOLDEN])
     @pytest.mark.parametrize("d", [1, 2])
     def test_commutator_is_central(self, params, d):
-        e = params.kappa.e
-        scalar = d * e * params.level
-        for n in range(4):
-            for lam in enumerate_multipartitions(params.level, n):
-                v = bv(lam, n + e * d)
-                got = b_minus_op(b_plus_op(v, d, params), d, params) - b_plus_op(
-                    b_minus_op(v, d, params), d, params
-                )
-                assert got == v.scale(scalar)
+        selftest.heisenberg_commutator(params, 3)
 
     def test_different_degrees_commute(self):
         for n in range(3):
@@ -174,31 +155,10 @@ class TestHeisenberg:
 
     @pytest.mark.parametrize("params", [E2, GOLDEN])
     def test_commutes_with_box_operators(self, params):
-        e = params.kappa.e
-        residues = [Residue(0, v) for v in range(e)]
-        for n in range(4):
-            for lam in enumerate_multipartitions(params.level, n):
-                v = bv(lam, n + e + 1)
-                for z in residues:
-                    assert e_z_op(b_plus_op(v, 1, params), z, params) == b_plus_op(
-                        e_z_op(v, z, params), 1, params
-                    )
-                    assert f_z_op(b_plus_op(v, 1, params), z, params) == b_plus_op(
-                        f_z_op(v, z, params), 1, params
-                    )
+        selftest.heisenberg_box_commute(params, 3)
 
     def test_adjointness(self):
-        d, e = 1, 2
-        for n in range(4):
-            for lam in enumerate_multipartitions(2, n):
-                for mu in enumerate_multipartitions(2, n + e * d):
-                    lhs = inner_product(
-                        b_plus_op(bv(lam, n + e * d), d, GOLDEN), bv(mu, n + e * d)
-                    )
-                    rhs = inner_product(
-                        bv(lam, n + e * d), b_minus_op(bv(mu, n + e * d), d, GOLDEN)
-                    )
-                    assert lhs == rhs
+        selftest.adjointness(GOLDEN, 3)
 
     def test_degree_validation(self):
         with pytest.raises(InvalidInputError):
@@ -248,12 +208,8 @@ class TestPlethysm:
         assert v.degrees() == [6]
 
     def test_killed_by_raising_operators(self):
-        for e in (2, 3):
-            p = make_params(1, Fraction(-1, e), [0])
-            for mu in enumerate_partitions(2):
-                v = plethysm_class(mu, e)
-                for z in (Residue(0, value) for value in range(e)):
-                    assert e_z_op(v, z, p).is_zero()
+        for params in (E2, E3):
+            selftest.plethysm_lowering(params, 2)
 
 
 class TestSingularSubspace:
@@ -270,13 +226,7 @@ class TestSingularSubspace:
         "level,params", [(1, E2), (1, E3), (2, GOLDEN)]
     )
     def test_dimension_counts_fully_supported_simples(self, level, params):
-        for n in range(5):
-            labels = [
-                lam
-                for lam in enumerate_multipartitions(level, n)
-                if support(lam, params).p == 0 and support(lam, params).q == 0
-            ]
-            assert len(singular_subspace(level, n, params)) == len(labels)
+        selftest.singular_dimension(params, 4)
 
     def test_vectors_are_killed(self):
         for vec in singular_subspace(2, 2, GOLDEN):
@@ -306,15 +256,7 @@ class TestFiltration:
         "level,params", [(1, E2), (1, E3), (2, GOLDEN)]
     )
     def test_matches_crystal_counts(self, level, params):
-        for n in range(5):
-            nodes = enumerate_multipartitions(level, n)
-            descriptors = [support(lam, params) for lam in nodes]
-            for p in range(n + 1):
-                for q in range(n // params.kappa.e + 1):
-                    count = sum(
-                        1 for s in descriptors if s.p <= p and s.q <= q
-                    )
-                    assert filtration_dim(p, q, n, level, params) == count
+        selftest.filtration_counts(params, 4)
 
     def test_symbolic_kappa_has_trivial_heisenberg_direction(self):
         p = make_params(2, None, [0, 0])
@@ -399,25 +341,7 @@ class TestWedgeOperators:
     def test_intertwines_box_operators(self, level, charges, params):
         """Embedding at a common charge shift carries the box operators
         to the wedge operators with the matching label."""
-        e = params.kappa.e
-        shift = charges[0] - int(params.s[0].a)
-        for n in range(5):
-            for lam in enumerate_multipartitions(level, n):
-                word = embed_to_charged(lam, charges)
-                for z in relevant_residues(lam, params):
-                    i = (z.value + shift) % e
-                    got_f = {
-                        charged_to_multipartition(w): c
-                        for w, c in wedge_f_op(word, i, e).items()
-                    }
-                    want_f = dict(f_z_op(bv(lam, n + 1), z, params).items())
-                    assert got_f == {k: v for k, v in want_f.items()}
-                    got_e = {
-                        charged_to_multipartition(w): c
-                        for w, c in wedge_e_op(word, i, e).items()
-                    }
-                    want_e = dict(e_z_op(bv(lam, n + 1), z, params).items())
-                    assert got_e == want_e
+        selftest.embed_intertwines(params, 4)
 
 
 class TestOperatorMatrix:

@@ -16,8 +16,9 @@ from fockcrystal import (
     make_params,
     preceq,
 )
-
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
+from fockcrystal import selftest
+from fockcrystal.orders import _max_bipartite_matching
+from fockcrystal.selftest import GOLDEN
 
 
 def make_lam(components):
@@ -134,10 +135,12 @@ class TestPreceq:
             make_params(2, None, [0, -1]),
         ]
         for params in samples:
-            level = params.level
-            for n in range(5):
-                nodes = enumerate_multipartitions(level, n)
-                for lam in nodes:
-                    for mu in nodes:
-                        if preceq(lam, mu, params):
-                            assert leq_c(lam, mu, params)
+            selftest.order_refinement(params, 4)
+
+
+def test_matching_survives_augmenting_paths_beyond_the_recursion_limit():
+    # left i is adjacent to rights i+1 and i; greedy first choices leave
+    # left n-1 to an augmenting path through every other vertex
+    n = 5000
+    adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    assert _max_bipartite_matching(adj, n) == n

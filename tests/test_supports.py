@@ -8,7 +8,6 @@ import pytest
 
 from fockcrystal import (
     ChargeDifferenceWall,
-    FockcrystalError,
     InvalidInputError,
     KappaDenominatorWall,
     Multipartition,
@@ -25,12 +24,12 @@ from fockcrystal import (
     support,
     wall_cross,
 )
+from fockcrystal import selftest
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 FAR = make_params(2, Fraction(-1, 2), [0, -3])
 ASYM = make_params(2, Fraction(-1, 2), [0, -10])
 UP_WALL = WallCrossStep(ChargeDifferenceWall(0, 1, 1), "up")
-DOWN_WALL = WallCrossStep(ChargeDifferenceWall(0, 1, 1), "down")
 
 
 class TestAsymptoticQ:
@@ -126,26 +125,9 @@ class TestWallCross:
         )
 
     def test_down_inverts_up(self):
-        for n in range(4):
-            for lam in enumerate_multipartitions(2, n):
-                crossed = wall_cross(lam, UP_WALL, GOLDEN)
-                assert wall_cross(crossed, DOWN_WALL, FAR) == lam
-
-    def test_bijective_per_size(self):
-        for n in range(4):
-            nodes = enumerate_multipartitions(2, n)
-            images = {wall_cross(lam, UP_WALL, GOLDEN) for lam in nodes}
-            assert images == set(nodes)
-
-    def test_support_invariance(self):
-        """(p, q) of a simple is intrinsic: crossing the wall relabels
-        the simples but keeps their supports."""
-        for n in range(4):
-            for lam in enumerate_multipartitions(2, n):
-                crossed = wall_cross(lam, UP_WALL, GOLDEN)
-                before = support(lam, GOLDEN)
-                after = support(crossed, FAR)
-                assert (before.p, before.q) == (after.p, after.q)
+        """Crossing back undoes the crossing; crossing permutes each size
+        and keeps (p, q) and the crystal operators."""
+        selftest.wall_crossing(GOLDEN, UP_WALL, FAR, 3)
 
     def test_non_essential_wall_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -174,10 +156,7 @@ class TestWallCross:
 
 class TestHeisQ:
     def test_choice_of_lowered_component_is_immaterial(self):
-        p = make_params(2, Fraction(-1, 2), [0, 0])
-        for n in range(5):
-            for lam in enumerate_multipartitions(2, n):
-                assert heis_q(lam, p) == heis_q(lam, p, lowering={0: 1})
+        selftest.heis_q_lowering_choice(make_params(2, Fraction(-1, 2), [0, 0]), 4)
 
     def test_override_validated(self):
         p = make_params(2, Fraction(-1, 2), [0, Fraction(1, 2)])
@@ -216,32 +195,15 @@ class TestSupportTable:
         assert s.stabilizer == (2, 2, 2, 0)
 
     def test_level_one_rank_two(self):
-        p = make_params(1, Fraction(-1, 2), [0])
-        full = support(Multipartition([[2]]), p)
-        assert (full.p, full.q, full.dim_support) == (0, 1, 0)
-        assert full.finite_dimensional
-        col = support(Multipartition([[1, 1]]), p)
-        assert (col.p, col.q, col.dim_support) == (2, 0, 1)
-        assert not col.finite_dimensional
+        selftest.support_table()
 
     @pytest.mark.parametrize("e", [2, 3])
     def test_level_one_unique_finite_dimensional_at_rank_e(self, e):
-        p = make_params(1, Fraction(-1, e), [0])
-        findim = [
-            lam
-            for lam in enumerate_multipartitions(1, e)
-            if support(lam, p).finite_dimensional
-        ]
-        assert findim == [Multipartition([[e]])]
+        selftest.level1_finite_dimensional(make_params(1, Fraction(-1, e), [0]), e)
 
     @pytest.mark.parametrize("e", [2, 3])
     def test_level_one_none_when_e_does_not_divide_n(self, e):
-        p = make_params(1, Fraction(-1, e), [0])
-        for n in range(2, 8):
-            if n % e == 0:
-                continue
-            for lam in enumerate_multipartitions(1, n):
-                assert not support(lam, p).finite_dimensional, (lam, e)
+        selftest.level1_finite_dimensional(make_params(1, Fraction(-1, e), [0]), 7)
 
     def test_empty_multipartition_is_full_support(self):
         s = support(Multipartition([[], []]), GOLDEN)
@@ -253,11 +215,7 @@ class TestSupportTable:
 
     def test_positive_kappa_transposes_labels(self):
         pos = make_params(2, Fraction(1, 2), [0, -1])
-        neg = make_params(2, Fraction(-1, 2), [0, 1])
-        for lam in enumerate_multipartitions(2, 3):
-            got = support(lam, pos)
-            ref = support(lam.transpose(), neg)
-            assert got == ref
+        selftest.transpose_reduction(pos, make_params(2, Fraction(-1, 2), [0, 1]), 3)
 
     def test_irrational_support_is_crystal_depth_only(self):
         p = make_params(2, None, [0, 0])

@@ -6,8 +6,9 @@ Every command reads parameters from a JSON file (--params), writes JSON
 canonically so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
-3 signature ambiguity, 4 truncation overflow, 5 internal error (any
-other exception, reported as "internal error: <Type>: <message>").
+3 signature ambiguity, 4 truncation overflow, 5 internal error (a
+violated internal invariant or any other exception, reported as
+"internal error: <Type>: <message>").
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .crystal import crystal_graph
 from .errors import (
     AmbiguityError,
     FockcrystalError,
+    InternalInvariantError,
     TruncationOverflowError,
 )
 from .fock import (
@@ -327,6 +329,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TruncationOverflowError as exc:
         print(f"truncation overflow: {exc}", file=sys.stderr)
         return 4
+    except InternalInvariantError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     except FockcrystalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

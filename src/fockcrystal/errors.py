@@ -4,6 +4,8 @@ Exit-code mapping used by the command line front end:
   2  malformed input (bad JSON, invalid partition data, bad parameters)
   3  ambiguity fault (strict tie checking tripped)
   4  truncation overflow (an operator pushed weight past the chosen cutoff)
+  5  internal error (a violated internal invariant, or any exception that
+     is not a FockcrystalError)
 """
 
 
@@ -29,3 +31,8 @@ class TruncationOverflowError(FockcrystalError):
 
 class UnsupportedParameterError(FockcrystalError):
     """Parameters outside the domain of the requested computation."""
+
+
+class InternalInvariantError(FockcrystalError):
+    """A result the theory guarantees failed its own check: a defect in
+    this package, not in the input."""

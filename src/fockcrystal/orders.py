@@ -7,7 +7,15 @@ coarse one, which the test suite checks exhaustively on small ranks.
 
 from __future__ import annotations
 
-from .params import CherednikParams, CValue, C_ZERO, cvalue_integer_difference
+from .params import (
+    C_ZERO,
+    ChargeValue,
+    CherednikParams,
+    CValue,
+    KappaValue,
+    _in_kappa_inv_lattice,
+    cvalue_integer_difference,
+)
 from .partitions import Multipartition
 
 
@@ -26,14 +34,25 @@ def leq_c(tau: Multipartition, xi: Multipartition, params: CherednikParams) -> b
     return d is not None and d > 0
 
 
+def _box_data(b, params: CherednikParams) -> tuple[ChargeValue, CValue]:
+    """What the box order reads of a box: its charged content and c-value."""
+    return params.charged_content(b), params.c_of_box(b)
+
+
+def _data_leq(d1, d2, kappa: KappaValue) -> bool:
+    """box_leq on the boxes' `_box_data`."""
+    (cont1, c1), (cont2, c2) = d1, d2
+    if not _in_kappa_inv_lattice(cont1 - cont2, kappa):
+        return False
+    d = cvalue_integer_difference(c1, c2, kappa)
+    return d is not None and d >= 0
+
+
 def box_leq(b1, b2, params: CherednikParams) -> bool:
     """b1 <= b2 in the box order: equivalent boxes whose c-difference
     c_{b1} - c_{b2} is a nonnegative integer (smaller boxes have the
     larger c-value)."""
-    if not params.box_equivalent(b1, b2):
-        return False
-    d = cvalue_integer_difference(params.c_of_box(b1), params.c_of_box(b2), params.kappa)
-    return d is not None and d >= 0
+    return _data_leq(_box_data(b1, params), _box_data(b2, params), params.kappa)
 
 
 def preceq(lam: Multipartition, lam2: Multipartition, params: CherednikParams) -> bool:
@@ -41,10 +60,11 @@ def preceq(lam: Multipartition, lam2: Multipartition, params: CherednikParams) -
     every box of lam below its partner in the box order."""
     if lam.size != lam2.size:
         return False
-    left = list(lam.boxes())
-    right = list(lam2.boxes())
+    left = [_box_data(b, params) for b in lam.boxes()]
+    right = [_box_data(b, params) for b in lam2.boxes()]
     adj = [
-        [j for j, b2 in enumerate(right) if box_leq(b1, b2, params)] for b1 in left
+        [j for j, d2 in enumerate(right) if _data_leq(d1, d2, params.kappa)]
+        for d1 in left
     ]
     return _max_bipartite_matching(adj, len(right)) == len(left)
 

@@ -8,9 +8,12 @@ per essential charge wall between the two chambers.
 
 Each single crossing is the unique size-preserving isomorphism between
 the two-component generic-kappa crystals sitting on either side of the
-wall.  It is computed by walking the source vertex down to its highest
+wall.  It is computed by walking the source vertex up to its highest
 weight vertex, matching that vertex with the target side's highest
-weight vertex of the same size, and replaying the recorded path.
+weight vertex of the same size, and replaying the recorded path.  The
+image of every vertex on a walked path is remembered per (m, direction)
+for the life of the process, so a later walk stops at the first vertex
+already mapped.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .crystal import e_tilde, f_tilde, is_singular, km_depth, relevant_residues
-from .errors import FockcrystalError, InvalidInputError, UnsupportedParameterError
+from .errors import InternalInvariantError, InvalidInputError, UnsupportedParameterError
 from .params import (
     CherednikParams,
     ChargeDifferenceWall,
@@ -123,6 +126,31 @@ def _transport_side_params(m: int, upper: bool) -> CherednikParams:
     return make_params(2, None, [(0, 0), (m, 1 if upper else 0)])
 
 
+def _match_highest_weight(
+    top: Multipartition, direction: str, dst: CherednikParams
+) -> Multipartition:
+    """The same-size highest weight vertex across the wall: swap the
+    components and conjugate."""
+    first, second = top.components
+    empty_slot = second if direction == "down" else first
+    if len(empty_slot) != 0:
+        raise InternalInvariantError(
+            f"transport reached unexpected highest weight vertex {top}"
+        )
+    target = Multipartition([second.transpose(), first.transpose()])
+    if not is_singular(target, dst):
+        raise InternalInvariantError(
+            f"matched vertex {target} is not highest weight across the wall"
+        )
+    return target
+
+
+# (m, direction) -> {source vertex: its image across the wall}.  The
+# walk below is deterministic and the isomorphism unique, so an image
+# stored for a vertex met on some walk is the one its own walk gives.
+_TRANSPORTED: dict[tuple[int, str], dict[Multipartition, Multipartition]] = {}
+
+
 def level2_transport(
     pair: Union[PartitionPair, Multipartition], m: int, direction: str = "up"
 ) -> PartitionPair:
@@ -130,9 +158,12 @@ def level2_transport(
     two-component generic-kappa crystals with slot charges (0, m) on the
     two sides of a wall.
 
-    Walks to the highest weight vertex recording residues, maps it to the
-    same-size highest weight vertex across the wall (swap the components
-    and conjugate), and replays the path.
+    Walks up (first residue whose raising operator acts) recording
+    residues until it meets a vertex already mapped or a highest weight
+    vertex, which it maps to the same-size highest weight vertex across
+    the wall (swap the components and conjugate); then replays the path
+    down.  The image of every vertex on the path is remembered per
+    (m, direction) for the life of the process.
     """
     if direction not in ("up", "down"):
         raise InvalidInputError(f"unknown transport direction {direction!r}")
@@ -141,30 +172,23 @@ def level2_transport(
     cur = pair if isinstance(pair, Multipartition) else Multipartition(pair)
     if cur.level != 2:
         raise InvalidInputError("transport expects a pair of partitions")
+    memo = _TRANSPORTED.setdefault((m, direction), {})
     path = []
-    while not is_singular(cur, src):
+    while cur not in memo:
         for z in relevant_residues(cur, src, addable=False):
             above = e_tilde(cur, z, src)
             if above is not None:
-                path.append(z)
+                path.append((cur, z))
                 cur = above
                 break
-    first, second = cur.components
-    empty_slot = second if direction == "down" else first
-    if len(empty_slot) != 0:
-        raise FockcrystalError(
-            f"transport reached unexpected highest weight vertex {cur}"
-        )
-    target = Multipartition([second.transpose(), first.transpose()])
-    if not is_singular(target, dst):
-        raise FockcrystalError(
-            f"matched vertex {target} is not highest weight across the wall"
-        )
-    for z in reversed(path):
-        below = f_tilde(target, z, dst)
-        if below is None:
-            raise FockcrystalError("path replay died; the crystals do not match")
-        target = below
+        else:
+            memo[cur] = _match_highest_weight(cur, direction, dst)
+    target = memo[cur]
+    for vertex, z in reversed(path):
+        target = f_tilde(target, z, dst)
+        if target is None:
+            raise InternalInvariantError("path replay died; the crystals do not match")
+        memo[vertex] = target
     return target.components
 
 
@@ -267,7 +291,7 @@ def support(
     p = km_depth(work, normalized)
     residual = n - p - (e * q if e is not None else 0)
     if residual < 0:
-        raise FockcrystalError(
+        raise InternalInvariantError(
             f"support invariant p + e*q <= n violated for {lam}: ({p}, {q})"
         )
     if level >= 2:

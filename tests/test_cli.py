@@ -3,10 +3,14 @@ file output, and the exit code contract."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fockcrystal import cli
+from fockcrystal import cli, supports
 from fockcrystal.cli import main
 
 GOLDEN_DOC = {"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, -1]}
@@ -39,6 +43,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """A fresh interpreter that imports this same fockcrystal package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env
+    )
 
 
 def run_json(capsys, argv):
@@ -332,6 +344,61 @@ def test_fock_output_pinned(capsys, tmp_path, doc, subop, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `support` / `wallcross`, captured before
+# level2_transport remembered the images of the vertices it walks.  The
+# level-3 points are outside the known level-3 support defects.
+PINNED_SUPPORTS = [
+    (
+        {"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, -1]},
+        ("support --n 6", "3a2e5513fad8791cf4e64ad2bd1613c4009f335a2e7b23e6f7d7040db427bee9"),
+        ("wallcross --m -3 --n 7",
+         "103662c71c7bc950c60bc57ad01519e2df0b498ed53185ac051d8ae7a67bb6d1"),
+        ("wallcross --m -3 --n 7 --direction down",
+         "0adbe8955d09172b253ed150b3d59a66110bbd87ef498a4d8de75ed657a71add"),
+    ),
+    (
+        {"level": 2, "kappa": {"num": -1, "den": 3}, "s": [0, 2]},
+        ("support --n 6", "5e8cf9b16fe13083e51cb2f56aeaab228abcc3a83a789461c661d1e40c2088b2"),
+        ("wallcross --m 1 --n 7",
+         "267becd91143ee00f7b6523bd6d7c60ad05b6798593b1e0c71ba52d84e63f5ad"),
+        ("wallcross --m 1 --n 7 --direction down",
+         "a23da3225ebc04094b8f60abb3c6ea808b50b343c7f4c48b8a2acbc98845ecb9"),
+    ),
+    (
+        {"level": 2, "kappa": {"num": -2, "den": 3}, "s": [0, -3]},
+        ("support --n 6", "90db9c416e93a79857af72369a2c952eeba1fa4fe3938aeb8cfe95c60fe0ac53"),
+    ),
+    (
+        {"level": 2, "kappa": {"num": 1, "den": 2}, "s": [0, 3]},
+        ("support --n 6", "d62f3abf3361267ecf0cf9ac39bc8ba0b37fe116a024c487e79c80c48977958e"),
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 2}, "s": [0, 3, -3]},
+        ("support --n 4", "abd41306bbf92cf617653240d76e6d7925ed2daf81562a0e0e730824ddc01ef0"),
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, -2, 2]},
+        ("support --n 4", "4ed598efa22eb06f2afeddd250ca34b3e36546fdbf248b7599ceb2e108b08bdb"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,command,digest",
+    [
+        pytest.param(doc, command, digest, id=f"case{k}-{i}-{command.split()[0]}")
+        for k, (doc, *runs) in enumerate(PINNED_SUPPORTS)
+        for i, (command, digest) in enumerate(runs)
+    ],
+)
+def test_support_output_pinned(capsys, tmp_path, doc, command, digest):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command.split() + ["--params", str(path)])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestWallcrossCommand:
     def test_golden_table(self, capsys, golden):
         table = run_json(
@@ -417,32 +484,27 @@ class TestIOContract:
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
+    def test_internal_invariant_exit_code(self, capsys, monkeypatch, golden):
+        monkeypatch.setattr(supports, "heis_q", lambda lam, params: lam.size)
+        code, out, err = run(capsys, ["support", "--params", golden, "--n", "2"])
+        assert code == 5
+        assert out == ""
+        assert err.startswith(
+            "internal error: InternalInvariantError: support invariant p + e*q <= n violated"
+        )
+
     def test_unknown_flag_is_usage_error(self, golden):
         with pytest.raises(SystemExit) as exc:
             main(["support", "--params", golden, "--n", "2", "--frmt", "dot"])
         assert exc.value.code == 2
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "fockcrystal", "selftest", "quick"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("-m", "fockcrystal", "selftest", "quick")
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
     def test_selftest_fails_when_assertions_are_stripped(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "fockcrystal", "selftest", "quick"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("-O", "-m", "fockcrystal", "selftest", "quick")
         assert proc.returncode == 1
         assert proc.stdout.startswith("FAIL assertions are disabled")
         assert "checks passed" not in proc.stdout

@@ -24,7 +24,7 @@ from fockcrystal import (
     support,
     wall_cross,
 )
-from fockcrystal import selftest
+from fockcrystal import selftest, supports
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 FAR = make_params(2, Fraction(-1, 2), [0, -3])
@@ -116,6 +116,29 @@ class TestTransport:
     def test_direction_validated(self):
         with pytest.raises(InvalidInputError):
             level2_transport((Partition([]), Partition([])), 0, "sideways")
+
+    def test_memo_does_not_depend_on_call_order(self, monkeypatch):
+        monkeypatch.setattr(supports, "_TRANSPORTED", {})
+        pairs = [
+            (lam.component(0), lam.component(1))
+            for n in range(6)
+            for lam in enumerate_multipartitions(2, n)
+        ]
+        for m in range(-2, 3):
+            for direction, back in (("up", "down"), ("down", "up")):
+                supports._TRANSPORTED.clear()
+                in_order = [level2_transport(p, m, direction) for p in pairs]
+                supports._TRANSPORTED.clear()
+                reversed_order = [
+                    level2_transport(p, m, direction) for p in reversed(pairs)
+                ][::-1]
+                cold = []
+                for p in pairs:
+                    supports._TRANSPORTED.clear()
+                    cold.append(level2_transport(p, m, direction))
+                assert in_order == reversed_order == cold, (m, direction)
+                for pair, image in zip(pairs, in_order):
+                    assert level2_transport(image, m, back) == pair, (m, direction)
 
 
 class TestWallCross:

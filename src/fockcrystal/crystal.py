@@ -15,16 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import AmbiguityError, InvalidInputError, UnsupportedParameterError
-from .params import CherednikParams, Residue, c_sort_key
+from .errors import AmbiguityError, InvalidInputError
+from .params import CherednikParams, Residue, c_sort_key, reject_integer_kappa
 from .partitions import Box, Multipartition
-
-
-def _check_crystal_params(params: CherednikParams) -> None:
-    if params.kappa.is_rational and params.kappa.e == 1:
-        raise UnsupportedParameterError(
-            "integer kappa (denominator 1) has no crystal structure here"
-        )
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ def relevant_residues(
         seen.update(params.residue(b) for b in lam.addable_boxes())
     if removable:
         seen.update(params.residue(b) for b in lam.removable_boxes())
-    return sorted(seen, key=lambda r: (r.class_id, r.value))
+    return sorted(seen)
 
 
 def z_signature(
@@ -58,22 +51,23 @@ def z_signature(
     params: CherednikParams,
     strict_ties: bool = False,
 ) -> Signature:
-    _check_crystal_params(params)
+    reject_integer_kappa(params)
     entries = [
         (b, "+") for b in lam.addable_boxes() if params.residue(b) == z
     ] + [(b, "-") for b in lam.removable_boxes() if params.residue(b) == z]
-    keyed = sorted(
-        entries, key=lambda t: (c_sort_key(params.c_of_box(t[0]), params.kappa), t[0].comp)
-    )
+    # the entry index k keeps the sort stable and never compares boxes
+    keyed = [
+        (c_sort_key(params.c_of_box(b), params.kappa), b.comp, k, b, sign)
+        for k, (b, sign) in enumerate(entries)
+    ]
+    keyed.sort()
     if strict_ties:
-        for (b1, _), (b2, _) in zip(keyed, keyed[1:]):
-            k1 = c_sort_key(params.c_of_box(b1), params.kappa)
-            k2 = c_sort_key(params.c_of_box(b2), params.kappa)
-            if k1 == k2:
+        for (c1, *_, b1, _), (c2, *_, b2, _) in zip(keyed, keyed[1:]):
+            if c1 == c2:
                 raise AmbiguityError(
-                    f"boxes {b1} and {b2} of {lam} share the c-value {k1}"
+                    f"boxes {b1} and {b2} of {lam} share the c-value {c1}"
                 )
-    return Signature(z, tuple(keyed))
+    return Signature(z, tuple([(b, sign) for *_, b, sign in keyed]))
 
 
 def reduce_signature(sig: Signature) -> Signature:
@@ -87,12 +81,9 @@ def reduce_signature(sig: Signature) -> Signature:
 
 
 def e_tilde(
-    lam: Multipartition,
-    z: Residue,
-    params: CherednikParams,
-    strict_ties: bool = False,
+    lam: Multipartition, z: Residue, params: CherednikParams
 ) -> Optional[Multipartition]:
-    reduced = reduce_signature(z_signature(lam, z, params, strict_ties))
+    reduced = reduce_signature(z_signature(lam, z, params))
     for box, sign in reduced.entries:
         if sign == "-":
             return lam.remove_box(box)
@@ -100,12 +91,9 @@ def e_tilde(
 
 
 def f_tilde(
-    lam: Multipartition,
-    z: Residue,
-    params: CherednikParams,
-    strict_ties: bool = False,
+    lam: Multipartition, z: Residue, params: CherednikParams
 ) -> Optional[Multipartition]:
-    reduced = reduce_signature(z_signature(lam, z, params, strict_ties))
+    reduced = reduce_signature(z_signature(lam, z, params))
     for box, sign in reversed(reduced.entries):
         if sign == "+":
             return lam.add_box(box)
@@ -114,7 +102,7 @@ def f_tilde(
 
 def is_singular(lam: Multipartition, params: CherednikParams) -> bool:
     """True when every raising operator kills lam."""
-    _check_crystal_params(params)
+    reject_integer_kappa(params)
     return all(
         e_tilde(lam, z, params) is None
         for z in relevant_residues(lam, params, addable=False)
@@ -125,7 +113,7 @@ def is_singular(lam: Multipartition, params: CherednikParams) -> bool:
 def km_depth(lam: Multipartition, params: CherednikParams) -> int:
     """Length of the longest chain of raising operators from lam; the
     crystal is graded by size, so the recursion terminates."""
-    _check_crystal_params(params)
+    reject_integer_kappa(params)
     best = 0
     for z in relevant_residues(lam, params, addable=False):
         above = e_tilde(lam, z, params)
@@ -164,19 +152,16 @@ def _assemble_graph(
             target = f_tilde(lam, z, params)
             if target is not None and target in node_set:
                 edges.append((lam, z, target))
-    edges.sort(key=lambda t: (_node_key(t[0]), t[1].class_id, t[1].value))
+    edges.sort(key=lambda t: (_node_key(t[0]), t[1]))
     return CrystalGraph(params, tuple(nodes), tuple(edges))
 
 
 def crystal_component(
-    lam: Multipartition,
-    params: CherednikParams,
-    size_bound: int,
-    strict_ties: bool = False,
+    lam: Multipartition, params: CherednikParams, size_bound: int
 ) -> CrystalGraph:
     """Closure of lam under raising and lowering operators, with lowering
     stopped at the size bound."""
-    _check_crystal_params(params)
+    reject_integer_kappa(params)
     if size_bound < lam.size:
         raise InvalidInputError("size bound below the starting multipartition")
     seen = {lam}
@@ -193,7 +178,7 @@ def crystal_component(
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return _assemble_graph(params, seen, size_bound, strict_ties)
+    return _assemble_graph(params, seen, size_bound)
 
 
 def crystal_graph(
@@ -205,7 +190,7 @@ def crystal_graph(
     """Full crystal on all multipartitions of the level up to size n_max."""
     from .partitions import enumerate_multipartitions
 
-    _check_crystal_params(params)
+    reject_integer_kappa(params)
     node_set = {
         lam
         for n in range(n_max + 1)

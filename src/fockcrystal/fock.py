@@ -25,9 +25,11 @@ On this space we realize:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InvalidInputError,
@@ -35,11 +37,12 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .linalg import RowSpan, kernel_basis
-from .params import CherednikParams, Residue, make_params
+from .params import CherednikParams, Residue, make_params, reject_integer_kappa
 from .partitions import (
     Box,
     Multipartition,
     Partition,
+    RibbonMove,
     enumerate_multipartitions,
     enumerate_partitions,
     ribbon_additions,
@@ -167,32 +170,42 @@ def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
     return FockVector(v.level, v.truncation, out)
 
 
+def _box_moves(
+    lam: Multipartition,
+    residue: Callable[[Box], Residue],
+    remove: bool,
+    z: Optional[Residue] = None,
+) -> Iterator[tuple[Residue, Multipartition]]:
+    """(residue, result) for each single-box removal (or addition) on
+    lam; only the moves of residue z when z is given."""
+    if remove:
+        boxes, move = lam.removable_boxes(), lam.remove_box
+    else:
+        boxes, move = lam.addable_boxes(), lam.add_box
+    for b in boxes:
+        r = residue(b)
+        if z is None or r == z:
+            yield r, move(b)
+
+
 def f_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
     """Sum of all single-box additions of residue z, coefficient 1."""
-    _check_vector_params(v, params)
-
-    def term_map(lam: Multipartition):
-        return [
-            (lam.add_box(b), 1)
-            for b in lam.addable_boxes()
-            if params.residue(b) == z
-        ]
-
-    return _apply_termwise(v, term_map)
+    return _box_op(v, z, params, remove=False)
 
 
 def e_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
     """Sum of all single-box removals of residue z, coefficient 1."""
+    return _box_op(v, z, params, remove=True)
+
+
+def _box_op(
+    v: FockVector, z: Residue, params: CherednikParams, remove: bool
+) -> FockVector:
     _check_vector_params(v, params)
-
-    def term_map(lam: Multipartition):
-        return [
-            (lam.remove_box(b), 1)
-            for b in lam.removable_boxes()
-            if params.residue(b) == z
-        ]
-
-    return _apply_termwise(v, term_map)
+    return _apply_termwise(
+        v,
+        lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params.residue, remove, z)],
+    )
 
 
 def _check_vector_params(v: FockVector, params: CherednikParams) -> None:
@@ -200,36 +213,36 @@ def _check_vector_params(v: FockVector, params: CherednikParams) -> None:
         raise InvalidInputError(
             f"vector level {v.level} does not match parameter level {params.level}"
         )
+    reject_integer_kappa(params)
 
 
-def _require_finite_e(params: CherednikParams) -> int:
-    e = params.kappa.e
-    if e is None:
-        raise UnsupportedParameterError(
-            "Heisenberg operators need rational kappa (finite quantization e)"
-        )
-    if e < 2:
-        raise UnsupportedParameterError(
-            "integer kappa (e = 1) is outside the supported parameter range"
-        )
-    return e
+def _bead_moves(
+    beads: Sequence[int],
+    step: int,
+    floor: Optional[int],
+    keep: Optional[Callable[[int], bool]] = None,
+) -> Iterator[tuple[list[int], int, int]]:
+    """Every move of one bead of the strictly decreasing `beads` by `step`
+    onto a free position (at or above `floor`, when given), as the new
+    decreasing bead list, the number of beads jumped and the sign
+    (-1)^(beads jumped).  `keep`, when given, selects moves by the lower
+    end of the jump."""
+    occupied = set(beads)
+    for b in beads:
+        target = b + step
+        if (floor is not None and target < floor) or target in occupied:
+            continue
+        lo, hi = min(b, target), max(b, target)
+        if keep is not None and not keep(lo):
+            continue
+        jumped = sum(1 for x in beads if lo < x < hi)
+        moved = sorted([x for x in beads if x != b] + [target], reverse=True)
+        yield moved, jumped, -1 if jumped % 2 else 1
 
 
-def _ribbon_term_map(length: int, remove: bool) -> TermMap:
-    moves = ribbon_removals if remove else ribbon_additions
-
-    def term_map(lam: Multipartition):
-        out = []
-        for i, comp in enumerate(lam.components):
-            for mv in moves(comp, length):
-                out.append((lam.replace_component(i, mv.result), mv.sign))
-        return out
-
-    return term_map
-
-
-def _wedge_moves(p: Partition, step: int) -> list[tuple[Partition, int]]:
-    """All bead moves by `step` on the abacus of p, with crossing signs.
+def _wedge_moves(p: Partition, step: int) -> list[RibbonMove]:
+    """All bead moves by `step` on the abacus of p; a move jumping k beads
+    adds or removes a |step|-ribbon of height k.
 
     Beads sit at beta_k = p_k - k + W for k = 1..W; the window size
     W = len(p) + |step| is large enough that every legal move, including
@@ -237,31 +250,38 @@ def _wedge_moves(p: Partition, step: int) -> list[tuple[Partition, int]]:
     """
     window = len(p.parts) + abs(step)
     betas = [p.row(k) - k + window for k in range(1, window + 1)]
-    occupied = set(betas)
-    out = []
-    for b in betas:
-        target = b + step
-        if target < 0 or target in occupied:
-            continue
-        lo, hi = min(b, target), max(b, target)
-        crossings = sum(1 for x in betas if lo < x < hi)
-        newbetas = sorted((x for x in betas if x != b), reverse=True)
-        newbetas.append(target)
-        newbetas.sort(reverse=True)
-        parts = [x - window + k for k, x in enumerate(newbetas, start=1)]
-        out.append((Partition(parts), -1 if crossings % 2 else 1))
-    return out
+    return [
+        RibbonMove(Partition([x - window + k for k, x in enumerate(moved, 1)]), h, sign)
+        for moved, h, sign in _bead_moves(betas, step, floor=0)
+    ]
 
 
-def _wedge_term_map(length: int, remove: bool) -> TermMap:
-    step = -length if remove else length
+def _heisenberg_term_map(
+    d: int, params: CherednikParams, model: str, remove: bool
+) -> TermMap:
+    """B_d (or B_{-d}) componentwise: one d*e-ribbon added to (or removed
+    from) a single component, with sign (-1)^(ribbon height), found as a
+    ribbon or as a bead move on the abacus."""
+    if params.kappa.e is None:
+        raise UnsupportedParameterError(
+            "Heisenberg operators need rational kappa (finite quantization e)"
+        )
+    if d < 1:
+        raise InvalidInputError(f"Heisenberg degree must be >= 1, got {d}")
+    length = d * params.kappa.e
+    if model == "ribbon":
+        moves, step = (ribbon_removals if remove else ribbon_additions), length
+    elif model == "wedge":
+        moves, step = _wedge_moves, -length if remove else length
+    else:
+        raise InvalidInputError(f"unknown Heisenberg model {model!r}")
 
     def term_map(lam: Multipartition):
-        out = []
-        for i, comp in enumerate(lam.components):
-            for result, sign in _wedge_moves(comp, step):
-                out.append((lam.replace_component(i, result), sign))
-        return out
+        return [
+            (lam.replace_component(i, mv.result), mv.sign)
+            for i, comp in enumerate(lam.components)
+            for mv in moves(comp, step)
+        ]
 
     return term_map
 
@@ -271,30 +291,16 @@ def b_plus_op(
 ) -> FockVector:
     """Degree-d raising Heisenberg operator: add one d*e-ribbon to a
     single component, sign (-1)^(ribbon height)."""
-    return _heisenberg(v, d, params, model, remove=False)
+    _check_vector_params(v, params)
+    return _apply_termwise(v, _heisenberg_term_map(d, params, model, remove=False))
 
 
 def b_minus_op(
     v: FockVector, d: int, params: CherednikParams, model: str = "ribbon"
 ) -> FockVector:
     """Degree-d lowering Heisenberg operator, adjoint to b_plus_op."""
-    return _heisenberg(v, d, params, model, remove=True)
-
-
-def _heisenberg(
-    v: FockVector, d: int, params: CherednikParams, model: str, remove: bool
-) -> FockVector:
     _check_vector_params(v, params)
-    e = _require_finite_e(params)
-    if d < 1:
-        raise InvalidInputError(f"Heisenberg degree must be >= 1, got {d}")
-    if model == "ribbon":
-        term_map = _ribbon_term_map(d * e, remove)
-    elif model == "wedge":
-        term_map = _wedge_term_map(d * e, remove)
-    else:
-        raise InvalidInputError(f"unknown Heisenberg model {model!r}")
-    return _apply_termwise(v, term_map)
+    return _apply_termwise(v, _heisenberg_term_map(d, params, model, remove=True))
 
 
 @lru_cache(maxsize=None)
@@ -309,16 +315,9 @@ def _mn_character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
 
 
 def _z_rho(rho: Partition) -> int:
-    z = 1
-    mult: dict[int, int] = {}
-    for part in rho.parts:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        fact = 1
-        for k in range(2, m + 1):
-            fact *= k
-        z *= part**m * fact
-    return z
+    return math.prod(
+        part**m * math.factorial(m) for part, m in Counter(rho.parts).items()
+    )
 
 
 def plethysm_class(mu, e: int) -> FockVector:
@@ -350,6 +349,13 @@ def plethysm_class(mu, e: int) -> FockVector:
     return acc
 
 
+def _check_level(level: int, params: CherednikParams) -> None:
+    if params.level != level:
+        raise InvalidInputError(
+            f"level argument {level} does not match parameter level {params.level}"
+        )
+
+
 def _residue_lookup(params: CherednikParams) -> Callable[[Box], Residue]:
     """params.residue memoized on (component, content) for one call; a
     box's residue depends on nothing else."""
@@ -365,10 +371,6 @@ def _residue_lookup(params: CherednikParams) -> Callable[[Box], Residue]:
     return residue
 
 
-def _residue_order(z: Residue):
-    return (z.class_id, z.value)
-
-
 def singular_subspace(
     level: int, n: int, params: CherednikParams
 ) -> list[FockVector]:
@@ -376,12 +378,10 @@ def singular_subspace(
     all e_z for residues z present on degree-n multipartitions, and all
     Heisenberg b_minus_op of degree d with d*e <= n when kappa is
     rational.  Returned vectors have truncation n."""
-    if params.level != level:
-        raise InvalidInputError(
-            f"level argument {level} does not match parameter level {params.level}"
-        )
+    _check_level(level, params)
     if n < 0:
         raise InvalidInputError(f"degree must be >= 0, got {n}")
+    reject_integer_kappa(params)
     return list(_singular_subspace_cached(level, n, params))
 
 
@@ -397,22 +397,17 @@ def _singular_subspace_cached(
     # residue z from basis[j] gives mu (distinct boxes give distinct mu).
     e_rows: dict[Residue, dict[Multipartition, dict[int, int]]] = {}
     for j, lam in enumerate(basis):
-        for b in lam.removable_boxes():
-            targets = e_rows.setdefault(residue(b), {})
-            targets.setdefault(lam.remove_box(b), {})[j] = 1
-    rows = [
-        row
-        for z in sorted(e_rows, key=_residue_order)
-        for row in e_rows[z].values()
-    ]
+        for z, mu in _box_moves(lam, residue, remove=True):
+            e_rows.setdefault(z, {}).setdefault(mu, {})[j] = 1
+    rows = [row for z in sorted(e_rows) for row in e_rows[z].values()]
     e = params.kappa.e
-    if e is not None and e >= 2:
+    if e is not None:
         for d in range(1, n // e + 1):
-            b_rows: dict[Multipartition, dict[int, Fraction]] = {}
+            term_map = _heisenberg_term_map(d, params, "ribbon", remove=True)
+            b_rows: dict[Multipartition, dict[int, int]] = {}
             for j, lam in enumerate(basis):
-                image = b_minus_op(basis_vector(lam, n), d, params)
-                for mu, c in image.entries.items():
-                    b_rows.setdefault(mu, {})[j] = c
+                for mu, sign in term_map(lam):
+                    b_rows.setdefault(mu, {})[j] = sign
             rows.extend(b_rows.values())
 
     return tuple(
@@ -439,17 +434,11 @@ def filtration_dim(
     """Dimension of the degree-n slice of the filtration space built
     from singular vectors by at most q units of Heisenberg raising and
     at most p single-box raisings."""
-    if params.level != level:
-        raise InvalidInputError(
-            f"level argument {level} does not match parameter level {params.level}"
-        )
+    _check_level(level, params)
     if p < 0 or q < 0 or n < 0:
         raise InvalidInputError("filtration indices must be >= 0")
+    reject_integer_kappa(params)
     e = params.kappa.e
-    if e is not None and e < 2:
-        raise UnsupportedParameterError(
-            "integer kappa (e = 1) is outside the supported parameter range"
-        )
 
     indexes = {
         g: {lam: i for i, lam in enumerate(enumerate_multipartitions(level, g))}
@@ -488,11 +477,10 @@ def filtration_dim(
             # f_z(vec) for every residue z, from one pass over vec's terms
             images: dict[Residue, dict[Multipartition, Fraction]] = {}
             for lam, c in vec.entries.items():
-                for b in lam.addable_boxes():
-                    terms = images.setdefault(residue(b), {})
-                    mu = lam.add_box(b)
+                for z, mu in _box_moves(lam, residue, remove=False):
+                    terms = images.setdefault(z, {})
                     terms[mu] = terms.get(mu, 0) + c
-            for z in sorted(images, key=_residue_order):
+            for z in sorted(images):
                 image = FockVector(level, vec.truncation, images[z])
                 if insert(image):
                     next_layer.append(image)
@@ -579,30 +567,14 @@ def _wedge_word_op(
     if e < 2:
         raise UnsupportedParameterError(f"wedge operators need e >= 2, got {e}")
     word = _validate_word(word.runs)
-    out: dict[ChargedWord, Fraction] = {}
-    for ri, run in enumerate(word.runs):
-        entries = set(run)
-        for k, a in enumerate(run):
-            if raise_:
-                if (a - i) % e != 0:
-                    continue
-                target = a + 1
-            else:
-                if (a - 1 - i) % e != 0:
-                    continue
-                target = a - 1
-                if target < 1:
-                    continue
-            if target in entries:
-                continue
-            newrun = sorted((x for x in run if x != a), reverse=True)
-            newrun.append(target)
-            newrun.sort(reverse=True)
-            newruns = list(word.runs)
-            newruns[ri] = tuple(newrun)
-            neww = ChargedWord(tuple(newruns))
-            out[neww] = out.get(neww, Fraction(0)) + 1
-    return {w: c for w, c in out.items() if c != 0}
+    # raising a -> a+1 and lowering a+1 -> a both need a = i mod e; distinct
+    # moves give distinct words, so no two terms add up
+    step, floor = (1, None) if raise_ else (-1, 1)
+    return {
+        ChargedWord(word.runs[:ri] + (tuple(moved),) + word.runs[ri + 1 :]): Fraction(sign)
+        for ri, run in enumerate(word.runs)
+        for moved, _, sign in _bead_moves(run, step, floor, lambda a: (a - i) % e == 0)
+    }
 
 
 def operator_matrix(

@@ -149,10 +149,11 @@ def c_sort_key(c: CValue, kappa: KappaValue):
     return (c.u, c.v)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Residue:
     """Label of a box-equivalence class: the component class and the
-    normalized content, an integer mod e (plain integer when e = inf)."""
+    normalized content, an integer mod e (plain integer when e = inf).
+    Residues sort by class, then value."""
 
     class_id: int
     value: int
@@ -260,6 +261,14 @@ class CherednikParams:
 
     def __repr__(self) -> str:
         return f"CherednikParams(l={self.level}, kappa={self.kappa}, s={list(self.s)})"
+
+
+def reject_integer_kappa(params: CherednikParams) -> None:
+    """Reject integer kappa (e = 1); only the `params` diagnostics take it."""
+    if params.kappa.e == 1:
+        raise UnsupportedParameterError(
+            "integer kappa (e = 1) is outside the supported parameter range"
+        )
 
 
 def make_params(level: int, kappa, s) -> CherednikParams:

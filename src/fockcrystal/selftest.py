@@ -31,6 +31,9 @@ from .crystal import (
     z_signature,
 )
 from .fock import (
+    FockVector,
+    _mn_character,
+    _z_rho,
     b_minus_op,
     b_plus_op,
     basis_vector,
@@ -283,13 +286,39 @@ def embed_intertwines(params, bound: int) -> None:
                     assert got == dict(box_op(v, z, params).items()), (lam, z)
 
 
+def plethysm_derivative(mu: Partition, e: int) -> None:
+    """B_{-d} s_mu[p_e]|0> = d*e*(ds_mu/dp_d)[p_e]|0> for 1 <= d <= |mu|.
+
+    At level 1, [B_{-d}, B_d] = d*e and B_{-d}|0> = 0, so B_{-d} acts on
+    the Heisenberg monomials on the vacuum as d*e*d/dp_d.  The right side
+    differentiates s_mu = sum_rho chi^mu(rho)/z_rho p_rho term by term:
+    d/dp_d p_rho = m_d(rho) p_rest for rho = rest + (d)."""
+    params = make_params(1, Fraction(-1, e), [0])
+    n = mu.size
+    vec = plethysm_class(mu, e)
+    vacuum = basis_vector(Multipartition([[]]), e * n)
+    for d in range(1, n + 1):
+        want = FockVector(1, e * n)
+        for rest in enumerate_partitions(n - d):
+            rho = sorted(rest.parts + (d,), reverse=True)
+            chi = _mn_character(mu.parts, tuple(rho))
+            coeff = Fraction(d * e * rho.count(d) * chi, _z_rho(Partition(rho)))
+            term = vacuum
+            for part in rest.parts:
+                term = b_plus_op(term, part, params)
+            want = want + term.scale(coeff)
+        assert b_minus_op(vec, d, params) == want, (mu, e, d)
+
+
 def plethysm_lowering(params, bound: int) -> None:
-    """At level 1, every e_z kills s_mu[p_e] for 1 <= |mu| <= bound."""
+    """At level 1, every e_z kills s_mu[p_e] for 1 <= |mu| <= bound, and
+    each B_{-d} differentiates it (plethysm_derivative)."""
     for n in range(1, bound + 1):
         for mu in enumerate_partitions(n):
             vec = plethysm_class(mu, params.e)
             for value in range(params.e):
                 assert e_z_op(vec, Residue(0, value), params).is_zero(), (mu, value)
+            plethysm_derivative(mu, params.e)
 
 
 def support_table() -> None:

@@ -30,6 +30,7 @@ from .params import (
     is_essential_charge_wall,
     make_params,
     normalize_for_support,
+    reject_integer_kappa,
 )
 from .partitions import Multipartition, Partition, divide_with_remainder
 
@@ -61,10 +62,8 @@ class WallCrossStep:
 def _require_rational(params: CherednikParams, what: str) -> int:
     if not params.kappa.is_rational:
         raise UnsupportedParameterError(f"{what} needs rational kappa")
-    e = params.kappa.e
-    if e == 1:
-        raise UnsupportedParameterError(f"{what} needs kappa denominator >= 2")
-    return e
+    reject_integer_kappa(params)
+    return params.kappa.e
 
 
 def _check_asymptotic(lam: Multipartition, j: int, params: CherednikParams) -> None:
@@ -197,6 +196,7 @@ def wall_cross(
 ) -> Multipartition:
     """Apply the wall-crossing bijection for one essential charge wall to
     the labels of simples; components off the wall's pair are untouched."""
+    reject_integer_kappa(params)
     wall = step.wall
     if not isinstance(wall, ChargeDifferenceWall):
         raise UnsupportedParameterError("only charge walls are crossed")

@@ -344,6 +344,97 @@ def test_fock_output_pinned(capsys, tmp_path, doc, subop, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `fock matrix` for box and Heisenberg operators
+# at levels 1-3, captured before the Fock operators shared one box, one
+# componentwise and one bead move routine.  Each wedge case pins the same
+# bytes as the ribbon case above it.
+L2_HALF = {"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, 1]}
+L2_THIRD = {"level": 2, "kappa": {"num": -1, "den": 3}, "s": [0, -2]}
+L3_THIRD = {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, 1, -1]}
+PINNED_MATRIX = [
+    (E2_DOC, "--op f --z 0:1 --degree-from 7 --degree-to 8",
+     "99b9d1c9f733517ff6460a98aeae791ea870d300742667518a638082b9c5d86a"),
+    ({"level": 1, "kappa": {"num": -1, "den": 3}, "s": [0]},
+     "--op e --z 0:2 --degree-from 8 --degree-to 7",
+     "a078581ca48e66bd23bd72260662d815119af2d11a610a42c4238f352566c52d"),
+    (L2_HALF, "--op f --z 0:0 --degree-from 6 --degree-to 7",
+     "03b4ba2c835de6f68a179692fb9c46fce75d9f917a8300fc50096c86ca9ce732"),
+    (L2_HALF, "--op e --z 0:1 --degree-from 7 --degree-to 6",
+     "b46011b6bd9f96d12d39499cf59a3f5009ab89b1f9044b8f7dbbce00a98e66ff"),
+    (L2_THIRD, "--op f --z 0:2 --degree-from 6 --degree-to 7",
+     "518a16f512b2bd80708722d19fa197c7d5785f2ffd5d6afd53abe8a8212d2475"),
+    (L2_THIRD, "--op e --z 0:1 --degree-from 7 --degree-to 6",
+     "bedc67df0168ccb1c30061431561d69395d54e9406150d038e77e7e56ee9c22b"),
+    (IRR_DOC, "--op f --z 0:-1 --degree-from 7 --degree-to 8",
+     "5bbfa5ee9ed5717b4861afbfa6f534d178c20bf80c3b07df91152f34f48fd0eb"),
+    (IRR_DOC, "--op e --z 0:1 --degree-from 8 --degree-to 7",
+     "f1e2d5ecfad12ef0871e76aa0dce69f8c1d3fd605e05f9b32d53eb0d0266ec17"),
+    (L3_THIRD, "--op f --z 0:0 --degree-from 4 --degree-to 5",
+     "f070dd4b604ab592559121e3bf7f72dc3106d67b78c7a1a461d8888ba2d92337"),
+    (L3_THIRD, "--op e --z 0:2 --degree-from 5 --degree-to 4",
+     "43ea195859e384d7dd474e71c54dce45d8f40d8a2c6a29eb7849f1895433afad"),
+] + [
+    (doc, f"{args} --model {model}", digest)
+    for doc, args, digest in [
+        (L2_HALF, "--op bplus --d 1 --degree-from 5 --degree-to 7",
+         "a494c7cc43214248850b2a8f4c6afa03842f2217681241c60b0943095800927d"),
+        (L2_THIRD, "--op bplus --d 2 --degree-from 2 --degree-to 8",
+         "2f43ca8fba19e467afe93107f0c43ef76af88ad201c6afa095404b883f7ce52c"),
+        (L2_HALF, "--op bminus --d 2 --degree-from 8 --degree-to 4",
+         "e552fbb77e3215a9f6c20842228d1feee5121bb3e51f6ef8b5b1c26be501f5ec"),
+        (L3_THIRD, "--op bminus --d 1 --degree-from 5 --degree-to 2",
+         "0c7d05c712af1d20fc0763d2e962c8bb1a70807d8979b8f0750ec2038890027c"),
+    ]
+    for model in ("ribbon", "wedge")
+]
+
+
+@pytest.mark.parametrize(
+    "doc,args,digest",
+    [
+        pytest.param(doc, args, digest, id=f"l{doc['level']}-{args.split()[1]}-{k}")
+        for k, (doc, args, digest) in enumerate(PINNED_MATRIX)
+    ],
+)
+def test_matrix_output_pinned(capsys, tmp_path, doc, args, digest):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["fock", "matrix", "--params", str(path)] + args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+INTEGER_KAPPA_DOC = {"level": 2, "kappa": {"num": -1, "den": 1}, "s": [0, 0]}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "crystal --n-max 2",
+        "support --n 2",
+        "fock singular --n 2",
+        "fock filtration --n 2",
+        "fock matrix --op f --z 0:0 --degree-from 1 --degree-to 2",
+        "fock matrix --op e --z 0:0 --degree-from 2 --degree-to 1",
+        "fock matrix --op bplus --d 1 --degree-from 0 --degree-to 1",
+        "wallcross --m 0 --n 2",
+    ],
+)
+def test_integer_kappa_rejected(capsys, tmp_path, command):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(INTEGER_KAPPA_DOC))
+    code, out, err = run(capsys, command.split() + ["--params", str(path)])
+    assert code == 2, (out, err)
+    assert err == "error: integer kappa (e = 1) is outside the supported parameter range\n"
+
+
+def test_params_accepts_integer_kappa(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(INTEGER_KAPPA_DOC))
+    doc = run_json(capsys, ["params", "--params", str(path), "--n", "2"])
+    assert doc["hecke"]["q"] == 0
+
+
 # sha256 of the stdout of `support` / `wallcross`, captured before
 # level2_transport remembered the images of the vertices it walks.  The
 # level-3 points are outside the known level-3 support defects.

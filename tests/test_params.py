@@ -15,19 +15,32 @@ from fockcrystal import (
     KappaValue,
     ChargeDifferenceWall,
     KappaDenominatorWall,
+    Multipartition,
     Residue,
     UnsupportedParameterError,
+    WallCrossStep,
+    b_plus_op,
+    basis_vector,
     c_sort_key,
     charge,
+    crystal_component,
+    crystal_graph,
     cvalue_integer_difference,
+    e_z_op,
     equivalence_classes,
     essential_walls,
+    f_z_op,
+    filtration_dim,
     hecke_exponents,
     is_essential_charge_wall,
     make_params,
     normalize_for_support,
     rank_one_verma_hom,
     rational_kappa,
+    singular_subspace,
+    support,
+    wall_cross,
+    z_signature,
 )
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
@@ -168,6 +181,10 @@ class TestResidues:
         assert p.residue(Box(1, 1, 1)) == Residue(0, -1)
         assert p.residue(Box(3, 1, 0)) == Residue(0, 2)
 
+    def test_residues_sort_by_class_then_value(self):
+        residues = [Residue(1, 0), Residue(0, 2), Residue(0, -1)]
+        assert sorted(residues) == [Residue(0, -1), Residue(0, 2), Residue(1, 0)]
+
 
 class TestWalls:
     def test_golden_walls_rank_two(self):
@@ -197,6 +214,34 @@ class TestWalls:
     def test_rank_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
             essential_walls(GOLDEN, 0)
+
+
+class TestIntegerKappa:
+    def test_every_computation_rejects_integer_kappa(self):
+        p = make_params(2, -1, [0, 0])
+        lam = Multipartition([[1], []])
+        v = basis_vector(lam, 2)
+        z = Residue(0, 0)
+        calls = [
+            lambda: z_signature(lam, z, p),
+            lambda: crystal_component(lam, p, 2),
+            lambda: crystal_graph(2, 2, p),
+            lambda: f_z_op(v, z, p),
+            lambda: e_z_op(v, z, p),
+            lambda: b_plus_op(v, 1, p),
+            lambda: singular_subspace(2, 2, p),
+            lambda: filtration_dim(0, 0, 2, 2, p),
+            lambda: support(lam, p),
+            lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 0)), p),
+        ]
+        for call in calls:
+            with pytest.raises(UnsupportedParameterError, match="integer kappa"):
+                call()
+
+    def test_diagnostics_accept_integer_kappa(self):
+        p = make_params(2, -1, [0, 0])
+        assert equivalence_classes(p) == ((0, 1),)
+        assert hecke_exponents(p).q_exp == 0
 
 
 class TestHecke:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .crystal import crystal_graph
@@ -146,7 +145,7 @@ def _emit(text: str, args) -> None:
 
 def _require_json_format(args) -> None:
     if args.format != "json":
-        raise InvalidInputError(f"this command only supports --format json")
+        raise InvalidInputError("this command only supports --format json")
 
 
 def cmd_crystal(args) -> int:

@@ -12,12 +12,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Container, Iterator, Optional
 
 from .errors import AmbiguityError, InvalidInputError
-from .params import CherednikParams, Residue, c_sort_key, reject_integer_kappa
-from .partitions import Box, Multipartition
+from .params import (
+    CherednikParams,
+    Residue,
+    c_sort_key,
+    reject_integer_kappa,
+    reject_level_mismatch,
+)
+from .partitions import Box, Multipartition, enumerate_multipartitions
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,7 @@ def relevant_residues(
     removable: bool = True,
 ) -> list[Residue]:
     """Residues carried by the addable/removable boxes of lam, sorted."""
+    reject_level_mismatch(lam, params)
     seen = set()
     if addable:
         seen.update(params.residue(b) for b in lam.addable_boxes())
@@ -52,6 +58,7 @@ def z_signature(
     strict_ties: bool = False,
 ) -> Signature:
     reject_integer_kappa(params)
+    reject_level_mismatch(lam, params)
     entries = [
         (b, "+") for b in lam.addable_boxes() if params.residue(b) == z
     ] + [(b, "-") for b in lam.removable_boxes() if params.residue(b) == z]
@@ -100,26 +107,45 @@ def f_tilde(
     return None
 
 
+def raising_walk(
+    lam: Multipartition, params: CherednikParams, known: Container = ()
+) -> Iterator[tuple[Multipartition, Residue, Multipartition]]:
+    """Raise lam by the first residue whose e~ acts until a highest weight
+    vertex or a vertex in `known`, yielding each step as (vertex, residue,
+    vertex above); a step is computed only when it is asked for."""
+    while lam not in known:
+        for z in relevant_residues(lam, params, addable=False):
+            above = e_tilde(lam, z, params)
+            if above is not None:
+                yield lam, z, above
+                lam = above
+                break
+        else:
+            return
+
+
 def is_singular(lam: Multipartition, params: CherednikParams) -> bool:
     """True when every raising operator kills lam."""
     reject_integer_kappa(params)
-    return all(
-        e_tilde(lam, z, params) is None
-        for z in relevant_residues(lam, params, addable=False)
-    )
+    return next(raising_walk(lam, params), None) is None
 
 
-@lru_cache(maxsize=None)
+# params -> {vertex: km_depth} for every vertex on a walked path
+_DEPTHS: dict[CherednikParams, dict[Multipartition, int]] = {}
+
+
 def km_depth(lam: Multipartition, params: CherednikParams) -> int:
-    """Length of the longest chain of raising operators from lam; the
-    crystal is graded by size, so the recursion terminates."""
+    """Number of raising steps from lam to its highest weight vertex.  The
+    crystal comes from a highest weight categorical action, so each
+    component has one highest weight vertex and every raising step removes
+    one box: every maximal chain of raising operators from lam has this
+    length, and one walk measures it."""
     reject_integer_kappa(params)
-    best = 0
-    for z in relevant_residues(lam, params, addable=False):
-        above = e_tilde(lam, z, params)
-        if above is not None:
-            best = max(best, 1 + km_depth(above, params))
-    return best
+    memo = _DEPTHS.setdefault(params, {})
+    path = [lam] + [above for _, _, above in raising_walk(lam, params, memo)]
+    top = memo.setdefault(path[-1], 0)
+    memo.update((vertex, top + k) for k, vertex in enumerate(reversed(path)))
+    return memo[lam]
 
 
 @dataclass(frozen=True)
@@ -188,8 +214,6 @@ def crystal_graph(
     strict_ties: bool = False,
 ) -> CrystalGraph:
     """Full crystal on all multipartitions of the level up to size n_max."""
-    from .partitions import enumerate_multipartitions
-
     reject_integer_kappa(params)
     node_set = {
         lam

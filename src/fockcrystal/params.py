@@ -271,6 +271,12 @@ def reject_integer_kappa(params: CherednikParams) -> None:
         )
 
 
+def reject_level_mismatch(lam, params: CherednikParams) -> None:
+    """Reject a label whose number of components is not the level."""
+    if lam.level != params.level:
+        raise InvalidInputError(f"{lam} does not have level {params.level}")
+
+
 def make_params(level: int, kappa, s) -> CherednikParams:
     """Convenience constructor: kappa may be a KappaValue, Fraction-like,
     or None for the symbolic irrational; charges may be Fraction-likes or

@@ -26,6 +26,7 @@ from .crystal import (
     e_tilde,
     f_tilde,
     is_singular,
+    km_depth,
     reduce_signature,
     relevant_residues,
     z_signature,
@@ -115,8 +116,11 @@ def golden_signature() -> None:
 def crystal_axioms(params, bound: int) -> None:
     """f~ adds one box of its residue, e~ removes one, and they invert
     each other.  (Every e~ move reverses an f~ move of a smaller label,
-    so its box residue is checked there.)"""
+    so its box residue is checked there.)  Each acting e~ lowers km_depth
+    by exactly one, and depth 0 is the same as singular."""
     for lam in _labels(params, bound):
+        depth = km_depth(lam, params)
+        assert (depth == 0) == is_singular(lam, params), (lam, depth)
         for z in relevant_residues(lam, params):
             down = f_tilde(lam, z, params)
             if down is not None:
@@ -126,6 +130,7 @@ def crystal_axioms(params, bound: int) -> None:
             up = e_tilde(lam, z, params)
             if up is not None:
                 assert up.size == lam.size - 1, (lam, z, up)
+                assert km_depth(up, params) == depth - 1, (lam, z, up)
                 assert f_tilde(up, z, params) == lam, (lam, z, up)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .crystal import e_tilde, f_tilde, is_singular, km_depth, relevant_residues
+from .crystal import f_tilde, is_singular, km_depth, raising_walk
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedParameterError
 from .params import (
     CherednikParams,
@@ -31,6 +31,7 @@ from .params import (
     make_params,
     normalize_for_support,
     reject_integer_kappa,
+    reject_level_mismatch,
 )
 from .partitions import Multipartition, Partition, divide_with_remainder
 
@@ -67,6 +68,7 @@ def _require_rational(params: CherednikParams, what: str) -> int:
 
 
 def _check_asymptotic(lam: Multipartition, j: int, params: CherednikParams) -> None:
+    reject_level_mismatch(lam, params)
     if not 0 <= j < params.level:
         raise InvalidInputError(f"component {j} out of range")
     if params.level == 1:
@@ -157,11 +159,10 @@ def level2_transport(
     two-component generic-kappa crystals with slot charges (0, m) on the
     two sides of a wall.
 
-    Walks up (first residue whose raising operator acts) recording
-    residues until it meets a vertex already mapped or a highest weight
-    vertex, which it maps to the same-size highest weight vertex across
-    the wall (swap the components and conjugate); then replays the path
-    down.  The image of every vertex on the path is remembered per
+    Walks up (`raising_walk`) until it meets a vertex already mapped or
+    a highest weight vertex, which it maps to the same-size highest
+    weight vertex across the wall (swap the components and conjugate);
+    then replays the path down.  The image of every vertex on the path is remembered per
     (m, direction) for the life of the process.
     """
     if direction not in ("up", "down"):
@@ -172,18 +173,12 @@ def level2_transport(
     if cur.level != 2:
         raise InvalidInputError("transport expects a pair of partitions")
     memo = _TRANSPORTED.setdefault((m, direction), {})
-    path = []
-    while cur not in memo:
-        for z in relevant_residues(cur, src, addable=False):
-            above = e_tilde(cur, z, src)
-            if above is not None:
-                path.append((cur, z))
-                cur = above
-                break
-        else:
-            memo[cur] = _match_highest_weight(cur, direction, dst)
-    target = memo[cur]
-    for vertex, z in reversed(path):
+    path = list(raising_walk(cur, src, memo))
+    top = path[-1][2] if path else cur
+    if top not in memo:
+        memo[top] = _match_highest_weight(top, direction, dst)
+    target = memo[top]
+    for vertex, z, _ in reversed(path):
         target = f_tilde(target, z, dst)
         if target is None:
             raise InternalInvariantError("path replay died; the crystals do not match")
@@ -197,6 +192,7 @@ def wall_cross(
     """Apply the wall-crossing bijection for one essential charge wall to
     the labels of simples; components off the wall's pair are untouched."""
     reject_integer_kappa(params)
+    reject_level_mismatch(lam, params)
     wall = step.wall
     if not isinstance(wall, ChargeDifferenceWall):
         raise UnsupportedParameterError("only charge walls are crossed")
@@ -260,6 +256,7 @@ def heis_q(
     component through every essential wall ahead of it; the optional
     ``lowering`` map overrides the designated component per class id (the
     result is independent of the choice, which the tests exercise)."""
+    reject_level_mismatch(lam, params)
     normalized, flip = normalize_for_support(params)
     lam = lam.transpose() if flip else lam
     if not normalized.kappa.is_rational:
@@ -276,6 +273,7 @@ def support(
     lam: Multipartition, params: CherednikParams, n: Optional[int] = None
 ) -> SupportDescriptor:
     """Full support descriptor of the simple labelled by lam."""
+    reject_level_mismatch(lam, params)
     if n is None:
         n = lam.size
     elif n != lam.size:

@@ -435,6 +435,50 @@ def test_params_accepts_integer_kappa(capsys, tmp_path):
     assert doc["hecke"]["q"] == 0
 
 
+# sha256 of the stdout of `crystal --n-max 5` in both formats, captured
+# before km_depth became one raising walk; the `depth` and `singular`
+# annotations are where km_depth and is_singular reach the CLI.
+PINNED_CRYSTAL = [
+    (
+        {"level": 1, "kappa": {"num": -1, "den": 3}, "s": [0]},
+        "26385a543eeb01a860a13690a3a42e07ad0efb0b5a1bb23f842b9805c9a89584",
+        "4a69bec8590f1f250e1d1c8d75161e9f224c7ee95fdd3c81ea8da5f01c4ed361",
+    ),
+    (
+        GOLDEN_DOC,
+        "ce0e45535819e24f9ec6cb2ded13087f96238505ac690e491b02fd2d60b6d9a0",
+        "791a7da3437e7cfcf13e55efad90bbd4dd8ca75050bf37eeb8aff3ecbd67075c",
+    ),
+    (
+        {"level": 2, "kappa": "irrational", "s": [[0, 0], [1, 1]]},
+        "bdf05fd5d53784bb4ea1c103674a1d870dc856cfb2edf33ac5533ca3b2b43ef4",
+        "6f92e8f987663d9647979388e34d4765cfebc4fb249ca7955c2fcf4032602f8b",
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, 1, -1]},
+        "a445bfbc129dd05457ae96de408a2c288de84dbfa7815b35e4aeaf8c77df7f45",
+        "daffaed7a5f784e8490d42d14ab0d5f3661377ed3f0001d4f19d4daf978624f2",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,fmt,digest",
+    [
+        pytest.param(doc, fmt, digest, id=f"case{k}-{fmt}")
+        for k, (doc, *digests) in enumerate(PINNED_CRYSTAL)
+        for fmt, digest in zip(("json", "dot"), digests)
+    ],
+)
+def test_crystal_output_pinned(capsys, tmp_path, doc, fmt, digest):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    argv = ["crystal", "--params", str(path), "--n-max", "5", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the stdout of `support` / `wallcross`, captured before
 # level2_transport remembered the images of the vertices it walks.  The
 # level-3 points are outside the known level-3 support defects.

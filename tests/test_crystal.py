@@ -187,6 +187,10 @@ class TestDepth:
         for lam in enumerate_multipartitions(2, 4):
             assert (km_depth(lam, GOLDEN) == 0) == is_singular(lam, GOLDEN)
 
+    def test_deep_label_needs_no_recursion(self):
+        # one raising walk of 1100 steps, each removing the bottom box
+        assert km_depth(Multipartition([[1] * 1100, []]), GOLDEN) == 1100
+
 
 class TestShiftInvariance:
     def test_common_integer_shift(self):

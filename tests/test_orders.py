@@ -5,19 +5,21 @@ refinement property between the two."""
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from fockcrystal import (
     Box,
     CValue,
     Multipartition,
     box_leq,
     c_lambda,
+    c_sort_key,
     enumerate_multipartitions,
     leq_c,
     make_params,
     preceq,
 )
 from fockcrystal import selftest
-from fockcrystal.orders import _max_bipartite_matching
 from fockcrystal.selftest import GOLDEN
 
 
@@ -28,11 +30,10 @@ def make_lam(components):
 def brute_preceq(lam, mu, params):
     if lam.size != mu.size:
         return False
-    left = list(lam.boxes())
-    right = list(mu.boxes())
+    below = [[box_leq(b, c, params) for c in mu.boxes()] for b in lam.boxes()]
     return any(
-        all(box_leq(b, right[p], params) for b, p in zip(left, perm))
-        for perm in permutations(range(len(right)))
+        all(row[p] for row, p in zip(below, perm))
+        for perm in permutations(range(len(below)))
     )
 
 
@@ -104,9 +105,33 @@ class TestBoxOrder:
                         assert box_leq(b1, b3, GOLDEN)
 
 
+    @pytest.mark.parametrize("params", selftest.GRID, ids=lambda p: f"grid-l{p.level}")
+    def test_same_residue_and_no_smaller_c(self, params):
+        """The box order is residue equality plus the c-value order that
+        preceq sorts by."""
+        boxes = {
+            b
+            for n in range(4)
+            for lam in enumerate_multipartitions(params.level, n)
+            for b in lam.boxes()
+        }
+
+        def key(b):
+            return c_sort_key(params.c_of_box(b), params.kappa)
+
+        for b1 in boxes:
+            for b2 in boxes:
+                want = params.residue(b1) == params.residue(b2) and key(b1) >= key(b2)
+                assert box_leq(b1, b2, params) == want, (b1, b2)
+
+
 class TestPreceq:
     def test_size_mismatch(self):
         assert not preceq(make_lam([[1], []]), make_lam([[1], [1]]), GOLDEN)
+        for n in range(3):
+            for lam in enumerate_multipartitions(2, n):
+                for mu in enumerate_multipartitions(2, n + 1):
+                    assert not preceq(lam, mu, GOLDEN) and not preceq(mu, lam, GOLDEN)
 
     def test_reflexive(self):
         for lam in enumerate_multipartitions(2, 3):
@@ -127,6 +152,21 @@ class TestPreceq:
                 for mu in nodes:
                     assert preceq(lam, mu, p) == brute_preceq(lam, mu, p)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_params(3, Fraction(-1, 3), [0, 1, -1]),
+            make_params(2, None, [0, -1]),
+        ],
+        ids=["level3", "irrational"],
+    )
+    def test_matches_permutation_oracle(self, params):
+        for n in range(5):
+            nodes = enumerate_multipartitions(params.level, n)
+            for lam in nodes:
+                for mu in nodes:
+                    assert preceq(lam, mu, params) == brute_preceq(lam, mu, params)
+
     def test_refines_c_order(self):
         samples = [
             GOLDEN,
@@ -137,10 +177,3 @@ class TestPreceq:
         for params in samples:
             selftest.order_refinement(params, 4)
 
-
-def test_matching_survives_augmenting_paths_beyond_the_recursion_limit():
-    # left i is adjacent to rights i+1 and i; greedy first choices leave
-    # left n-1 to an augmenting path through every other vertex
-    n = 5000
-    adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
-    assert _max_bipartite_matching(adj, n) == n

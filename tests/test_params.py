@@ -19,24 +19,35 @@ from fockcrystal import (
     Residue,
     UnsupportedParameterError,
     WallCrossStep,
+    asymptotic_q,
     b_plus_op,
     basis_vector,
+    c_lambda,
     c_sort_key,
     charge,
     crystal_component,
     crystal_graph,
     cvalue_integer_difference,
+    e_tilde,
     e_z_op,
     equivalence_classes,
     essential_walls,
+    f_tilde,
     f_z_op,
     filtration_dim,
     hecke_exponents,
+    heis_e_asymptotic,
+    heis_q,
     is_essential_charge_wall,
+    is_singular,
+    km_depth,
+    leq_c,
     make_params,
     normalize_for_support,
+    preceq,
     rank_one_verma_hom,
     rational_kappa,
+    relevant_residues,
     singular_subspace,
     support,
     wall_cross,
@@ -242,6 +253,37 @@ class TestIntegerKappa:
         p = make_params(2, -1, [0, 0])
         assert equivalence_classes(p) == ((0, 1),)
         assert hecke_exponents(p).q_exp == 0
+
+
+class TestLevelMismatch:
+    def test_every_label_entry_point_rejects_another_level(self):
+        lam = Multipartition([[2, 1]])
+        ok = Multipartition([[2, 1], []])
+        z = Residue(0, 0)
+        calls = [
+            lambda: relevant_residues(lam, GOLDEN),
+            lambda: z_signature(lam, z, GOLDEN),
+            lambda: e_tilde(lam, z, GOLDEN),
+            lambda: f_tilde(lam, z, GOLDEN),
+            lambda: is_singular(lam, GOLDEN),
+            lambda: km_depth(lam, GOLDEN),
+            lambda: crystal_component(lam, GOLDEN, 3),
+            lambda: crystal_graph(1, 2, GOLDEN),
+            lambda: support(lam, GOLDEN),
+            lambda: heis_q(lam, GOLDEN),
+            lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 1)), GOLDEN),
+            lambda: asymptotic_q(lam, 1, make_params(2, Fraction(-1, 2), [0, -9])),
+            lambda: heis_e_asymptotic(lam, 1, 0, make_params(2, Fraction(-1, 2), [0, -9])),
+            lambda: c_lambda(lam, GOLDEN),
+            lambda: leq_c(lam, lam, GOLDEN),
+            lambda: leq_c(ok, lam, GOLDEN),
+            lambda: preceq(lam, ok, GOLDEN),
+            lambda: preceq(ok, lam, GOLDEN),
+            lambda: support(Multipartition([[1], [], []]), GOLDEN),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="does not have level 2"):
+                call()
 
 
 class TestHecke:

@@ -3,169 +3,59 @@ multipartitions, support descriptors, wall-crossing bijections and
 rational Heisenberg/Kac-Moody operator actions, all over exact
 arithmetic."""
 
-from .errors import (
-    AmbiguityError,
-    FockcrystalError,
-    InternalInvariantError,
-    InvalidInputError,
-    InvalidMoveError,
-    TruncationOverflowError,
-    UnsupportedParameterError,
-)
-from .partitions import (
-    Box,
-    Multipartition,
-    Partition,
-    RibbonMove,
-    divide_with_remainder,
-    divide_with_remainder_search,
-    enumerate_multipartitions,
-    enumerate_partitions,
-    ribbon_additions,
-    ribbon_removals,
-)
-from .params import (
-    IRRATIONAL,
-    ChargeDifferenceWall,
-    ChargeValue,
-    CherednikParams,
-    CValue,
-    HeckeExponents,
-    KappaDenominatorWall,
-    KappaValue,
-    Residue,
-    c_sort_key,
-    charge,
-    cvalue_integer_difference,
-    equivalence_classes,
-    essential_walls,
-    hecke_exponents,
-    is_essential_charge_wall,
-    make_params,
-    normalize_for_support,
-    rank_one_verma_hom,
-    rational_kappa,
-)
-from .orders import box_leq, c_lambda, leq_c, preceq
-from .crystal import (
-    CrystalGraph,
-    Signature,
-    crystal_component,
-    crystal_graph,
-    e_tilde,
-    f_tilde,
-    is_singular,
-    km_depth,
-    reduce_signature,
-    relevant_residues,
-    z_signature,
-)
-from .supports import (
-    SupportDescriptor,
-    WallCrossStep,
-    asymptotic_q,
-    heis_e_asymptotic,
-    heis_q,
-    level2_transport,
-    support,
-    wall_cross,
-)
-from .fock import (
-    ChargedWord,
-    FockVector,
-    b_minus_op,
-    b_plus_op,
-    basis_vector,
-    charged_to_multipartition,
-    e_z_op,
-    embed_to_charged,
-    f_z_op,
-    filtration_dim,
-    inner_product,
-    operator_matrix,
-    plethysm_class,
-    singular_subspace,
-    wedge_e_op,
-    wedge_f_op,
-)
+import importlib
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityError",
-    "Box",
-    "CValue",
-    "ChargeDifferenceWall",
-    "ChargeValue",
-    "ChargedWord",
-    "CherednikParams",
-    "CrystalGraph",
-    "FockVector",
-    "FockcrystalError",
-    "HeckeExponents",
-    "IRRATIONAL",
-    "InternalInvariantError",
-    "InvalidInputError",
-    "InvalidMoveError",
-    "KappaDenominatorWall",
-    "KappaValue",
-    "Multipartition",
-    "Partition",
-    "Residue",
-    "RibbonMove",
-    "Signature",
-    "SupportDescriptor",
-    "TruncationOverflowError",
-    "UnsupportedParameterError",
-    "WallCrossStep",
-    "asymptotic_q",
-    "b_minus_op",
-    "b_plus_op",
-    "basis_vector",
-    "box_leq",
-    "c_lambda",
-    "c_sort_key",
-    "charge",
-    "charged_to_multipartition",
-    "crystal_component",
-    "crystal_graph",
-    "cvalue_integer_difference",
-    "divide_with_remainder",
-    "divide_with_remainder_search",
-    "e_tilde",
-    "e_z_op",
-    "embed_to_charged",
-    "enumerate_multipartitions",
-    "enumerate_partitions",
-    "equivalence_classes",
-    "essential_walls",
-    "f_tilde",
-    "f_z_op",
-    "filtration_dim",
-    "hecke_exponents",
-    "heis_e_asymptotic",
-    "heis_q",
-    "inner_product",
-    "is_essential_charge_wall",
-    "is_singular",
-    "km_depth",
-    "leq_c",
-    "level2_transport",
-    "make_params",
-    "normalize_for_support",
-    "operator_matrix",
-    "plethysm_class",
-    "preceq",
-    "rank_one_verma_hom",
-    "rational_kappa",
-    "reduce_signature",
-    "relevant_residues",
-    "ribbon_additions",
-    "ribbon_removals",
-    "singular_subspace",
-    "support",
-    "wall_cross",
-    "wedge_e_op",
-    "wedge_f_op",
-    "z_signature",
-]
+# module -> the public names it defines.  A module is imported the first
+# time one of its names is read, so `import fockcrystal` loads nothing.
+_MODULES = {
+    "errors": (
+        "AmbiguityError", "FockcrystalError", "InternalInvariantError",
+        "InvalidInputError", "InvalidMoveError", "TruncationOverflowError",
+        "UnsupportedParameterError",
+    ),
+    "partitions": (
+        "Box", "Multipartition", "Partition", "RibbonMove",
+        "divide_with_remainder", "divide_with_remainder_search",
+        "enumerate_multipartitions", "enumerate_partitions", "ribbon_additions",
+        "ribbon_removals",
+    ),
+    "params": (
+        "IRRATIONAL", "ChargeDifferenceWall", "ChargeValue", "CherednikParams",
+        "CValue", "HeckeExponents", "KappaDenominatorWall", "KappaValue",
+        "Residue", "c_sort_key", "charge", "cvalue_integer_difference",
+        "equivalence_classes", "essential_walls", "hecke_exponents",
+        "is_essential_charge_wall", "make_params", "normalize_for_support",
+        "rank_one_verma_hom", "rational_kappa",
+    ),
+    "orders": ("box_leq", "c_lambda", "leq_c", "preceq"),
+    "crystal": (
+        "CrystalGraph", "Signature", "crystal_component", "crystal_graph",
+        "e_tilde", "f_tilde", "is_singular", "km_depth", "reduce_signature",
+        "relevant_residues", "z_signature",
+    ),
+    "supports": (
+        "SupportDescriptor", "WallCrossStep", "asymptotic_q",
+        "heis_e_asymptotic", "heis_q", "level2_transport", "support",
+        "wall_cross",
+    ),
+    "fock": (
+        "ChargedWord", "FockVector", "b_minus_op", "b_plus_op", "basis_vector",
+        "charged_to_multipartition", "e_z_op", "embed_to_charged", "f_z_op",
+        "filtration_dim", "inner_product", "operator_matrix", "plethysm_class",
+        "singular_subspace", "wedge_e_op", "wedge_f_op",
+    ),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

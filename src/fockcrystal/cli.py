@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
 3 signature ambiguity, 4 truncation overflow, 5 internal error (a
 violated internal invariant or any other exception, reported as
 "internal error: <Type>: <message>").
+
+The modules only some commands run (crystal, supports, fock, selftest)
+are imported inside those commands, so a call loads only the code its
+subcommand needs.
 """
 
 from __future__ import annotations
@@ -17,21 +21,12 @@ import argparse
 import sys
 from typing import Optional
 
-from .crystal import crystal_graph
 from .errors import (
     AmbiguityError,
     FockcrystalError,
     InternalInvariantError,
+    InvalidInputError,
     TruncationOverflowError,
-)
-from .fock import (
-    b_minus_op,
-    b_plus_op,
-    e_z_op,
-    f_z_op,
-    filtration_dim,
-    operator_matrix,
-    singular_subspace,
 )
 from .jsonio import (
     canonical_dumps,
@@ -48,7 +43,6 @@ from .jsonio import (
     support_table_to_json,
     wall_to_json,
 )
-from .errors import InvalidInputError
 from .params import (
     ChargeDifferenceWall,
     equivalence_classes,
@@ -57,7 +51,6 @@ from .params import (
     rank_one_verma_hom,
 )
 from .partitions import enumerate_multipartitions
-from .supports import WallCrossStep, support, wall_cross
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,6 +142,8 @@ def _require_json_format(args) -> None:
 
 
 def cmd_crystal(args) -> int:
+    from .crystal import crystal_graph
+
     params = _require_params(args)
     _check_level(args, params)
     if args.n_max < 0:
@@ -162,6 +157,8 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_support(args) -> int:
+    from .supports import support
+
     _require_json_format(args)
     params = _require_params(args)
     _check_level(args, params)
@@ -176,6 +173,8 @@ def cmd_support(args) -> int:
 
 
 def _matrix_apply(args, params):
+    from .fock import b_minus_op, b_plus_op, e_z_op, f_z_op
+
     if args.op is None:
         raise InvalidInputError("fock matrix needs --op")
     if args.op in ("bplus", "bminus"):
@@ -194,6 +193,8 @@ def _matrix_apply(args, params):
 
 
 def cmd_fock(args) -> int:
+    from .fock import filtration_dim, operator_matrix, singular_subspace
+
     _require_json_format(args)
     params = _require_params(args)
     if args.subop == "matrix":
@@ -265,6 +266,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_wallcross(args) -> int:
+    from .supports import WallCrossStep, wall_cross
+
     _require_json_format(args)
     params = _require_params(args)
     if args.n < 0:
@@ -296,8 +299,6 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # imported here: the suite builds its parameter grid on import, which
-    # no other subcommand needs
     from .selftest import run_selftest
 
     lines: list[str] = []

@@ -11,8 +11,7 @@ the rightmost +.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Container, Iterator, Optional
+from typing import Container, Iterator, NamedTuple, Optional
 
 from .errors import AmbiguityError, InvalidInputError
 from .params import (
@@ -25,8 +24,7 @@ from .params import (
 from .partitions import Box, Multipartition, enumerate_multipartitions
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     residue: Residue
     entries: tuple[tuple[Box, str], ...]
 
@@ -148,8 +146,7 @@ def km_depth(lam: Multipartition, params: CherednikParams) -> int:
     return memo[lam]
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     params: CherednikParams
     nodes: tuple[Multipartition, ...]
     edges: tuple[tuple[Multipartition, Residue, Multipartition], ...]

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
-from .crystal import CrystalGraph, is_singular, km_depth
 from .errors import InvalidInputError
 from .params import (
     ChargeDifferenceWall,
@@ -27,7 +26,10 @@ from .params import (
     make_params,
 )
 from .partitions import Multipartition, Partition
-from .supports import SupportDescriptor
+
+if TYPE_CHECKING:
+    from .crystal import CrystalGraph
+    from .supports import SupportDescriptor
 
 Wall = Union[KappaDenominatorWall, ChargeDifferenceWall]
 
@@ -226,6 +228,8 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def crystal_graph_to_json(graph: CrystalGraph) -> dict:
+    from .crystal import is_singular, km_depth
+
     params = graph.params
     nodes = []
     for lam in graph.nodes:
@@ -249,6 +253,8 @@ def crystal_graph_to_dot(graph: CrystalGraph) -> str:
     singular vertices double-circled and annotated with their depth,
     edges labeled by residue.  Ordering follows the canonical node
     order, so output is byte-stable."""
+    from .crystal import is_singular, km_depth
+
     params = graph.params
     index = {lam: i for i, lam in enumerate(graph.nodes)}
     lines = ["digraph crystal {"]

@@ -10,9 +10,15 @@ exactly the boxes of its residue with no larger c-value.  The matching
 therefore exists iff each residue has equally many boxes in both labels
 and the first label's c-values, sorted descending, dominate the second's
 termwise: the fine order is sorted per-residue dominance.
+
+All-pairs callers compare every label with every other, so each label's
+c-value and sorted keys are computed once per (label, params) and kept
+for the life of the process.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .params import (
     C_ZERO,
@@ -25,6 +31,7 @@ from .params import (
 from .partitions import Multipartition
 
 
+@lru_cache(maxsize=None)
 def c_lambda(lam: Multipartition, params: CherednikParams) -> CValue:
     reject_level_mismatch(lam, params)
     return sum((params.c_of_box(b) for b in lam.boxes()), C_ZERO)
@@ -49,14 +56,15 @@ def box_leq(b1, b2, params: CherednikParams) -> bool:
     return d is not None and d >= 0
 
 
-def _residues_and_c(lam: Multipartition, params: CherednikParams) -> list:
+@lru_cache(maxsize=None)
+def _residues_and_c(lam: Multipartition, params: CherednikParams) -> tuple:
     """lam's boxes as (residue, c-value) sort keys, in descending order."""
     reject_level_mismatch(lam, params)
     keys = [
         (params.residue(b), c_sort_key(params.c_of_box(b), params.kappa))
         for b in lam.boxes()
     ]
-    return sorted(keys, reverse=True)
+    return tuple(sorted(keys, reverse=True))
 
 
 def preceq(lam: Multipartition, lam2: Multipartition, params: CherednikParams) -> bool:

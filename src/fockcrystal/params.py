@@ -15,10 +15,9 @@ Derived scalars:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedParameterError
 from .partitions import Box
@@ -30,17 +29,24 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True, slots=True)
-class KappaValue:
-    """Nonzero rational (value set) or symbolic irrational (value None)."""
-
+# Records are NamedTuples: immutable, hashed and ordered as the tuple of
+# their fields.  A record that checks or normalises its fields does so in
+# the __new__ of a subclass, since a NamedTuple may not define __new__.
+class _KappaValue(NamedTuple):
     value: Optional[Fraction]
 
-    def __post_init__(self):
-        if self.value is not None:
-            object.__setattr__(self, "value", _frac(self.value))
-            if self.value == 0:
+
+class KappaValue(_KappaValue):
+    """Nonzero rational (value set) or symbolic irrational (value None)."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: Optional[RationalLike]):
+        if value is not None:
+            value = _frac(value)
+            if value == 0:
                 raise InvalidInputError("kappa must be nonzero")
+        return tuple.__new__(cls, (value,))
 
     @property
     def is_rational(self) -> bool:
@@ -66,16 +72,18 @@ def rational_kappa(num: RationalLike, den: int = 1) -> KappaValue:
 IRRATIONAL = KappaValue(None)
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeValue:
+class _ChargeValue(NamedTuple):
+    a: Fraction
+    b: Fraction
+
+
+class ChargeValue(_ChargeValue):
     """The value a + b/kappa with exact rational a, b."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+    def __new__(cls, a: RationalLike, b: RationalLike = 0):
+        return tuple.__new__(cls, (_frac(a), _frac(b)))
 
     def __add__(self, other: "ChargeValue") -> "ChargeValue":
         return ChargeValue(self.a + other.a, self.b + other.b)
@@ -98,19 +106,21 @@ class ChargeValue:
 
 
 def charge(a: RationalLike, b: RationalLike = 0) -> ChargeValue:
-    return ChargeValue(_frac(a), _frac(b))
+    return ChargeValue(a, b)
 
 
-@dataclass(frozen=True, slots=True)
-class CValue:
-    """The value u*kappa + v with exact rational u, v."""
-
+class _CValue(NamedTuple):
     u: Fraction
     v: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", _frac(self.u))
-        object.__setattr__(self, "v", _frac(self.v))
+
+class CValue(_CValue):
+    """The value u*kappa + v with exact rational u, v."""
+
+    __slots__ = ()
+
+    def __new__(cls, u: RationalLike, v: RationalLike):
+        return tuple.__new__(cls, (_frac(u), _frac(v)))
 
     def __add__(self, other: "CValue") -> "CValue":
         return CValue(self.u + other.u, self.v + other.v)
@@ -149,8 +159,7 @@ def c_sort_key(c: CValue, kappa: KappaValue):
     return (c.u, c.v)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Residue:
+class Residue(NamedTuple):
     """Label of a box-equivalence class: the component class and the
     normalized content, an integer mod e (plain integer when e = inf).
     Residues sort by class, then value."""
@@ -162,13 +171,11 @@ class Residue:
         return f"{self.class_id}:{self.value}"
 
 
-@dataclass(frozen=True, slots=True)
-class KappaDenominatorWall:
+class KappaDenominatorWall(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeDifferenceWall:
+class ChargeDifferenceWall(NamedTuple):
     i: int
     j: int
     m: int
@@ -177,8 +184,7 @@ class ChargeDifferenceWall:
 WallDescriptor = Union[KappaDenominatorWall, ChargeDifferenceWall]
 
 
-@dataclass(frozen=True, slots=True)
-class HeckeExponents:
+class HeckeExponents(NamedTuple):
     """Multiplicative Hecke parameters as exponents: parameter =
     exp(2*pi*sqrt(-1)*t) with each t reduced mod 1."""
 
@@ -186,23 +192,22 @@ class HeckeExponents:
     Q_exp: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CherednikParams:
+class _CherednikParams(NamedTuple):
     level: int
     kappa: KappaValue
     s: tuple[ChargeValue, ...]
 
-    def __post_init__(self):
-        if self.level < 1:
+
+class CherednikParams(_CherednikParams):
+    __slots__ = ()
+
+    def __new__(cls, level: int, kappa: KappaValue, s: Sequence):
+        if level < 1:
             raise InvalidInputError("level must be at least 1")
-        s = tuple(
-            c if isinstance(c, ChargeValue) else charge(c) for c in self.s
-        )
-        if len(s) != self.level:
-            raise InvalidInputError(
-                f"expected {self.level} charges, got {len(s)}"
-            )
-        object.__setattr__(self, "s", s)
+        s = tuple(c if isinstance(c, ChargeValue) else charge(c) for c in s)
+        if len(s) != level:
+            raise InvalidInputError(f"expected {level} charges, got {len(s)}")
+        return tuple.__new__(cls, (level, kappa, s))
 
     @property
     def e(self) -> Optional[int]:

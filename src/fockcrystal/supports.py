@@ -18,9 +18,8 @@ already mapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .crystal import f_tilde, is_singular, km_depth, raising_walk
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedParameterError
@@ -38,8 +37,7 @@ from .partitions import Multipartition, Partition, divide_with_remainder
 PartitionPair = tuple[Partition, Partition]
 
 
-@dataclass(frozen=True)
-class SupportDescriptor:
+class SupportDescriptor(NamedTuple):
     """Support of a simple: Supp L = closure of X(W_{p,q}) with
     W_{p,q} = G(l,1,n-p-eq) x Sym_e^q inside G(l,1,n)."""
 
@@ -50,8 +48,7 @@ class SupportDescriptor:
     finite_dimensional: bool
 
 
-@dataclass(frozen=True)
-class WallCrossStep:
+class WallCrossStep(NamedTuple):
     """One essential charge wall s_i - s_j = m together with the side
     entered: "up" moves s_j downward through the wall (the difference
     s_i - s_j increases), "down" is the inverse."""
@@ -210,14 +207,15 @@ def wall_cross(
     return lam.replace_component(wall.i, pi).replace_component(wall.j, pj)
 
 
-def _class_q(
-    lam: Multipartition,
-    members: tuple[int, ...],
+@lru_cache(maxsize=None)
+def _class_crossings(
     params: CherednikParams,
-    lowering: Optional[int] = None,
-) -> int:
-    e = params.kappa.e
-    n = lam.size
+    members: tuple[int, ...],
+    lowering: Optional[int],
+    n: int,
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The component j a class lowers and the walls (i, m) it crosses on
+    the way to its asymptotic chamber at rank n, in crossing order."""
     svals = {i: params.s[i].collapse(params.kappa) for i in members}
     if lowering is None:
         j = min(members, key=lambda i: (svals[i], i))
@@ -238,11 +236,21 @@ def _class_q(
             if m > delta or (m == delta and i < j):
                 crossings.append((svals[i] - m, i, m))
     crossings.sort(key=lambda t: (-t[0], t[1]))
+    return j, tuple((i, m) for _, i, m in crossings)
+
+
+def _class_q(
+    lam: Multipartition,
+    members: tuple[int, ...],
+    params: CherednikParams,
+    lowering: Optional[int] = None,
+) -> int:
+    j, walls = _class_crossings(params, members, lowering, lam.size)
     cur = lam
-    for _, i, m in crossings:
+    for i, m in walls:
         pi, pj = level2_transport((cur.component(i), cur.component(j)), -m, "up")
         cur = cur.replace_component(i, pi).replace_component(j, pj)
-    quot, _ = divide_with_remainder(cur.component(j), e)
+    quot, _ = divide_with_remainder(cur.component(j), params.kappa.e)
     return quot.size
 
 

@@ -643,3 +643,35 @@ class TestIOContract:
         assert proc.returncode == 1
         assert proc.stdout.startswith("FAIL assertions are disabled")
         assert "checks passed" not in proc.stdout
+
+
+# Loaded by no subcommand below: the order checks, the self-test suite and
+# `dataclasses` (which pulls in `inspect`).
+NEVER_LOADED = {"dataclasses", "fockcrystal.orders", "fockcrystal.selftest"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["params", "--n", "2"], {"fock", "linalg", "crystal", "supports"}),
+        (["support", "--n", "2"], {"fock", "linalg"}),
+        (["fock", "singular", "--n", "2"], {"crystal", "supports"}),
+        (["crystal", "--n-max", "2"], {"fock", "linalg", "supports"}),
+        (["wallcross", "--m", "1", "--n", "2"], {"fock", "linalg"}),
+    ],
+    ids=["params", "support", "fock-singular", "crystal", "wallcross"],
+)
+def test_cold_start_loads_only_what_the_subcommand_runs(tmp_path, golden, argv, unused):
+    probe = (
+        "import sys\n"
+        "from fockcrystal.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    out = str(tmp_path / "out.json")
+    proc = run_module("-c", probe, *argv, "--params", golden, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "fockcrystal.cli" in loaded
+    assert not loaded & (NEVER_LOADED | {f"fockcrystal.{name}" for name in unused})

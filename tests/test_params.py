@@ -71,7 +71,7 @@ class TestKappaValue:
         assert IRRATIONAL.r_abs is None
 
     def test_zero_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="kappa must be nonzero"):
             KappaValue(0)
 
 
@@ -113,9 +113,9 @@ class TestChargeAndCValues:
 
 class TestParams:
     def test_make_params_validates_charge_count(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="expected 2 charges, got 1"):
             make_params(2, Fraction(-1, 2), [0])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="level must be at least 1"):
             make_params(0, Fraction(-1, 2), [])
 
     def test_charge_pairs(self):

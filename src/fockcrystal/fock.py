@@ -13,10 +13,11 @@ On this space we realize:
             bead model ("wedge");
   * plethysm_class: the class of the plethysm s_mu[p_e] expanded over
             partitions, via Murnaghan-Nakayama characters;
-  * singular_subspace / filtration_dim: the joint kernel of all
+  * singular_subspace / filtration_dim(s): the joint kernel of all
             lowering operators in a fixed degree, and dimensions of the
             two-parameter filtration it generates under raising
-            operators and Heisenberg monomials;
+            operators and Heisenberg monomials, every p of one q from
+            a single run;
   * embed_to_charged and the wedge operators wedge_f_op / wedge_e_op on
             charged words, the strictly-decreasing integer tuples that
             realize multipartitions once each component is padded to a
@@ -36,7 +37,7 @@ from .errors import (
     TruncationOverflowError,
     UnsupportedParameterError,
 )
-from .linalg import RowSpan, kernel_basis
+from .linalg import Row, RowSpan, kernel_basis
 from .params import CherednikParams, Residue, make_params, reject_integer_kappa
 from .partitions import (
     Box,
@@ -416,79 +417,93 @@ def _singular_subspace_cached(
     )
 
 
-def _heisenberg_monomials(q: int, e: Optional[int]) -> list[Partition]:
-    """Partitions d_1 >= d_2 >= ... with total degree sum(d_k) <= q,
-    indexing the Heisenberg monomials B_{d_1}...B_{d_k}.  Without a
-    finite quantization only the empty monomial exists."""
-    if e is None:
-        return [Partition([])]
-    out = []
-    for total in range(q + 1):
-        out.extend(enumerate_partitions(total))
-    return out
-
-
 def filtration_dim(
     p: int, q: int, n: int, level: int, params: CherednikParams
 ) -> int:
     """Dimension of the degree-n slice of the filtration space built
     from singular vectors by at most q units of Heisenberg raising and
     at most p single-box raisings."""
+    return filtration_dims(p, q, n, level, params)[-1]
+
+
+def filtration_dims(
+    p: int, q: int, n: int, level: int, params: CherednikParams
+) -> list[int]:
+    """[filtration_dim(k, q, n, level, params) for k = 0..min(p, n)],
+    from one run of raising layers.  A run to p makes the same inserts
+    in the same order as a run to k < p over its first k layers, and
+    after n layers every vector has degree >= n, so no layer adds more.
+
+    Vectors are homogeneous integer rows over the degree's basis: each
+    singular vector is scaled by its common denominator once, and
+    positive scaling leaves RowSpan's primitive rows, hence every
+    decision, as they are.  Each multipartition's moves are read once
+    per run."""
     _check_level(level, params)
     if p < 0 or q < 0 or n < 0:
         raise InvalidInputError("filtration indices must be >= 0")
     reject_integer_kappa(params)
     e = params.kappa.e
+    # no layer past n adds a vector, no monomial of degree above n // e
+    # stays in degree n
+    p, q = min(p, n), min(q, n // e) if e is not None else 0
 
-    indexes = {
-        g: {lam: i for i, lam in enumerate(enumerate_multipartitions(level, g))}
-        for g in range(n + 1)
+    bases = [enumerate_multipartitions(level, g) for g in range(n + 1)]
+    indexes = [{lam: i for i, lam in enumerate(basis)} for basis in bases]
+    spans = [RowSpan(len(basis)) for basis in bases]
+    residue = _residue_lookup(params)
+    b_maps = {
+        d: _heisenberg_term_map(d, params, "ribbon", remove=False) for d in range(1, q + 1)
     }
-    spans = {g: RowSpan(len(index)) for g, index in indexes.items()}
 
-    def insert(v: FockVector) -> bool:
-        if v.is_zero():
-            return False
-        degs = v.degrees()
-        if len(degs) != 1:
-            raise InvalidInputError("filtration vectors must be homogeneous")
-        index = indexes[degs[0]]
-        return spans[degs[0]].insert({index[lam]: c for lam, c in v.entries.items()})
+    @lru_cache(maxsize=None)
+    def moves(g: int, i: int, d: int) -> list[tuple]:
+        """(residue, column) of each one-box raising of column i of
+        degree g when d = 0, else (sign, column) of each B_d term."""
+        lam = bases[g][i]
+        if d == 0:
+            return [(z, indexes[g + 1][mu]) for z, mu in _box_moves(lam, residue, remove=False)]
+        return [(sign, indexes[g + d * e][mu]) for mu, sign in b_maps[d](lam)]
 
-    layer: list[FockVector] = []
+    layer: list[tuple[int, Row]] = []
     for g in range(n + 1):
         for sing in singular_subspace(level, g, params):
-            sing = FockVector(level, n, sing.entries)
-            for mono in _heisenberg_monomials(q, e):
-                if g + (e or 0) * mono.size > n:
-                    continue
-                vec = sing
-                for d in mono.parts:
-                    vec = b_plus_op(vec, d, params)
-                if insert(vec):
-                    layer.append(vec)
+            den = math.lcm(*(c.denominator for c in sing.entries.values()))
+            base = {
+                indexes[g][lam]: c.numerator * (den // c.denominator)
+                for lam, c in sing.entries.items()
+            }
+            for total in range(min(q, (n - g) // e) + 1 if e else 1):
+                for mono in enumerate_partitions(total):
+                    row, deg = base, g
+                    for d in mono.parts:
+                        out: Row = {}
+                        for i, c in row.items():
+                            for sign, j in moves(deg, i, d):
+                                out[j] = out.get(j, 0) + c * sign
+                        row, deg = {j: c for j, c in out.items() if c}, deg + d * e
+                    if row and spans[deg].insert(row):
+                        layer.append((deg, row))
 
-    residue = _residue_lookup(params)
-    for _ in range(p):
-        next_layer: list[FockVector] = []
-        for vec in layer:
-            if max(vec.degrees(), default=n) >= n:
+    dims = [spans[n].dim]
+    while layer and len(dims) <= p:
+        next_layer = []
+        for deg, row in layer:
+            if deg >= n:
                 continue
-            # f_z(vec) for every residue z, from one pass over vec's terms
-            images: dict[Residue, dict[Multipartition, Fraction]] = {}
-            for lam, c in vec.entries.items():
-                for z, mu in _box_moves(lam, residue, remove=False):
+            # f_z(row) for every residue z, from one pass over row's terms
+            images: dict[Residue, Row] = {}
+            for i, c in row.items():
+                for z, j in moves(deg, i, 0):
                     terms = images.setdefault(z, {})
-                    terms[mu] = terms.get(mu, 0) + c
+                    terms[j] = terms.get(j, 0) + c
             for z in sorted(images):
-                image = FockVector(level, vec.truncation, images[z])
-                if insert(image):
-                    next_layer.append(image)
-        if not next_layer:
-            break
+                image = {j: c for j, c in images[z].items() if c}
+                if image and spans[deg + 1].insert(image):
+                    next_layer.append((deg + 1, image))
         layer = next_layer
-
-    return spans[n].dim
+        dims.append(spans[n].dim)
+    return dims + dims[-1:] * (p + 1 - len(dims))
 
 
 class ChargedWord(NamedTuple):

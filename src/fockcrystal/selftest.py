@@ -42,7 +42,7 @@ from .fock import (
     e_z_op,
     embed_to_charged,
     f_z_op,
-    filtration_dim,
+    filtration_dims,
     operator_matrix,
     plethysm_class,
     singular_subspace,
@@ -251,14 +251,17 @@ def _supports(params, n: int):
 
 
 def filtration_counts(params, bound: int) -> None:
-    """dim F^{p,q}_n counts the labels of size n with support <= (p, q)."""
+    """dim F^{p,q}_n counts the labels of size n with support <= (p, q),
+    every p of one q read from a single run as the CLI table does, and
+    F^{n, n//e}_n is the whole degree-n space."""
     for n in range(bound + 1):
         rows = _supports(params, n)
-        for p in range(n + 1):
-            for q in range(n // params.e + 1):
+        for q in range(n // params.e + 1):
+            dims = filtration_dims(n, q, n, params.level, params)
+            for p in range(n + 1):
                 count = sum(1 for s in rows if s.p <= p and s.q <= q)
-                dim = filtration_dim(p, q, n, params.level, params)
-                assert dim == count, (n, p, q)
+                assert dims[p] == count, (n, p, q)
+        assert dims[n] == len(enumerate_multipartitions(params.level, n)), n
 
 
 def singular_dimension(params, bound: int) -> None:

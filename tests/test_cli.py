@@ -344,6 +344,62 @@ def test_fock_output_pinned(capsys, tmp_path, doc, subop, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `fock filtration` with p or q free and of a
+# level-3 table, captured when every (p, q) entry ran its own layers.
+L2_THIRD_TWO = {"level": 2, "kappa": {"num": -1, "den": 3}, "s": [0, 2]}
+PINNED_FILTRATION = [
+    (L2_THIRD_TWO, "--n 6 --q 1",
+     "6367e6245d67acf5e3e72a62807670840a36ec4eecf0db47555a06ca8cc30d54"),
+    (L2_THIRD_TWO, "--n 6 --p 3",
+     "13887420fafdf5c2919fd7378976cd7a33846c1f622bf10ec7fe97b03486e21b"),
+    ({"level": 3, "kappa": {"num": -1, "den": 2}, "s": [0, 1, -1]}, "--n 5",
+     "671be1647b15ff734f72f7cdfa7b8037a7d997da426e6cd499de85f84e695e03"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,args,digest",
+    [
+        pytest.param(
+            doc, args, digest, id=f"l{doc['level']}-{args.replace('--', '').replace(' ', '')}"
+        )
+        for doc, args, digest in PINNED_FILTRATION
+    ],
+)
+def test_filtration_output_pinned(capsys, tmp_path, doc, args, digest):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["fock", "filtration", "--params", str(path)] + args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_filtration_clamps_q_before_enumerating(capsys, monkeypatch, tmp_path):
+    """A Heisenberg index past n // e gives the n // e row, and no
+    monomial of degree above n // e is ever listed."""
+    from fockcrystal import fock
+
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, 1]}))
+    totals = []
+
+    def enumerate_partitions(total):
+        totals.append(total)
+        assert total <= 1, f"monomials of degree {total} listed at n = 2, e = 2"
+        return real(total)
+
+    real = fock.enumerate_partitions
+    monkeypatch.setattr(fock, "enumerate_partitions", enumerate_partitions)
+    argv = ["fock", "filtration", "--params", str(path), "--n", "2", "--p"]
+    want = run_json(capsys, argv + ["1", "--q", "1"])
+    got = run_json(capsys, argv + ["1", "--q", str(10**6)])
+    assert got == [dict(want[0], q=10**6)] and want[0]["dim"] == 3
+    assert totals and max(totals) == 1
+    for p, q in (("1", "-1"), ("-1", "1")):
+        code, _, err = run(capsys, argv + [p, "--q", q])
+        assert code == 2 and "filtration indices must be >= 0" in err
+
+
 # sha256 of the stdout of `fock matrix` for box and Heisenberg operators
 # at levels 1-3, captured before the Fock operators shared one box, one
 # componentwise and one bead move routine.  Each wedge case pins the same

@@ -3,9 +3,14 @@ operators, Heisenberg operators in both models, plethysm coefficients
 against a principal-specialization oracle, singular subspaces, the
 two-parameter filtration, and the charged-word realization."""
 
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcrystal import (
     ChargedWord,
@@ -35,7 +40,8 @@ from fockcrystal import (
     wedge_e_op,
     wedge_f_op,
 )
-from fockcrystal import selftest
+from fockcrystal import cli, selftest
+from fockcrystal.jsonio import params_to_json
 from fockcrystal.selftest import E2, E3, GOLDEN
 
 
@@ -274,6 +280,33 @@ class TestFiltration:
             filtration_dim(0, 0, 2, 2, E2)
         with pytest.raises(UnsupportedParameterError):
             filtration_dim(0, 0, 2, 1, make_params(1, -1, [0]))
+
+
+@st.composite
+def filtration_points(draw):
+    level = draw(st.integers(1, 3))
+    kappa = draw(st.sampled_from(["-1/2", "-1/3", "-2/3", "1/2", None]))
+    charges = draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level))
+    return make_params(level, kappa, charges), draw(st.integers(0, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(filtration_points())
+def test_filtration_table_rows_match_single_entries(point):
+    """Each row of `fock filtration --n` (every p of one q from one run)
+    equals the entry computed alone, and the table never decreases in p
+    or in q."""
+    params, n = point
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "params.json", Path(tmp) / "table.json"
+        path.write_text(json.dumps(params_to_json(params)))
+        argv = ["fock", "filtration", "--params", str(path), "--n", str(n), "--out", str(out)]
+        assert cli.main(argv) == 0
+        table = json.loads(out.read_text())
+    dims = {(row["p"], row["q"]): row["dim"] for row in table}
+    for (p, q), dim in dims.items():
+        assert dim == filtration_dim(p, q, n, params.level, params), (p, q)
+        assert dims.get((p - 1, q), 0) <= dim and dims.get((p, q - 1), 0) <= dim
 
 
 class TestChargedWords:

@@ -193,7 +193,7 @@ def _matrix_apply(args, params):
 
 
 def cmd_fock(args) -> int:
-    from .fock import filtration_dim, filtration_dims, operator_matrix, singular_subspace
+    from .fock import filtration_dims, operator_matrix, singular_subspace
 
     _require_json_format(args)
     params = _require_params(args)
@@ -223,18 +223,18 @@ def cmd_fock(args) -> int:
         }
         _emit(canonical_dumps(doc), args)
         return 0
-    # filtration: one row per (p, q) unless both are pinned; every p of
-    # one q comes from a single run of raising layers
-    if args.p is not None and args.q is not None:
-        dim = filtration_dim(args.p, args.q, args.n, params.level, params)
-        table = [{"p": args.p, "q": args.q, "n": args.n, "dim": dim}]
-    else:
-        e = params.kappa.e
-        max_q = args.n // e if e is not None else 0
-        ps = [p for p in range(args.n + 1) if args.p in (None, p)]
-        qs = [q for q in range(max_q + 1) if args.q in (None, q)]
-        runs = {q: filtration_dims(ps[-1], q, args.n, params.level, params) for q in qs if ps}
-        table = [{"p": p, "q": q, "n": args.n, "dim": runs[q][p]} for p in ps for q in qs]
+    # filtration: one row per (p, q), every p of one q read from a single
+    # run of raising layers; an index past its range (p > n, q > n // e)
+    # gives the clamped row, labelled with the index asked for
+    if min(args.n, args.p or 0, args.q or 0) < 0:
+        raise InvalidInputError("filtration indices must be >= 0")
+    e = params.kappa.e
+    ps = range(args.n + 1) if args.p is None else [args.p]
+    qs = range(args.n // e + 1 if e is not None else 1) if args.q is None else [args.q]
+    runs = {q: filtration_dims(ps[-1], q, args.n, params.level, params) for q in qs}
+    table = [
+        {"p": p, "q": q, "n": args.n, "dim": runs[q][min(p, args.n)]} for p in ps for q in qs
+    ]
     _emit(canonical_dumps(table), args)
     return 0
 

@@ -11,9 +11,11 @@ the two-component generic-kappa crystals sitting on either side of the
 wall.  It is computed by walking the source vertex up to its highest
 weight vertex, matching that vertex with the target side's highest
 weight vertex of the same size, and replaying the recorded path.  The
-image of every vertex on a walked path is remembered per (m, direction)
-for the life of the process, so a later walk stops at the first vertex
-already mapped.
+crystal operators there need no parameters: each slot has at most one
+boundary cell per residue, so every signature has at most two entries.
+The image of every vertex on a walked path is remembered per
+(m, direction) for the life of the process, so a later walk stops at
+the first vertex already mapped.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
-from .crystal import f_tilde, is_singular, km_depth, raising_walk
+from .crystal import km_depth
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedParameterError
 from .params import (
     CherednikParams,
     ChargeDifferenceWall,
     is_essential_charge_wall,
-    make_params,
     normalize_for_support,
     reject_integer_kappa,
     reject_level_mismatch,
@@ -91,13 +92,13 @@ def asymptotic_q(
     return quot.size, quot, rem
 
 
-def _slinf_e_tilde(nu: Partition, content: int) -> Optional[Partition]:
-    """Raising operator of the generic-kappa one-component crystal: each
-    diagonal carries at most one boundary cell, so no signature is needed."""
-    for x, y in nu.removable_cells():
-        if x - y == content:
-            return nu.remove_cell(x, y)
-    return None
+@lru_cache(maxsize=None)
+def _boundary(nu: Partition) -> dict[int, tuple[int, int, str]]:
+    """Content -> the one removable ("-") or addable ("+") cell of nu on
+    that diagonal: at generic kappa, a slot's whole signature there."""
+    cells = {x - y: (x, y, "+") for x, y in nu.addable_cells()}
+    cells.update((x - y, (x, y, "-")) for x, y in nu.removable_cells())
+    return cells
 
 
 def heis_e_asymptotic(
@@ -108,37 +109,61 @@ def heis_e_asymptotic(
     e = _require_rational(params, "the asymptotic Heisenberg operator")
     _check_asymptotic(lam, j, params)
     quot, rem = divide_with_remainder(lam.component(j), e)
-    up = _slinf_e_tilde(quot, content)
-    if up is None:
+    cell = _boundary(quot).get(content)
+    if cell is None or cell[2] != "-":
         return None
+    up = quot.remove_cell(cell[0], cell[1])
     rows = max(len(up), len(rem))
     merged = Partition(e * up.row(y) + rem.row(y) for y in range(1, rows + 1))
     return lam.replace_component(j, merged)
 
 
-@lru_cache(maxsize=None)
-def _transport_side_params(m: int, upper: bool) -> CherednikParams:
-    # The lower side carries slot charges (0, m); the upper side shifts
-    # the second slot by one kappa-inverse unit, which swaps the order of
-    # equal-content boxes between the two slots.
-    return make_params(2, None, [(0, 0), (m, 1 if upper else 0)])
+def _two_slot_move(
+    pair: PartitionPair, z: int, m: int, upper: bool, sign: str
+) -> Optional[PartitionPair]:
+    """e~ (sign "-") or f~ (sign "+") at residue z of the generic-kappa
+    crystal on pairs with slot charges (0, m), below or above the wall: a
+    cell of content c in slot k has residue c + k*m, so the z-signature
+    holds at most one cell per slot, slot 1 first below the wall and
+    slot 0 first above it, and only the word "-+" cancels."""
+    order = (0, 1) if upper else (1, 0)
+    word = [(k, *cell) for k in order if (cell := _boundary(pair[k]).get(z - k * m))]
+    signs = "".join(t[3] for t in word)
+    if signs == "-+" or sign not in signs:
+        return None
+    k, x, y, _ = word[signs.index("-")] if sign == "-" else word[signs.rindex("+")]
+    nu = pair[k].remove_cell(x, y) if sign == "-" else pair[k].add_cell(x, y)
+    return (nu, pair[1]) if k == 0 else (pair[0], nu)
 
 
-def _match_highest_weight(
-    top: Multipartition, direction: str, dst: CherednikParams
-) -> Multipartition:
+def _two_slot_raise(
+    pair: PartitionPair, m: int, upper: bool
+) -> Optional[tuple[int, PartitionPair]]:
+    """The raise by the smallest removable residue that acts, as
+    (residue, vertex above); None at a highest weight vertex."""
+    residues = {
+        c + k * m for k in (0, 1) for c, cell in _boundary(pair[k]).items() if cell[2] == "-"
+    }
+    for z in sorted(residues):
+        above = _two_slot_move(pair, z, m, upper, "-")
+        if above is not None:
+            return z, above
+    return None
+
+
+def _match_highest_weight(top: PartitionPair, direction: str, m: int) -> PartitionPair:
     """The same-size highest weight vertex across the wall: swap the
     components and conjugate."""
-    first, second = top.components
+    first, second = top
     empty_slot = second if direction == "down" else first
     if len(empty_slot) != 0:
         raise InternalInvariantError(
-            f"transport reached unexpected highest weight vertex {top}"
+            f"transport reached unexpected highest weight vertex {Multipartition(top)}"
         )
-    target = Multipartition([second.transpose(), first.transpose()])
-    if not is_singular(target, dst):
+    target = (second.transpose(), first.transpose())
+    if _two_slot_raise(target, m, upper=(direction == "up")) is not None:
         raise InternalInvariantError(
-            f"matched vertex {target} is not highest weight across the wall"
+            f"matched vertex {Multipartition(target)} is not highest weight across the wall"
         )
     return target
 
@@ -146,7 +171,7 @@ def _match_highest_weight(
 # (m, direction) -> {source vertex: its image across the wall}.  The
 # walk below is deterministic and the isomorphism unique, so an image
 # stored for a vertex met on some walk is the one its own walk gives.
-_TRANSPORTED: dict[tuple[int, str], dict[Multipartition, Multipartition]] = {}
+_TRANSPORTED: dict[tuple[int, str], dict[PartitionPair, PartitionPair]] = {}
 
 
 def level2_transport(
@@ -156,31 +181,35 @@ def level2_transport(
     two-component generic-kappa crystals with slot charges (0, m) on the
     two sides of a wall.
 
-    Walks up (`raising_walk`) until it meets a vertex already mapped or
-    a highest weight vertex, which it maps to the same-size highest
+    Walks up (`_two_slot_raise`) until it meets a vertex already mapped
+    or a highest weight vertex, which it maps to the same-size highest
     weight vertex across the wall (swap the components and conjugate);
-    then replays the path down.  The image of every vertex on the path is remembered per
-    (m, direction) for the life of the process.
+    then replays the path down.  The image of every vertex on the path
+    is remembered per (m, direction) for the life of the process.
     """
     if direction not in ("up", "down"):
         raise InvalidInputError(f"unknown transport direction {direction!r}")
-    src = _transport_side_params(m, upper=(direction == "down"))
-    dst = _transport_side_params(m, upper=(direction == "up"))
-    cur = pair if isinstance(pair, Multipartition) else Multipartition(pair)
-    if cur.level != 2:
+    upper = direction == "down"
+    lam = pair if isinstance(pair, Multipartition) else Multipartition(pair)
+    if lam.level != 2:
         raise InvalidInputError("transport expects a pair of partitions")
+    cur = lam.components
     memo = _TRANSPORTED.setdefault((m, direction), {})
-    path = list(raising_walk(cur, src, memo))
-    top = path[-1][2] if path else cur
-    if top not in memo:
-        memo[top] = _match_highest_weight(top, direction, dst)
-    target = memo[top]
-    for vertex, z, _ in reversed(path):
-        target = f_tilde(target, z, dst)
+    path = []
+    while cur not in memo:
+        step = _two_slot_raise(cur, m, upper)
+        if step is None:
+            memo[cur] = _match_highest_weight(cur, direction, m)
+            break
+        path.append((cur, step[0]))
+        cur = step[1]
+    target = memo[cur]
+    for vertex, z in reversed(path):
+        target = _two_slot_move(target, z, m, not upper, "+")
         if target is None:
             raise InternalInvariantError("path replay died; the crystals do not match")
         memo[vertex] = target
-    return target.components
+    return target
 
 
 def wall_cross(
@@ -235,7 +264,9 @@ def _class_crossings(
             # pair ordering given by the i e-perturbation s_i + i*eps
             if m > delta or (m == delta and i < j):
                 crossings.append((svals[i] - m, i, m))
-    crossings.sort(key=lambda t: (-t[0], t[1]))
+    # s_j meets the wall s_i - s_j = m at s_i - m + (i - j)*eps: of two
+    # walls at one position, the one with the larger i comes first
+    crossings.sort(key=lambda t: (-t[0], -t[1]))
     return j, tuple((i, m) for _, i, m in crossings)
 
 

@@ -400,6 +400,24 @@ def test_filtration_clamps_q_before_enumerating(capsys, monkeypatch, tmp_path):
         assert code == 2 and "filtration indices must be >= 0" in err
 
 
+def test_filtration_index_contract(capsys, tmp_path):
+    """A negative index exits 2 whether or not both indices are pinned;
+    a p past n or a q past n // e gives the clamped row, labelled with
+    the index asked for, in the table as in the pinned row."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, 1]}))
+    argv = ["fock", "filtration", "--params", str(path), "--n"]
+    for args in ("-1", "2 --p -1", "2 --q -1", "-1 --p 1 --q 1"):
+        code, out, err = run(capsys, argv + args.split())
+        assert (code, out) == (2, "") and "filtration indices must be >= 0" in err, args
+    want = run_json(capsys, argv + ["2", "--q", "1"])
+    assert len(want) == 3
+    assert run_json(capsys, argv + ["2", "--q", "5"]) == [dict(row, q=5) for row in want]
+    want = run_json(capsys, argv + ["2", "--p", "2"])
+    assert len(want) == 2
+    assert run_json(capsys, argv + ["2", "--p", "7"]) == [dict(row, p=7) for row in want]
+
+
 # sha256 of the stdout of `fock matrix` for box and Heisenberg operators
 # at levels 1-3, captured before the Fock operators shared one box, one
 # componentwise and one bead move routine.  Each wedge case pins the same
@@ -588,6 +606,19 @@ def test_support_output_pinned(capsys, tmp_path, doc, command, digest):
     code, out, err = run(capsys, command.split() + ["--params", str(path)])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_level3_support_keeps_the_invariant(capsys, tmp_path):
+    """At l = 3, kappa = -1/3, s = (0, 1, -1) two walls of the class sit
+    at one position, and the larger index is crossed first: every row
+    keeps p + e*q <= n, and the (0, 0) rows count dim F^{0,0}_3."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, 1, -1]}))
+    rows = run_json(capsys, ["support", "--params", str(path), "--n", "3"])
+    assert all(row["p"] + 3 * row["q"] <= 3 for row in rows)
+    full = [row for row in rows if (row["p"], row["q"]) == (0, 0)]
+    argv = ["fock", "filtration", "--params", str(path), "--n", "3", "--p", "0", "--q", "0"]
+    assert len(full) == 6 == run_json(capsys, argv)[0]["dim"]
 
 
 class TestWallcrossCommand:

@@ -2,9 +2,12 @@
 wall-crossing bijections with their invariance properties, and the
 (p, q) tables that decide finite-dimensionality."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcrystal import (
     ChargeDifferenceWall,
@@ -24,7 +27,7 @@ from fockcrystal import (
     support,
     wall_cross,
 )
-from fockcrystal import selftest, supports
+from fockcrystal import cli, params, selftest, supports
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 FAR = make_params(2, Fraction(-1, 2), [0, -3])
@@ -139,6 +142,33 @@ class TestTransport:
                 assert in_order == reversed_order == cold, (m, direction)
                 for pair, image in zip(pairs, in_order):
                     assert level2_transport(image, m, back) == pair, (m, direction)
+
+
+class TestTwoSlotRule:
+    """The two-slot rule `level2_transport` walks is the signature rule of
+    the generic-kappa crystal on pairs, below and above the wall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(lambda n: st.sampled_from(enumerate_multipartitions(2, n))),
+        st.integers(-8, 8),
+        st.booleans(),
+    )
+    def test_matches_generic_crystal(self, lam, m, upper):
+        selftest.transport_crystal(m, upper, [lam])
+
+    def test_transport_reads_no_residues(self, capsys, monkeypatch, tmp_path):
+        def residue(self, box):
+            raise AssertionError("transport read a residue")
+
+        monkeypatch.setattr(params.CherednikParams, "residue", residue)
+        monkeypatch.setattr(supports, "_TRANSPORTED", {})
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"level": 2, "kappa": {"num": -1, "den": 3}, "s": [0, 2]}))
+        code = cli.main(["wallcross", "--params", str(path), "--m", "1", "--n", "6"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert len(json.loads(out)) == len(enumerate_multipartitions(2, 6))
 
 
 class TestWallCross:

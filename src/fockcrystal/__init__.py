@@ -11,9 +11,8 @@ __version__ = "0.2.0"
 # time one of its names is read, so `import fockcrystal` loads nothing.
 _MODULES = {
     "errors": (
-        "AmbiguityError", "FockcrystalError", "InternalInvariantError",
-        "InvalidInputError", "InvalidMoveError", "TruncationOverflowError",
-        "UnsupportedParameterError",
+        "FockcrystalError", "InternalInvariantError", "InvalidInputError",
+        "InvalidMoveError", "TruncationOverflowError", "UnsupportedParameterError",
     ),
     "partitions": (
         "Box", "Multipartition", "Partition", "RibbonMove",

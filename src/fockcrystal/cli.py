@@ -6,9 +6,9 @@ Every command reads parameters from a JSON file (--params), writes JSON
 canonically so identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
-3 signature ambiguity, 4 truncation overflow, 5 internal error (a
-violated internal invariant or any other exception, reported as
-"internal error: <Type>: <message>").
+4 truncation overflow, 5 internal error (a violated internal invariant
+or any other exception, reported as "internal error: <Type>: <message>").
+3 is no longer produced; `--strict-ties` is accepted and has no effect.
 
 The modules only some commands run (crystal, supports, fock, selftest)
 are imported inside those commands, so a call loads only the code its
@@ -22,7 +22,6 @@ import sys
 from typing import Optional
 
 from .errors import (
-    AmbiguityError,
     FockcrystalError,
     InternalInvariantError,
     InvalidInputError,
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--strict-ties",
         action="store_true",
-        help="fail with an ambiguity error when signature boxes tie exactly",
+        help="accepted for compatibility; no effect, since signature boxes never tie",
     )
 
     parser = argparse.ArgumentParser(
@@ -148,7 +147,7 @@ def cmd_crystal(args) -> int:
     _check_level(args, params)
     if args.n_max < 0:
         raise InvalidInputError("--n-max must be >= 0")
-    graph = crystal_graph(params.level, args.n_max, params, strict_ties=args.strict_ties)
+    graph = crystal_graph(params.level, args.n_max, params)
     if args.format == "dot":
         _emit(crystal_graph_to_dot(graph), args)
     else:
@@ -319,9 +318,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except AmbiguityError as exc:
-        print(f"ambiguity: {exc}", file=sys.stderr)
-        return 3
     except TruncationOverflowError as exc:
         print(f"truncation overflow: {exc}", file=sys.stderr)
         return 4

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Container, Iterator, NamedTuple, Optional
 
-from .errors import AmbiguityError, InvalidInputError
+from .errors import InvalidInputError
 from .params import (
     CherednikParams,
     Residue,
@@ -50,29 +50,17 @@ def relevant_residues(
 
 
 def z_signature(
-    lam: Multipartition,
-    z: Residue,
-    params: CherednikParams,
-    strict_ties: bool = False,
+    lam: Multipartition, z: Residue, params: CherednikParams
 ) -> Signature:
+    """The addable (+) and removable (-) z-boxes of lam in ascending c.
+    No two of them share a c-value (selftest `signature_keys`)."""
     reject_integer_kappa(params)
     reject_level_mismatch(lam, params)
     entries = [
         (b, "+") for b in lam.addable_boxes() if params.residue(b) == z
     ] + [(b, "-") for b in lam.removable_boxes() if params.residue(b) == z]
-    # the entry index k keeps the sort stable and never compares boxes
-    keyed = [
-        (c_sort_key(params.c_of_box(b), params.kappa), b.comp, k, b, sign)
-        for k, (b, sign) in enumerate(entries)
-    ]
-    keyed.sort()
-    if strict_ties:
-        for (c1, *_, b1, _), (c2, *_, b2, _) in zip(keyed, keyed[1:]):
-            if c1 == c2:
-                raise AmbiguityError(
-                    f"boxes {b1} and {b2} of {lam} share the c-value {c1}"
-                )
-    return Signature(z, tuple([(b, sign) for *_, b, sign in keyed]))
+    entries.sort(key=lambda entry: c_sort_key(params.c_of_box(entry[0]), params.kappa))
+    return Signature(z, tuple(entries))
 
 
 def reduce_signature(sig: Signature) -> Signature:
@@ -157,16 +145,9 @@ def _node_key(lam: Multipartition):
 
 
 def _assemble_graph(
-    params: CherednikParams,
-    node_set: set[Multipartition],
-    size_bound: int,
-    strict_ties: bool = False,
+    params: CherednikParams, node_set: set[Multipartition], size_bound: int
 ) -> CrystalGraph:
     nodes = sorted(node_set, key=_node_key)
-    if strict_ties:
-        for lam in nodes:
-            for z in relevant_residues(lam, params):
-                z_signature(lam, z, params, strict_ties=True)
     edges = []
     for lam in nodes:
         if lam.size >= size_bound:
@@ -204,12 +185,7 @@ def crystal_component(
     return _assemble_graph(params, seen, size_bound)
 
 
-def crystal_graph(
-    level: int,
-    n_max: int,
-    params: CherednikParams,
-    strict_ties: bool = False,
-) -> CrystalGraph:
+def crystal_graph(level: int, n_max: int, params: CherednikParams) -> CrystalGraph:
     """Full crystal on all multipartitions of the level up to size n_max."""
     reject_integer_kappa(params)
     node_set = {
@@ -217,4 +193,4 @@ def crystal_graph(
         for n in range(n_max + 1)
         for lam in enumerate_multipartitions(level, n)
     }
-    return _assemble_graph(params, node_set, n_max, strict_ties)
+    return _assemble_graph(params, node_set, n_max)

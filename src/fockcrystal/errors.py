@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the command line front end:
+Exit-code mapping used by the command line front end (3 is no longer
+produced: two boxes of one signature never share a c-value):
   2  malformed input (bad JSON, invalid partition data, bad parameters)
-  3  ambiguity fault (strict tie checking tripped)
   4  truncation overflow (an operator pushed weight past the chosen cutoff)
   5  internal error (a violated internal invariant, or any exception that
      is not a FockcrystalError)
@@ -19,10 +19,6 @@ class InvalidInputError(FockcrystalError):
 
 class InvalidMoveError(FockcrystalError):
     """A box addition or removal that does not produce a valid shape."""
-
-
-class AmbiguityError(FockcrystalError):
-    """Two distinct boxes compared equal where a strict order was required."""
 
 
 class TruncationOverflowError(FockcrystalError):

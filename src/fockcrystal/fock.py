@@ -291,9 +291,18 @@ def b_plus_op(
     v: FockVector, d: int, params: CherednikParams, model: str = "ribbon"
 ) -> FockVector:
     """Degree-d raising Heisenberg operator: add one d*e-ribbon to a
-    single component, sign (-1)^(ribbon height)."""
+    single component, sign (-1)^(ribbon height).  Every label takes at
+    least one ribbon, so a label that would overflow the truncation is
+    rejected before any ribbon is built."""
     _check_vector_params(v, params)
-    return _apply_termwise(v, _heisenberg_term_map(d, params, model, remove=False))
+    term_map = _heisenberg_term_map(d, params, model, remove=False)
+    length = d * params.kappa.e
+    for lam in v.entries:
+        if lam.size + length > v.truncation:
+            raise TruncationOverflowError(
+                f"term of degree {lam.size + length} exceeds truncation {v.truncation}"
+            )
+    return _apply_termwise(v, term_map)
 
 
 def b_minus_op(

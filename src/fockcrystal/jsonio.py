@@ -228,17 +228,14 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def crystal_graph_to_json(graph: CrystalGraph) -> dict:
-    from .crystal import is_singular, km_depth
+    from .crystal import km_depth
 
     params = graph.params
     nodes = []
     for lam in graph.nodes:
+        depth = km_depth(lam, params)
         nodes.append(
-            {
-                "lambda": multipartition_to_json(lam),
-                "singular": is_singular(lam, params),
-                "depth": km_depth(lam, params),
-            }
+            {"lambda": multipartition_to_json(lam), "singular": depth == 0, "depth": depth}
         )
     index = {lam: i for i, lam in enumerate(graph.nodes)}
     edges = [
@@ -252,16 +249,18 @@ def crystal_graph_to_dot(graph: CrystalGraph) -> str:
     """DOT document: nodes labeled by the compact multipartition JSON,
     singular vertices double-circled and annotated with their depth,
     edges labeled by residue.  Ordering follows the canonical node
-    order, so output is byte-stable."""
-    from .crystal import is_singular, km_depth
+    order, so output is byte-stable.  Depth 0 is the same as singular
+    (selftest `crystal-axioms`)."""
+    from .crystal import km_depth
 
     params = graph.params
     index = {lam: i for i, lam in enumerate(graph.nodes)}
     lines = ["digraph crystal {"]
     for i, lam in enumerate(graph.nodes):
         attrs = [f'label="{multipartition_label(lam)}"']
-        attrs.append(f'depth="{km_depth(lam, params)}"')
-        if is_singular(lam, params):
+        depth = km_depth(lam, params)
+        attrs.append(f'depth="{depth}"')
+        if depth == 0:
             attrs.append('singular="true"')
             attrs.append("shape=doublecircle")
         lines.append(f"  n{i} [{', '.join(attrs)}];")

@@ -122,56 +122,48 @@ class Partition:
         return Partition(rows)
 
 
-def _ribbon_additions(parts: tuple[int, ...], length: int) -> list[RibbonMove]:
+def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
+    """All partitions obtained from p by adding a border strip of the
+    given length, with heights and signs."""
     if length <= 0:
         raise InvalidInputError("ribbon length must be positive")
-    lam = Partition(parts)
+    parts = p.parts
     moves = []
     for y2 in range(1, len(parts) + length + 1):
         for y1 in range(max(1, y2 - length + 1), y2 + 1):
             # row y1 of the result is forced by the total size; the rows
             # below it each start one column right of the previous row's end
-            top = lam.row(y2) + length - (y2 - y1)
-            if top <= lam.row(y1):
+            top = p.row(y2) + length - (y2 - y1)
+            if top <= p.row(y1):
                 continue
-            if y1 > 1 and top > lam.row(y1 - 1):
+            if y1 > 1 and top > p.row(y1 - 1):
                 continue
             rows = list(parts) + [0] * max(0, y2 - len(parts))
             rows[y1 - 1] = top
             for y in range(y1 + 1, y2 + 1):
-                rows[y - 1] = lam.row(y - 1) + 1
+                rows[y - 1] = p.row(y - 1) + 1
             moves.append(RibbonMove(Partition(rows), y2 - y1, (-1) ** (y2 - y1)))
     moves.sort(key=lambda m: m.result.parts, reverse=True)
     return moves
 
 
-def _ribbon_removals(parts: tuple[int, ...], length: int) -> list[RibbonMove]:
+def ribbon_removals(p: Partition, length: int) -> list[RibbonMove]:
     if length <= 0:
         raise InvalidInputError("ribbon length must be positive")
-    lam = Partition(parts)
+    parts = p.parts
     moves = []
     for y2 in range(1, len(parts) + 1):
         for y1 in range(max(1, y2 - length + 1), y2 + 1):
-            last = lam.row(y1) - length + (y2 - y1)
-            if not (max(lam.row(y2 + 1), 0) <= last <= lam.row(y2) - 1):
+            last = p.row(y1) - length + (y2 - y1)
+            if not (max(p.row(y2 + 1), 0) <= last <= p.row(y2) - 1):
                 continue
             rows = list(parts)
             for y in range(y1, y2):
-                rows[y - 1] = lam.row(y + 1) - 1
+                rows[y - 1] = p.row(y + 1) - 1
             rows[y2 - 1] = last
             moves.append(RibbonMove(Partition(rows), y2 - y1, (-1) ** (y2 - y1)))
     moves.sort(key=lambda m: m.result.parts, reverse=True)
     return moves
-
-
-def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
-    """All partitions obtained from p by adding a border strip of the
-    given length, with heights and signs."""
-    return _ribbon_additions(p.parts, length)
-
-
-def ribbon_removals(p: Partition, length: int) -> list[RibbonMove]:
-    return _ribbon_removals(p.parts, length)
 
 
 class Multipartition:

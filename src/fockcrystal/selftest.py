@@ -50,7 +50,7 @@ from .fock import (
     wedge_f_op,
 )
 from .orders import leq_c, preceq
-from .params import ChargeDifferenceWall, Residue, make_params
+from .params import ChargeDifferenceWall, Residue, c_sort_key, make_params
 from .partitions import (
     Multipartition,
     Partition,
@@ -133,6 +133,22 @@ def crystal_axioms(params, bound: int) -> None:
                 assert up.size == lam.size - 1, (lam, z, up)
                 assert km_depth(up, params) == depth - 1, (lam, z, up)
                 assert f_tilde(up, z, params) == lam, (lam, z, up)
+
+
+def signature_keys(params, bound: int) -> None:
+    """Every signature lists its boxes in strictly increasing c, so the
+    signature rule never meets a tie.  Boxes of one residue in components
+    i and j have charged contents t/kappa apart (t an integer), so their
+    c-values differ by l*t - (i - j); that is zero only when i = j and
+    t = 0, one component and one diagonal, and a component has at most
+    one addable or removable box per diagonal."""
+    for lam in _labels(params, bound):
+        for z in relevant_residues(lam, params):
+            keys = [
+                c_sort_key(params.c_of_box(b), params.kappa)
+                for b, _ in z_signature(lam, z, params).entries
+            ]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (lam, z, keys)
 
 
 def level1_singular(params, bound: int) -> None:
@@ -490,6 +506,7 @@ def check_transport_crystal(full: bool) -> None:
 CHECKS: list[tuple[str, Callable[[bool], None]]] = [
     ("golden-signature", lambda full: golden_signature()),
     ("crystal-axioms", _on_grid(crystal_axioms, 4, 6)),
+    ("signature-keys", _on_grid(signature_keys, 4, 6)),
     ("level1-singular", _on_grid(level1_singular, 6, 8, max_level=1)),
     ("level1-restricted", _on_grid(restricted_component, 4, 8, max_level=1)),
     ("level1-isomorphism", _on_grid(component_isomorphism, 4, 8, max_level=1)),

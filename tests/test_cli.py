@@ -45,11 +45,11 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """A fresh interpreter that imports this same fockcrystal package."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -150,6 +150,11 @@ class TestCrystalCommand:
         code, _, _ = run(capsys, ["crystal", "--params", golden, "--n-max", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_strict_ties_changes_nothing(self, capsys, golden, fmt):
+        argv = ["crystal", "--params", golden, "--n-max", "3", "--format", fmt]
+        assert run(capsys, argv + ["--strict-ties"]) == run(capsys, argv)
+
 
 class TestFockCommand:
     def test_heisenberg_matrix(self, capsys, e2):
@@ -238,6 +243,18 @@ class TestFockCommand:
         )
         assert code == 4
         assert "truncation overflow" in err
+
+    @pytest.mark.parametrize("model", ["ribbon", "wedge"])
+    def test_bplus_overflow_exits_before_building_ribbons(self, tmp_path, model):
+        """At e = 100000 every B_1 term has degree 100001: the call stops
+        at the first label instead of building its ribbons."""
+        path = tmp_path / "big_e.json"
+        path.write_text(json.dumps({"level": 1, "kappa": {"num": -1, "den": 100000}, "s": [0]}))
+        argv = ["fock", "matrix", "--params", str(path), "--op", "bplus", "--d", "1"]
+        argv += ["--degree-from", "1", "--degree-to", "1", "--model", model]
+        proc = run_module("-m", "fockcrystal", *argv, timeout=2)
+        assert proc.returncode == 4
+        assert proc.stderr == "truncation overflow: term of degree 100001 exceeds truncation 1\n"
 
     def test_matrix_needs_operator_flags(self, capsys, e2):
         code, _, _ = run(

@@ -57,9 +57,22 @@ class TestSignatures:
             assert keys == sorted(keys)
 
     def test_strict_ties_clean_on_golden(self):
-        for lam in enumerate_multipartitions(2, 4):
-            for z in relevant_residues(lam, GOLDEN):
-                z_signature(lam, z, GOLDEN, strict_ties=True)
+        selftest.signature_keys(GOLDEN, 4)
+
+    @pytest.mark.parametrize(
+        "level, kappa, charges, bound",
+        [
+            (2, Fraction(1, 2), [0, 1], 5),
+            (2, Fraction(2, 3), [(0, 1), Fraction(1, 2)], 5),
+            (3, Fraction(3, 4), [0, (1, 2), -1], 4),
+            (4, Fraction(-1, 3), [0, 1, (0, 1), Fraction(1, 2)], 3),
+            (4, None, [0, (1, 1), -1, (0, 2)], 3),
+        ],
+    )
+    def test_signature_keys_off_the_grid(self, level, kappa, charges, bound):
+        """Positive kappa, charges with a 1/kappa part and level 4, which
+        the selftest grid does not sample."""
+        selftest.signature_keys(make_params(level, kappa, charges), bound)
 
 
 class TestGoldenChain:
@@ -239,5 +252,5 @@ class TestGraphs:
         assert all(dst.size == src.size + 1 for src, _, dst in g.edges)
 
     def test_strict_ties_graph_clean(self):
-        crystal_graph(2, 3, GOLDEN, strict_ties=True)
-        crystal_graph(2, 3, make_params(2, None, [0, -1]), strict_ties=True)
+        selftest.signature_keys(GOLDEN, 3)
+        selftest.signature_keys(make_params(2, None, [0, -1]), 3)

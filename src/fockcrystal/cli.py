@@ -8,7 +8,8 @@ canonically so identical invocations produce identical bytes.
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
 4 truncation overflow, 5 internal error (a violated internal invariant
 or any other exception, reported as "internal error: <Type>: <message>").
-3 is no longer produced; `--strict-ties` is accepted and has no effect.
+3 is unused.  `--strict-ties` is accepted and does nothing; it is removed
+in 0.3.0.
 
 The modules only some commands run (crystal, supports, fock, selftest)
 are imported inside those commands, so a call loads only the code its
@@ -62,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--strict-ties",
         action="store_true",
-        help="accepted for compatibility; no effect, since signature boxes never tie",
+        help="no effect, since signature boxes never tie; removed in 0.3.0",
     )
 
     parser = argparse.ArgumentParser(

@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the command line front end (3 is no longer
-produced: two boxes of one signature never share a c-value):
+Exit-code mapping used by the command line front end (3 is unused):
   2  malformed input (bad JSON, invalid partition data, bad parameters)
   4  truncation overflow (an operator pushed weight past the chosen cutoff)
   5  internal error (a violated internal invariant, or any exception that

@@ -248,7 +248,10 @@ def _wedge_moves(p: Partition, step: int) -> list[RibbonMove]:
     Beads sit at beta_k = p_k - k + W for k = 1..W; the window size
     W = len(p) + |step| is large enough that every legal move, including
     promotions out of the untouched tail, has both endpoints visible.
+    A removal longer than |p| cannot happen, so it builds no window.
     """
+    if -step > p.size:
+        return []
     window = len(p.parts) + abs(step)
     betas = [p.row(k) - k + window for k in range(1, window + 1)]
     return [

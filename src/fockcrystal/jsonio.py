@@ -179,13 +179,22 @@ def wall_to_json(wall: Wall) -> dict:
     raise InvalidInputError(f"unknown wall object {wall!r}")
 
 
+def _wall_ints(obj: dict, *keys: str) -> list[int]:
+    """The integer fields `keys` of a wall object; a missing key reads as null."""
+    values = [obj.get(key) for key in keys]
+    for key, x in zip(keys, values):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise InvalidInputError(f"wall field {key!r} must be an integer, got {x!r}")
+    return values
+
+
 def wall_from_json(obj: Any) -> Wall:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidInputError(f"wall must be an object with a type, got {obj!r}")
     if obj["type"] == "kappa_denominator":
-        return KappaDenominatorWall(int(obj["d"]))
+        return KappaDenominatorWall(*_wall_ints(obj, "d"))
     if obj["type"] == "charge_difference":
-        return ChargeDifferenceWall(int(obj["i"]), int(obj["j"]), int(obj["m"]))
+        return ChargeDifferenceWall(*_wall_ints(obj, "i", "j", "m"))
     raise InvalidInputError(f"unknown wall type {obj['type']!r}")
 
 

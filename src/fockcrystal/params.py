@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedParameterError
@@ -196,9 +195,13 @@ class _CherednikParams(NamedTuple):
     level: int
     kappa: KappaValue
     s: tuple[ChargeValue, ...]
+    classes: tuple[tuple[int, ...], ...]
 
 
 class CherednikParams(_CherednikParams):
+    """`classes` is derived, not passed (copy and pickle pass the rest):
+    {0..l-1} split by s_i - s_j in Z + (1/kappa)Z, ordered by least member."""
+
     __slots__ = ()
 
     def __new__(cls, level: int, kappa: KappaValue, s: Sequence):
@@ -207,7 +210,18 @@ class CherednikParams(_CherednikParams):
         s = tuple(c if isinstance(c, ChargeValue) else charge(c) for c in s)
         if len(s) != level:
             raise InvalidInputError(f"expected {level} charges, got {len(s)}")
-        return tuple.__new__(cls, (level, kappa, s))
+        classes: list[list[int]] = []
+        for i in range(level):
+            for members in classes:
+                if _in_mixed_lattice(s[i] - s[members[0]], kappa):
+                    members.append(i)
+                    break
+            else:
+                classes.append([i])
+        return tuple.__new__(cls, (level, kappa, s, tuple(map(tuple, classes))))
+
+    def __getnewargs__(self):
+        return (self.level, self.kappa, self.s)
 
     @property
     def e(self) -> Optional[int]:
@@ -232,18 +246,15 @@ class CherednikParams(_CherednikParams):
         d = self.charged_content(b1) - self.charged_content(b2)
         return _in_kappa_inv_lattice(d, self.kappa)
 
-    def component_classes(self) -> tuple[tuple[int, ...], ...]:
-        return _component_classes(self)
-
     def class_of_component(self, i: int) -> int:
-        for cid, members in enumerate(self.component_classes()):
+        for cid, members in enumerate(self.classes):
             if i in members:
                 return cid
         raise InvalidInputError(f"component {i} out of range")
 
     def residue(self, b: Box) -> Residue:
         cid = self.class_of_component(b.comp)
-        rep = self.component_classes()[cid][0]
+        rep = self.classes[cid][0]
         cont = self.charged_content(b)
         if self.kappa.is_rational:
             r = self.kappa.r_abs
@@ -315,24 +326,10 @@ def _in_mixed_lattice(d: ChargeValue, kappa: KappaValue) -> bool:
     return d.a.denominator == 1 and d.b.denominator == 1
 
 
-@lru_cache(maxsize=None)
-def _component_classes(params: CherednikParams) -> tuple[tuple[int, ...], ...]:
-    classes: list[list[int]] = []
-    for i in range(params.level):
-        for members in classes:
-            if _in_mixed_lattice(params.s[i] - params.s[members[0]], params.kappa):
-                members.append(i)
-                break
-        else:
-            classes.append([i])
-    classes.sort(key=lambda ms: ms[0])
-    return tuple(tuple(ms) for ms in classes)
-
-
 def equivalence_classes(params: CherednikParams) -> tuple[tuple[int, ...], ...]:
     """The partition of {0..l-1} by s_i - s_j in Z + (1/kappa)Z, ordered
     by least member."""
-    return params.component_classes()
+    return params.classes
 
 
 def is_essential_charge_wall(

@@ -302,7 +302,7 @@ def heis_q(
         return 0
     _require_rational(normalized, "the Heisenberg depth")
     total = 0
-    for cid, members in enumerate(normalized.component_classes()):
+    for cid, members in enumerate(normalized.classes):
         pick = lowering.get(cid) if lowering else None
         total += _class_q(lam, members, normalized, pick)
     return total

@@ -256,6 +256,20 @@ class TestFockCommand:
         assert proc.returncode == 4
         assert proc.stderr == "truncation overflow: term of degree 100001 exceeds truncation 1\n"
 
+    def test_wedge_bminus_skips_removals_longer_than_the_component(self, tmp_path):
+        """At e = 100000 no component of size 4 has a B_{-1} ribbon: the
+        wedge model returns the ribbon model's zero matrix without
+        building an abacus window of 100000 beads per component."""
+        path = tmp_path / "big_e.json"
+        path.write_text(json.dumps({"level": 3, "kappa": {"num": -1, "den": 100000}, "s": [0, 1, 2]}))
+        argv = ["fock", "matrix", "--params", str(path), "--op", "bminus", "--d", "1"]
+        argv += ["--degree-from", "4", "--degree-to", "0", "--model"]
+        wedge = run_module("-m", "fockcrystal", *argv, "wedge", timeout=2)
+        ribbon = run_module("-m", "fockcrystal", *argv, "ribbon", timeout=2)
+        assert wedge.returncode == ribbon.returncode == 0, wedge.stderr
+        assert wedge.stdout == ribbon.stdout
+        assert json.loads(wedge.stdout)["entries"] == []
+
     def test_matrix_needs_operator_flags(self, capsys, e2):
         code, _, _ = run(
             capsys,
@@ -572,7 +586,8 @@ def test_crystal_output_pinned(capsys, tmp_path, doc, fmt, digest):
 
 # sha256 of the stdout of `support` / `wallcross`, captured before
 # level2_transport remembered the images of the vertices it walks.  The
-# level-3 points are outside the known level-3 support defects.
+# last three level-3 tables used to exit 5 with p + e*q > n; their rows now
+# pass `selftest.filtration_counts` and `singular_dimension` at these n.
 PINNED_SUPPORTS = [
     (
         {"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, -1]},
@@ -605,6 +620,18 @@ PINNED_SUPPORTS = [
     (
         {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, -2, 2]},
         ("support --n 4", "4ed598efa22eb06f2afeddd250ca34b3e36546fdbf248b7599ceb2e108b08bdb"),
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 2}, "s": [0, -1, 1]},
+        ("support --n 5", "ff3a268ff65c9b5a7f555790cccc2b55c9834c2ecbdc5587a9a43d0191d1a595"),
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, 1, -2]},
+        ("support --n 4", "18787deaf7100ce8e8600186ddb0d9c1c398fcfbd9070ee72e023bacdac3587f"),
+    ),
+    (
+        {"level": 3, "kappa": {"num": -1, "den": 3}, "s": [0, 1, -1]},
+        ("support --n 5", "138574d6b48989464a4e530376dcb8c0b114c62d65416f406a8b29a59747207b"),
     ),
 ]
 

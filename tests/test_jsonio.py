@@ -4,6 +4,8 @@ roundtrips, wall and residue codecs, and byte-stable canonical dumps."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcrystal import (
     ChargeDifferenceWall,
@@ -152,7 +154,22 @@ class TestResidueAndWallCodecs:
             "m": -2,
         }
 
-    @pytest.mark.parametrize("bad", [{}, {"type": "nope"}, "wall", 5])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {},
+            {"type": "nope"},
+            "wall",
+            5,
+            {"type": "kappa_denominator"},
+            {"type": "kappa_denominator", "d": [1]},
+            {"type": "kappa_denominator", "d": 2.5},
+            {"type": "kappa_denominator", "d": 2.0},
+            {"type": "kappa_denominator", "d": True},
+            {"type": "charge_difference", "i": "x", "j": 1, "m": 0},
+            {"type": "charge_difference", "i": 0, "j": 1},
+        ],
+    )
     def test_wall_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             wall_from_json(bad)
@@ -168,3 +185,100 @@ class TestCanonicalDumps:
         assert canonical_dumps(doc) == canonical_dumps(
             {"a": {"y": 2, "z": 1}, "x": [3, 1]}
         )
+
+
+# -- fuzzed round trips ------------------------------------------------
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+nonzero = fractions.filter(bool)
+
+
+@st.composite
+def parameter_points(draw):
+    """Levels 1-4; kappa of either sign or symbolic; charges a + b/kappa."""
+    level = draw(st.integers(1, 4))
+    kappa = draw(st.one_of(st.none(), nonzero))
+    charges = draw(st.lists(st.tuples(fractions, fractions), min_size=level, max_size=level))
+    return make_params(level, kappa, charges)
+
+
+multipartitions = st.lists(
+    st.lists(st.integers(1, 9), max_size=4).map(lambda ps: sorted(ps, reverse=True)),
+    min_size=1,
+    max_size=4,
+).map(Multipartition)
+walls = st.one_of(
+    st.builds(KappaDenominatorWall, st.integers(-99, 99)),
+    st.builds(ChargeDifferenceWall, *[st.integers(-99, 99)] * 3),
+)
+residues = st.builds(Residue, st.integers(0, 9), st.integers(-99, 99))
+
+CODECS = {
+    "params": (params_to_json, params_from_json, parameter_points()),
+    "multipartition": (multipartition_to_json, multipartition_from_json, multipartitions),
+    "wall": (wall_to_json, wall_from_json, walls),
+    "residue": (residue_to_json, residue_from_json, residues),
+    "fraction": (fraction_to_json, fraction_from_json, fractions),
+}
+
+
+@pytest.mark.parametrize("name", CODECS)
+def test_fuzzed_roundtrip(name):
+    to_json, from_json, values = CODECS[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values)
+    def roundtrip(value):
+        assert from_json(to_json(value)) == value
+
+    roundtrip()
+
+
+# JSON values; strings are short so that a numeric string stays small
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-10**6, 10**6),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+        st.sampled_from(["irrational", "kappa_denominator", "charge_difference", "1/2", "0:1"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.sampled_from(["level", "kappa", "s", "num", "den", "type", "d", "i", "j", "m"]),
+            inner,
+            max_size=5,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def damaged(draw, name):
+    """A valid document of the codec with one field replaced by any JSON
+    value, or any JSON value at all."""
+    to_json, _, values = CODECS[name]
+    doc = to_json(draw(values))
+    if isinstance(doc, dict) and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        doc[key] = draw(json_values)
+        return doc
+    return draw(json_values)
+
+
+@pytest.mark.parametrize("name", CODECS)
+def test_fuzzed_malformed_input_raises_only_invalid_input(name):
+    _, from_json, _ = CODECS[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(damaged(name))
+    def parse(doc):
+        try:
+            from_json(doc)
+        except InvalidInputError:
+            pass
+
+    parse()

@@ -2,6 +2,8 @@
 component equivalence classes, essential walls, Hecke exponents, and the
 rank-one Hom criterion."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from fockcrystal import (
     IRRATIONAL,
     Box,
     ChargeValue,
+    CherednikParams,
     CValue,
     InvalidInputError,
     KappaValue,
@@ -161,6 +164,30 @@ class TestEquivalenceClasses:
     def test_irrational_classes(self):
         p = make_params(3, None, [0, (0, 1), (Fraction(1, 2), 0)])
         assert equivalence_classes(p) == ((0, 1), (2,))
+
+    def test_classes_are_a_field(self):
+        assert CherednikParams._fields == ("level", "kappa", "s", "classes")
+        p = make_params(3, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(3, 2)])
+        assert p.classes == ((0, 2), (1,)) == equivalence_classes(p)
+        assert p == (p.level, p.kappa, p.s, p.classes)
+        # the record is rebuilt from its three inputs
+        assert copy.copy(p) == pickle.loads(pickle.dumps(p)) == p
+
+    def test_crystal_never_hashes_the_params(self, monkeypatch):
+        """The residue of a box reads the classes off the record, so the
+        crystal operators hash no parameter point."""
+
+        def refuse(self):
+            raise AssertionError("the parameter point was hashed")
+
+        monkeypatch.setattr(CherednikParams, "__hash__", refuse)
+        lam = Multipartition([[2, 2], [3, 1, 1, 1]])
+        z = Residue(0, 0)
+        assert z_signature(lam, z, GOLDEN).word == "++-+-"
+        assert e_tilde(lam, z, GOLDEN) == Multipartition([[2, 2], [3, 1, 1]])
+        assert f_tilde(lam, z, GOLDEN) == Multipartition([[3, 2], [3, 1, 1, 1]])
+        assert len(crystal_graph(2, 4, GOLDEN).edges) == 26
+        assert len(crystal_graph(3, 3, make_params(3, None, [0, -1, (1, 1)])).edges) == 36
 
 
 class TestResidues:

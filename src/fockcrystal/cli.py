@@ -9,7 +9,10 @@ Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
 4 truncation overflow, 5 internal error (a violated internal invariant
 or any other exception, reported as "internal error: <Type>: <message>").
 3 is unused.  `--strict-ties` is accepted and does nothing; it is removed
-in 0.3.0.
+in 0.3.0.  Exit 2 also covers a parameter file that is not UTF-8 or holds
+an integer too long to convert, an `--out` that cannot be written (missing
+directory, or a directory), and a number written with an exponent, which
+is refused before it is expanded.
 
 The modules only some commands run (crystal, supports, fock, selftest)
 are imported inside those commands, so a call loads only the code its
@@ -130,8 +133,11 @@ def _check_level(args, params) -> None:
 
 def _emit(text: str, args) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write output file {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -40,7 +40,6 @@ from .errors import (
 from .linalg import Row, RowSpan, kernel_basis
 from .params import CherednikParams, Residue, make_params, reject_integer_kappa
 from .partitions import (
-    Box,
     Multipartition,
     Partition,
     RibbonMove,
@@ -173,7 +172,7 @@ def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
 
 def _box_moves(
     lam: Multipartition,
-    residue: Callable[[Box], Residue],
+    params: CherednikParams,
     remove: bool,
     z: Optional[Residue] = None,
 ) -> Iterator[tuple[Residue, Multipartition]]:
@@ -184,7 +183,7 @@ def _box_moves(
     else:
         boxes, move = lam.addable_boxes(), lam.add_box
     for b in boxes:
-        r = residue(b)
+        r = params.residue(b)
         if z is None or r == z:
             yield r, move(b)
 
@@ -205,7 +204,7 @@ def _box_op(
     _check_vector_params(v, params)
     return _apply_termwise(
         v,
-        lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params.residue, remove, z)],
+        lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params, remove, z)],
     )
 
 
@@ -369,21 +368,6 @@ def _check_level(level: int, params: CherednikParams) -> None:
         )
 
 
-def _residue_lookup(params: CherednikParams) -> Callable[[Box], Residue]:
-    """params.residue memoized on (component, content) for one call; a
-    box's residue depends on nothing else."""
-    seen: dict[tuple[int, int], Residue] = {}
-
-    def residue(b: Box) -> Residue:
-        key = (b.comp, b.x - b.y)
-        z = seen.get(key)
-        if z is None:
-            z = seen[key] = params.residue(b)
-        return z
-
-    return residue
-
-
 def singular_subspace(
     level: int, n: int, params: CherednikParams
 ) -> list[FockVector]:
@@ -403,14 +387,13 @@ def _singular_subspace_cached(
     level: int, n: int, params: CherednikParams
 ) -> tuple[FockVector, ...]:
     basis = enumerate_multipartitions(level, n)
-    residue = _residue_lookup(params)
 
     # One pass over the basis fills the matrix of every e_z at once:
     # the row of (z, mu) holds a 1 in column j when removing one box of
     # residue z from basis[j] gives mu (distinct boxes give distinct mu).
     e_rows: dict[Residue, dict[Multipartition, dict[int, int]]] = {}
     for j, lam in enumerate(basis):
-        for z, mu in _box_moves(lam, residue, remove=True):
+        for z, mu in _box_moves(lam, params, remove=True):
             e_rows.setdefault(z, {}).setdefault(mu, {})[j] = 1
     rows = [row for z in sorted(e_rows) for row in e_rows[z].values()]
     e = params.kappa.e
@@ -463,7 +446,6 @@ def filtration_dims(
     bases = [enumerate_multipartitions(level, g) for g in range(n + 1)]
     indexes = [{lam: i for i, lam in enumerate(basis)} for basis in bases]
     spans = [RowSpan(len(basis)) for basis in bases]
-    residue = _residue_lookup(params)
     b_maps = {
         d: _heisenberg_term_map(d, params, "ribbon", remove=False) for d in range(1, q + 1)
     }
@@ -474,7 +456,7 @@ def filtration_dims(
         degree g when d = 0, else (sign, column) of each B_d term."""
         lam = bases[g][i]
         if d == 0:
-            return [(z, indexes[g + 1][mu]) for z, mu in _box_moves(lam, residue, remove=False)]
+            return [(z, indexes[g + 1][mu]) for z, mu in _box_moves(lam, params, remove=False)]
         return [(sign, indexes[g + d * e][mu]) for mu, sign in b_maps[d](lam)]
 
     layer: list[tuple[int, Row]] = []

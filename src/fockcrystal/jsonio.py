@@ -52,6 +52,10 @@ def fraction_from_json(x: Any) -> Fraction:
             )
         return Fraction(int(x))
     if isinstance(x, str):
+        # Fraction would expand an exponent such as "1e99999999" into an
+        # exact integer, which takes time exponential in its length
+        if "e" in x or "E" in x:
+            raise InvalidInputError(f"cannot parse rational {x!r}: exponents are not accepted")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -121,7 +125,9 @@ def load_params(path: str) -> CherednikParams:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read parameter file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an integer too long
+        # to convert
         raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_json(doc)
 

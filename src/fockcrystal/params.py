@@ -196,11 +196,15 @@ class _CherednikParams(NamedTuple):
     kappa: KappaValue
     s: tuple[ChargeValue, ...]
     classes: tuple[tuple[int, ...], ...]
+    bases: tuple[tuple[int, int], ...]
 
 
 class CherednikParams(_CherednikParams):
-    """`classes` is derived, not passed (copy and pickle pass the rest):
-    {0..l-1} split by s_i - s_j in Z + (1/kappa)Z, ordered by least member."""
+    """`classes` and `bases` are derived, not passed (copy and pickle pass
+    the rest).  `classes`: {0..l-1} split by s_i - s_j in Z + (1/kappa)Z,
+    ordered by least member.  `bases[i]`: (class id, base) of component i,
+    whose box of content c has residue value (base + c) mod e (no mod at
+    symbolic kappa)."""
 
     __slots__ = ()
 
@@ -211,14 +215,17 @@ class CherednikParams(_CherednikParams):
         if len(s) != level:
             raise InvalidInputError(f"expected {level} charges, got {len(s)}")
         classes: list[list[int]] = []
+        bases: list[tuple[int, int]] = []
         for i in range(level):
-            for members in classes:
+            for cid, members in enumerate(classes):
                 if _in_mixed_lattice(s[i] - s[members[0]], kappa):
                     members.append(i)
                     break
             else:
+                cid = len(classes)
                 classes.append([i])
-        return tuple.__new__(cls, (level, kappa, s, tuple(map(tuple, classes))))
+            bases.append((cid, _residue_base(s[i], s[classes[cid][0]], kappa)))
+        return tuple.__new__(cls, (level, kappa, s, tuple(map(tuple, classes)), tuple(bases)))
 
     def __getnewargs__(self):
         return (self.level, self.kappa, self.s)
@@ -247,33 +254,17 @@ class CherednikParams(_CherednikParams):
         return _in_kappa_inv_lattice(d, self.kappa)
 
     def class_of_component(self, i: int) -> int:
-        for cid, members in enumerate(self.classes):
-            if i in members:
-                return cid
-        raise InvalidInputError(f"component {i} out of range")
+        if not 0 <= i < self.level:
+            raise InvalidInputError(f"component {i} out of range")
+        return self.bases[i][0]
 
     def residue(self, b: Box) -> Residue:
-        cid = self.class_of_component(b.comp)
-        rep = self.classes[cid][0]
-        cont = self.charged_content(b)
-        if self.kappa.is_rational:
-            r = self.kappa.r_abs
-            e = self.kappa.e
-            sigma = self.s[rep].collapse(self.kappa)
-            offset = sigma - Fraction(math.floor(sigma * r), r)
-            scaled = (cont.collapse(self.kappa) - offset) * r
-            if scaled.denominator != 1:
-                raise InvalidInputError(
-                    f"box {b} does not lie on the class-{cid} content lattice"
-                )
-            return Residue(cid, int(scaled) * pow(r, -1, e) % e if e > 1 else 0)
-        offset = self.s[rep].a - math.floor(self.s[rep].a)
-        value = cont.a - offset
-        if value.denominator != 1:
-            raise InvalidInputError(
-                f"box {b} does not lie on the class-{cid} content lattice"
-            )
-        return Residue(cid, int(value))
+        if not 0 <= b.comp < self.level:
+            raise InvalidInputError(f"component {b.comp} out of range")
+        cid, base = self.bases[b.comp]
+        e = self.kappa.e
+        value = base + b.x - b.y
+        return Residue(cid, value if e is None else value % e)
 
     def __repr__(self) -> str:
         return f"CherednikParams(l={self.level}, kappa={self.kappa}, s={list(self.s)})"
@@ -324,6 +315,17 @@ def _in_mixed_lattice(d: ChargeValue, kappa: KappaValue) -> bool:
         # Z + (e/r)Z = (1/r)Z when gcd(e, r) = 1
         return (d.collapse(kappa) * kappa.r_abs).denominator == 1
     return d.a.denominator == 1 and d.b.denominator == 1
+
+
+def _residue_base(si: ChargeValue, rep: ChargeValue, kappa: KappaValue) -> int:
+    """The base of a component of charge si whose class representative
+    has charge rep.  si - rep lies in Z + (1/kappa)Z, which is (1/r)Z at
+    kappa = +-r/e, so r times it is an integer."""
+    if not kappa.is_rational:
+        return int(si.a - rep.a) + math.floor(rep.a)
+    r, e = kappa.r_abs, kappa.e
+    scaled = r * (si - rep).collapse(kappa) + math.floor(r * rep.collapse(kappa))
+    return int(scaled) * pow(r, -1, e) % e
 
 
 def equivalence_classes(params: CherednikParams) -> tuple[tuple[int, ...], ...]:

@@ -740,6 +740,30 @@ class TestIOContract:
         code, _, _ = run(capsys, ["support", "--params", str(bad), "--n", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_file(self, capsys, tmp_path, golden, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, ["params", "--params", golden, "--n", "1", "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write output file {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["h", "params"])
+    def test_exponent_is_rejected_before_it_is_expanded(self, tmp_path, where):
+        """Fraction would expand "1e99999999" into an exact integer, which
+        takes far longer than the timeout; the string is refused at once."""
+        if where == "h":
+            argv = ["rank1", "--level", "2", "--h", "0,1e99999999", "--k", "0", "--j", "1"]
+        else:
+            path = tmp_path / "exponent.json"
+            path.write_text(json.dumps({"level": 1, "kappa": "-1/2", "s": ["1e99999999"]}))
+            argv = ["params", "--params", str(path), "--n", "1"]
+        proc = run_module("-m", "fockcrystal", *argv, timeout=2)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot parse") and proc.stderr.count("\n") == 1
+
     def test_internal_error_exit_code(self, capsys, monkeypatch, golden):
         def overflow(args):
             raise RecursionError("maximum recursion depth exceeded")

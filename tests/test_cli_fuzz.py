@@ -31,12 +31,16 @@ FAULTS = {
     "kappa": [-1, 2, {"num": 1, "den": 0}, {"den": 2}, "abc", True, 0.5],
     "s": [None, [["x"]], [[0, 1, 2]], ["1/0"], [0.5]],
 }
+# whole files: malformed JSON, no object, bytes that are not UTF-8, and
+# an integer longer than Python converts
+TEXT_FAULTS = [b"{", b"[]", b"null", b'{"level": \xff}', b'{"level": 1' + b"0" * 5000 + b"}"]
 
 
 @st.composite
 def params_texts(draw):
-    """A parameter file: mostly a well-formed document, else one with a
-    bad level, kappa or charge list, a missing key, or no JSON object."""
+    """The bytes of a parameter file: mostly a well-formed document, else
+    one with a bad level, kappa or charge list, a missing key, or a file
+    that is no JSON object."""
     level = draw(st.integers(1, 3))
     doc = {
         "level": level,
@@ -51,8 +55,8 @@ def params_texts(draw):
     elif fault == "key":
         del doc[draw(st.sampled_from(sorted(doc)))]
     elif fault == "text":
-        return draw(st.sampled_from(["{", "[]", "null"]))
-    return json.dumps(doc)
+        return draw(st.sampled_from(TEXT_FAULTS))
+    return json.dumps(doc).encode()
 
 
 def option(name, values):
@@ -108,7 +112,7 @@ argvs = st.one_of(
 )
 h_lists = st.one_of(
     st.lists(rational, min_size=1, max_size=4).map(lambda hs: ",".join(map(str, hs))),
-    st.sampled_from(["", "x", "1,,2", "1/0", "0.5"]),
+    st.sampled_from(["", "x", "1,,2", "1/0", "0.5", "1e99999999"]),
 )
 rank1_argvs = command(
     ["rank1"],
@@ -144,7 +148,7 @@ def params_file(tmp_path_factory):
 @settings(max_examples=500, deadline=None)
 @given(argvs, params_texts())
 def test_parameter_commands_keep_the_exit_contract(params_file, argv, text):
-    params_file.write_text(text)
+    params_file.write_bytes(text)
     code, _, err = run_main(argv + ["--params", str(params_file)])
     check_contract(code, err)
 

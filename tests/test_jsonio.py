@@ -45,8 +45,9 @@ class TestFractions:
         assert fraction_from_json(3.0) == 3
         assert fraction_from_json("3/4") == Fraction(3, 4)
         assert fraction_from_json("-2") == -2
+        assert fraction_from_json("-0.25") == Fraction(-1, 4)
 
-    @pytest.mark.parametrize("bad", [True, 3.5, "x/y", "1/0", None, [1]])
+    @pytest.mark.parametrize("bad", [True, 3.5, "x/y", "1/0", None, [1], "1e3", "2.5E-1"])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(InvalidInputError):
             fraction_from_json(bad)
@@ -98,9 +99,11 @@ class TestParamsCodec:
         with pytest.raises(InvalidInputError):
             load_params(str(tmp_path / "missing.json"))
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(InvalidInputError):
-            load_params(str(bad))
+        # malformed JSON, bytes that are not UTF-8, an integer too long to convert
+        for text in [b"{not json", b'{"level": \xff}', b'{"level": 1' + b"0" * 5000 + b"}"]:
+            bad.write_bytes(text)
+            with pytest.raises(InvalidInputError, match="invalid JSON in"):
+                load_params(str(bad))
 
 
 class TestLabelCodec:

@@ -3,10 +3,13 @@ component equivalence classes, essential walls, Hecke exponents, and the
 rank-one Hom criterion."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcrystal import (
     IRRATIONAL,
@@ -166,10 +169,11 @@ class TestEquivalenceClasses:
         assert equivalence_classes(p) == ((0, 1), (2,))
 
     def test_classes_are_a_field(self):
-        assert CherednikParams._fields == ("level", "kappa", "s", "classes")
+        assert CherednikParams._fields == ("level", "kappa", "s", "classes", "bases")
         p = make_params(3, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(3, 2)])
         assert p.classes == ((0, 2), (1,)) == equivalence_classes(p)
-        assert p == (p.level, p.kappa, p.s, p.classes)
+        assert p.bases == ((0, 0), (1, 0), (0, 1))
+        assert p == (p.level, p.kappa, p.s, p.classes, p.bases)
         # the record is rebuilt from its three inputs
         assert copy.copy(p) == pickle.loads(pickle.dumps(p)) == p
 
@@ -222,6 +226,85 @@ class TestResidues:
     def test_residues_sort_by_class_then_value(self):
         residues = [Residue(1, 0), Residue(0, 2), Residue(0, -1)]
         assert sorted(residues) == [Residue(0, -1), Residue(0, 2), Residue(1, 0)]
+
+
+def reference_residue(p, b):
+    """A box's residue worked out from the charges with Fractions, box by
+    box: the class representative's charge fixes an offset, and the
+    charged content less that offset, times r, is an integer that is
+    reduced mod e after dividing by r."""
+    cid = next(cid for cid, members in enumerate(p.classes) if b.comp in members)
+    rep = p.classes[cid][0]
+    cont = p.charged_content(b)
+    if p.kappa.is_rational:
+        r = p.kappa.r_abs
+        e = p.kappa.e
+        sigma = p.s[rep].collapse(p.kappa)
+        offset = sigma - Fraction(math.floor(sigma * r), r)
+        scaled = (cont.collapse(p.kappa) - offset) * r
+        assert scaled.denominator == 1
+        return Residue(cid, int(scaled) * pow(r, -1, e) % e if e > 1 else 0)
+    offset = p.s[rep].a - math.floor(p.s[rep].a)
+    value = cont.a - offset
+    assert value.denominator == 1
+    return Residue(cid, int(value))
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# charge parts that often differ by an integer, so classes merge
+charge_parts = st.one_of(st.integers(-3, 3), small_fractions)
+# kappa of either sign, or symbolic; never an integer
+kappas = st.one_of(
+    st.none(),
+    st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 7)).filter(
+        lambda k: k.denominator > 1
+    ),
+)
+coords = st.integers(1, 6)
+
+
+@st.composite
+def params_and_boxes(draw):
+    """Params at level 1-4 with charges a + b/kappa, and boxes in every
+    component."""
+    level = draw(st.integers(1, 4))
+    a0 = draw(small_fractions)
+    s = [
+        (a0 + draw(charge_parts), draw(charge_parts))
+        for _ in range(level)
+    ]
+    p = make_params(level, draw(kappas), s)
+    boxes = [draw(st.builds(Box, coords, coords, st.just(i))) for i in range(level)]
+    boxes += draw(st.lists(st.builds(Box, coords, coords, st.integers(0, level - 1)), max_size=6))
+    return p, boxes
+
+
+class TestCompiledResidue:
+    @settings(max_examples=300, deadline=None)
+    @given(params_and_boxes())
+    def test_residue_matches_the_charge_formula(self, drawn):
+        p, boxes = drawn
+        for b in boxes:
+            assert p.residue(b) == reference_residue(p, b), (p, b)
+            assert p.class_of_component(b.comp) == p.residue(b).class_id
+
+    @settings(max_examples=300, deadline=None)
+    @given(params_and_boxes())
+    def test_boxes_share_a_residue_iff_equivalent(self, drawn):
+        p, boxes = drawn
+        for b1 in boxes:
+            for b2 in boxes:
+                assert (p.residue(b1) == p.residue(b2)) == p.box_equivalent(b1, b2), (p, b1, b2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params_and_boxes(), st.data())
+    def test_component_out_of_range_is_rejected(self, drawn, data):
+        p, _ = drawn
+        comp = data.draw(st.one_of(st.integers(-6, -1), st.integers(p.level, p.level + 4)))
+        with pytest.raises(InvalidInputError, match=f"component {comp} out of range"):
+            p.residue(Box(1, 1, comp))
+        with pytest.raises(InvalidInputError, match=f"component {comp} out of range"):
+            p.class_of_component(comp)
 
 
 class TestWalls:

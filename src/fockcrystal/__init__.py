@@ -40,9 +40,9 @@ _MODULES = {
         "wall_cross",
     ),
     "fock": (
-        "ChargedWord", "FockVector", "b_minus_op", "b_plus_op", "basis_vector",
-        "charged_to_multipartition", "e_z_op", "embed_to_charged", "f_z_op",
-        "filtration_dim", "inner_product", "operator_matrix", "plethysm_class",
+        "ChargedWord", "FockVector", "b_minus_op", "b_plus_op", "basis_vector", "box_term_map",
+        "charged_to_multipartition", "e_z_op", "embed_to_charged", "f_z_op", "filtration_dim",
+        "heisenberg_term_map", "inner_product", "operator_matrix", "plethysm_class",
         "singular_subspace", "wedge_e_op", "wedge_f_op",
     ),
 }

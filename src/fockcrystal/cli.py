@@ -178,24 +178,24 @@ def cmd_support(args) -> int:
     return 0
 
 
-def _matrix_apply(args, params):
-    from .fock import b_minus_op, b_plus_op, e_z_op, f_z_op
+def _matrix_term_map(args, params):
+    """The term map of `fock matrix --op`.  Flag errors come first, then
+    negative degrees, then the map's own parameter checks."""
+    from .fock import box_term_map, heisenberg_term_map
 
     if args.op is None:
         raise InvalidInputError("fock matrix needs --op")
-    if args.op in ("bplus", "bminus"):
-        if args.d is None:
-            raise InvalidInputError(f"--op {args.op} needs --d")
-        d, model = args.d, args.model
-        if args.op == "bplus":
-            return lambda v: b_plus_op(v, d, params, model)
-        return lambda v: b_minus_op(v, d, params, model)
-    if args.z is None:
+    heisenberg = args.op in ("bplus", "bminus")
+    if heisenberg and args.d is None:
+        raise InvalidInputError(f"--op {args.op} needs --d")
+    if not heisenberg and args.z is None:
         raise InvalidInputError(f"--op {args.op} needs --z CLASS:VALUE")
-    z = residue_from_json(args.z)
-    if args.op == "f":
-        return lambda v: f_z_op(v, z, params)
-    return lambda v: e_z_op(v, z, params)
+    z = None if heisenberg else residue_from_json(args.z)
+    if min(args.degree_from, args.degree_to) < 0:
+        raise InvalidInputError("total size must be nonnegative")
+    if heisenberg:
+        return heisenberg_term_map(args.d, params, args.model, remove=args.op == "bminus")
+    return box_term_map(params, z, remove=args.op == "e")
 
 
 def cmd_fock(args) -> int:
@@ -207,7 +207,7 @@ def cmd_fock(args) -> int:
         if args.degree_from is None or args.degree_to is None:
             raise InvalidInputError("fock matrix needs --degree-from and --degree-to")
         rows, cols, entries = operator_matrix(
-            _matrix_apply(args, params), params.level, args.degree_from, args.degree_to
+            _matrix_term_map(args, params), params.level, args.degree_from, args.degree_to
         )
         doc = matrix_to_json(rows, cols, entries, args.degree_from, args.degree_to)
         _emit(canonical_dumps(doc), args)
@@ -292,8 +292,8 @@ def cmd_rank1(args) -> int:
     _require_json_format(args)
     try:
         h = tuple(fraction_from_json(part) for part in args.h.split(","))
-    except FockcrystalError:
-        raise InvalidInputError(f"cannot parse --h {args.h!r}")
+    except FockcrystalError as exc:
+        raise InvalidInputError(f"cannot parse --h {args.h!r}: {exc}") from exc
     dim, n = rank_one_verma_hom(args.level, h, args.k, args.j)
     doc = {"dim": dim, "n": n}
     _emit(canonical_dumps(doc), args)

@@ -79,10 +79,7 @@ class FockVector:
                 raise InvalidInputError(
                     f"term {lam} has level {lam.level}, expected {level}"
                 )
-            if lam.size > truncation:
-                raise TruncationOverflowError(
-                    f"term of degree {lam.size} exceeds truncation {truncation}"
-                )
+            _check_truncation(lam.size, truncation)
             c = Fraction(coeff)
             if c != 0:
                 clean[lam] = c
@@ -144,6 +141,11 @@ class FockVector:
         return f"FockVector({terms})"
 
 
+def _check_truncation(degree: int, truncation: int) -> None:
+    if degree > truncation:
+        raise TruncationOverflowError(f"term of degree {degree} exceeds truncation {truncation}")
+
+
 def basis_vector(lam: Multipartition, truncation: int) -> FockVector:
     return FockVector(lam.level, truncation, {lam: Fraction(1)})
 
@@ -188,32 +190,30 @@ def _box_moves(
             yield r, move(b)
 
 
+def box_term_map(params: CherednikParams, z: Residue, remove: bool) -> TermMap:
+    """f_z (or e_z) termwise: each single-box addition (or removal) of
+    residue z, coefficient 1."""
+    reject_integer_kappa(params)
+    return lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params, remove, z)]
+
+
 def f_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
     """Sum of all single-box additions of residue z, coefficient 1."""
-    return _box_op(v, z, params, remove=False)
+    _check_vector_level(v, params)
+    return _apply_termwise(v, box_term_map(params, z, remove=False))
 
 
 def e_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
     """Sum of all single-box removals of residue z, coefficient 1."""
-    return _box_op(v, z, params, remove=True)
+    _check_vector_level(v, params)
+    return _apply_termwise(v, box_term_map(params, z, remove=True))
 
 
-def _box_op(
-    v: FockVector, z: Residue, params: CherednikParams, remove: bool
-) -> FockVector:
-    _check_vector_params(v, params)
-    return _apply_termwise(
-        v,
-        lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params, remove, z)],
-    )
-
-
-def _check_vector_params(v: FockVector, params: CherednikParams) -> None:
+def _check_vector_level(v: FockVector, params: CherednikParams) -> None:
     if v.level != params.level:
         raise InvalidInputError(
             f"vector level {v.level} does not match parameter level {params.level}"
         )
-    reject_integer_kappa(params)
 
 
 def _bead_moves(
@@ -253,18 +253,23 @@ def _wedge_moves(p: Partition, step: int) -> list[RibbonMove]:
         return []
     window = len(p.parts) + abs(step)
     betas = [p.row(k) - k + window for k in range(1, window + 1)]
+    # bead k at x gives part x - window + k, zero past the last row
     return [
-        RibbonMove(Partition([x - window + k for k, x in enumerate(moved, 1)]), h, sign)
+        RibbonMove(Partition._trusted(tuple(
+            x - window + k for k, x in enumerate(moved, 1) if x > window - k
+        )), h, sign)
         for moved, h, sign in _bead_moves(betas, step, floor=0)
     ]
 
 
-def _heisenberg_term_map(
+def heisenberg_term_map(
     d: int, params: CherednikParams, model: str, remove: bool
 ) -> TermMap:
     """B_d (or B_{-d}) componentwise: one d*e-ribbon added to (or removed
     from) a single component, with sign (-1)^(ribbon height), found as a
-    ribbon or as a bead move on the abacus."""
+    ribbon or as a bead move on the abacus.  Every label takes a B_d
+    ribbon (on its first row), so the B_d map carries `raising` = d*e."""
+    reject_integer_kappa(params)
     if params.kappa.e is None:
         raise UnsupportedParameterError(
             "Heisenberg operators need rational kappa (finite quantization e)"
@@ -286,6 +291,8 @@ def _heisenberg_term_map(
             for mv in moves(comp, step)
         ]
 
+    if not remove:
+        term_map.raising = length
     return term_map
 
 
@@ -296,14 +303,10 @@ def b_plus_op(
     single component, sign (-1)^(ribbon height).  Every label takes at
     least one ribbon, so a label that would overflow the truncation is
     rejected before any ribbon is built."""
-    _check_vector_params(v, params)
-    term_map = _heisenberg_term_map(d, params, model, remove=False)
-    length = d * params.kappa.e
+    _check_vector_level(v, params)
+    term_map = heisenberg_term_map(d, params, model, remove=False)
     for lam in v.entries:
-        if lam.size + length > v.truncation:
-            raise TruncationOverflowError(
-                f"term of degree {lam.size + length} exceeds truncation {v.truncation}"
-            )
+        _check_truncation(lam.size + term_map.raising, v.truncation)
     return _apply_termwise(v, term_map)
 
 
@@ -311,8 +314,8 @@ def b_minus_op(
     v: FockVector, d: int, params: CherednikParams, model: str = "ribbon"
 ) -> FockVector:
     """Degree-d lowering Heisenberg operator, adjoint to b_plus_op."""
-    _check_vector_params(v, params)
-    return _apply_termwise(v, _heisenberg_term_map(d, params, model, remove=True))
+    _check_vector_level(v, params)
+    return _apply_termwise(v, heisenberg_term_map(d, params, model, remove=True))
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +402,7 @@ def _singular_subspace_cached(
     e = params.kappa.e
     if e is not None:
         for d in range(1, n // e + 1):
-            term_map = _heisenberg_term_map(d, params, "ribbon", remove=True)
+            term_map = heisenberg_term_map(d, params, "ribbon", remove=True)
             b_rows: dict[Multipartition, dict[int, int]] = {}
             for j, lam in enumerate(basis):
                 for mu, sign in term_map(lam):
@@ -447,7 +450,7 @@ def filtration_dims(
     indexes = [{lam: i for i, lam in enumerate(basis)} for basis in bases]
     spans = [RowSpan(len(basis)) for basis in bases]
     b_maps = {
-        d: _heisenberg_term_map(d, params, "ribbon", remove=False) for d in range(1, q + 1)
+        d: heisenberg_term_map(d, params, "ribbon", remove=False) for d in range(1, q + 1)
     }
 
     @lru_cache(maxsize=None)
@@ -587,25 +590,25 @@ def _wedge_word_op(
 
 
 def operator_matrix(
-    apply_op: Callable[[FockVector], FockVector],
-    level: int,
-    degree_from: int,
-    degree_to: int,
-) -> tuple[list[Multipartition], list[Multipartition], dict[tuple[int, int], Fraction]]:
-    """Matrix of a linear operator between graded pieces: returns the
-    row basis (degree_to), column basis (degree_from), and the sparse
-    entry dict keyed by (row, column)."""
+    term_map: TermMap, level: int, degree_from: int, degree_to: int
+) -> tuple[list[Multipartition], list[Multipartition], dict[tuple[int, int], int]]:
+    """Matrix of a term map between graded pieces: returns the row basis
+    (degree_to), column basis (degree_from), and the sparse integer entry
+    dict keyed by (row, column).  A term above max(degree_from, degree_to)
+    raises TruncationOverflowError, before any is built when the map has a
+    `raising` degree; any other term outside degree_to InvalidInputError."""
     cols = enumerate_multipartitions(level, degree_from)
     rows = enumerate_multipartitions(level, degree_to)
     row_index = {lam: i for i, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
-    entries: dict[tuple[int, int], Fraction] = {}
+    _check_truncation(degree_from + getattr(term_map, "raising", 0), truncation)
+    entries: dict[tuple[int, int], int] = {}
     for j, lam in enumerate(cols):
-        image = apply_op(basis_vector(lam, truncation))
-        for mu, c in image.entries.items():
+        for mu, w in term_map(lam):
             if mu.size != degree_to:
+                _check_truncation(mu.size, truncation)
                 raise InvalidInputError(
                     f"operator image leaves degree {degree_to}: got degree {mu.size}"
                 )
-            entries[(row_index[mu], j)] = c
+            entries[(row_index[mu], j)] = w  # distinct moves give distinct terms
     return rows, cols, entries

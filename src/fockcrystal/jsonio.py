@@ -137,8 +137,8 @@ def multipartition_to_json(lam: Multipartition) -> list[list[int]]:
 
 
 def multipartition_label(lam: Multipartition) -> str:
-    """Compact single-line form, e.g. "[[2,2],[3,1,1,1]]"."""
-    return json.dumps(multipartition_to_json(lam), separators=(",", ":"))
+    """Compact single-line JSON form, e.g. "[[2,2],[3,1,1,1]]"."""
+    return str(multipartition_to_json(lam)).replace(" ", "")
 
 
 def multipartition_from_json(obj: Any, level: Optional[int] = None) -> Multipartition:
@@ -222,7 +222,7 @@ def support_table_to_json(
 def matrix_to_json(
     row_basis: Sequence[Multipartition],
     col_basis: Sequence[Multipartition],
-    entries: dict[tuple[int, int], Fraction],
+    entries: dict[tuple[int, int], Union[int, Fraction]],
     degree_from: int,
     degree_to: int,
 ) -> dict:

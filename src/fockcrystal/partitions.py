@@ -43,7 +43,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise InvalidInputError(f"partition part {p!r} is not an integer")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise InvalidInputError(f"parts not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
@@ -51,6 +54,13 @@ class Partition:
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         self.parts = parts
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Partition(parts) unchecked, for the valid shape a move just built."""
+        p = object.__new__(cls)
+        p.parts = parts
+        return p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
@@ -105,21 +115,16 @@ class Partition:
         return out
 
     def add_cell(self, x: int, y: int) -> "Partition":
-        if (x, y) not in self.addable_cells():
-            raise InvalidMoveError(f"cannot add cell {(x, y)} to {self.parts}")
-        rows = list(self.parts)
-        if y == len(rows) + 1:
-            rows.append(1)
-        else:
-            rows[y - 1] += 1
-        return Partition(rows)
+        parts = self.parts
+        if not (0 < y <= len(parts) + 1 and x == self.row(y) + 1 and (y == 1 or parts[y - 2] >= x)):
+            raise InvalidMoveError(f"cannot add cell {(x, y)} to {parts}")
+        return Partition._trusted(parts[: y - 1] + (x,) + parts[y:])
 
     def remove_cell(self, x: int, y: int) -> "Partition":
-        if (x, y) not in self.removable_cells():
-            raise InvalidMoveError(f"cannot remove cell {(x, y)} from {self.parts}")
-        rows = list(self.parts)
-        rows[y - 1] -= 1
-        return Partition(rows)
+        parts = self.parts
+        if not (0 < y <= len(parts) and x == parts[y - 1] > self.row(y + 1)):
+            raise InvalidMoveError(f"cannot remove cell {(x, y)} from {parts}")
+        return Partition._trusted(parts[: y - 1] + ((x - 1,) if x > 1 else ()) + parts[y:])
 
 
 def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
@@ -142,7 +147,7 @@ def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
             rows[y1 - 1] = top
             for y in range(y1 + 1, y2 + 1):
                 rows[y - 1] = p.row(y - 1) + 1
-            moves.append(RibbonMove(Partition(rows), y2 - y1, (-1) ** (y2 - y1)))
+            moves.append(RibbonMove(Partition._trusted(tuple(rows)), y2 - y1, (-1) ** (y2 - y1)))
     moves.sort(key=lambda m: m.result.parts, reverse=True)
     return moves
 
@@ -161,7 +166,8 @@ def ribbon_removals(p: Partition, length: int) -> list[RibbonMove]:
             for y in range(y1, y2):
                 rows[y - 1] = p.row(y + 1) - 1
             rows[y2 - 1] = last
-            moves.append(RibbonMove(Partition(rows), y2 - y1, (-1) ** (y2 - y1)))
+            shape = Partition._trusted(tuple(r for r in rows if r))  # empty rows trail
+            moves.append(RibbonMove(shape, y2 - y1, (-1) ** (y2 - y1)))
     moves.sort(key=lambda m: m.result.parts, reverse=True)
     return moves
 
@@ -169,7 +175,7 @@ def ribbon_removals(p: Partition, length: int) -> list[RibbonMove]:
 class Multipartition:
     """A tuple of partitions indexed by component 0 .. level-1."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "size", "_hash")
 
     def __init__(self, components):
         comps = tuple(
@@ -177,7 +183,14 @@ class Multipartition:
         )
         if not comps:
             raise InvalidInputError("a multipartition needs at least one component")
-        self.components = comps
+        self.components, self.size, self._hash = comps, sum(c.size for c in comps), hash(comps)
+
+    @classmethod
+    def _trusted(cls, comps: tuple[Partition, ...]) -> "Multipartition":
+        """Multipartition(comps) unchecked, for the Partitions a move just built."""
+        lam = object.__new__(cls)
+        lam.components, lam.size, lam._hash = comps, sum(c.size for c in comps), hash(comps)
+        return lam
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,7 +198,7 @@ class Multipartition:
         )
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Multipartition({[list(c.parts) for c in self.components]})"
@@ -193,10 +206,6 @@ class Multipartition:
     @property
     def level(self) -> int:
         return len(self.components)
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.components)
 
     def component(self, i: int) -> Partition:
         return self.components[i]
@@ -221,19 +230,15 @@ class Multipartition:
         ]
 
     def add_box(self, box: Box) -> "Multipartition":
-        comps = list(self.components)
-        comps[box.comp] = comps[box.comp].add_cell(box.x, box.y)
-        return Multipartition(comps)
+        return self.replace_component(box.comp, self.components[box.comp].add_cell(box.x, box.y))
 
     def remove_box(self, box: Box) -> "Multipartition":
-        comps = list(self.components)
-        comps[box.comp] = comps[box.comp].remove_cell(box.x, box.y)
-        return Multipartition(comps)
+        return self.replace_component(box.comp, self.components[box.comp].remove_cell(box.x, box.y))
 
     def replace_component(self, i: int, p: Partition) -> "Multipartition":
         comps = list(self.components)
         comps[i] = p
-        return Multipartition(comps)
+        return Multipartition._trusted(tuple(comps))
 
     def transpose(self) -> "Multipartition":
         """Componentwise conjugate; component order is unchanged."""
@@ -260,7 +265,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first."""
     if n < 0:
         raise InvalidInputError("cannot enumerate partitions of a negative integer")
-    return [Partition(t) for t in _partition_tuples(n, n)]
+    return [Partition._trusted(t) for t in _partition_tuples(n, n)]
 
 
 def enumerate_multipartitions(level: int, n: int) -> list[Multipartition]:
@@ -271,12 +276,12 @@ def enumerate_multipartitions(level: int, n: int) -> list[Multipartition]:
     if n < 0:
         raise InvalidInputError("total size must be nonnegative")
     if level == 1:
-        return [Multipartition([p]) for p in enumerate_partitions(n)]
+        return [Multipartition._trusted((p,)) for p in enumerate_partitions(n)]
     out = []
     for first in range(n, -1, -1):
         for head in enumerate_partitions(first):
             for tail in enumerate_multipartitions(level - 1, n - first):
-                out.append(Multipartition((head,) + tail.components))
+                out.append(Multipartition._trusted((head,) + tail.components))
     return out
 
 

@@ -40,11 +40,13 @@ from .fock import (
     b_minus_op,
     b_plus_op,
     basis_vector,
+    box_term_map,
     charged_to_multipartition,
     e_z_op,
     embed_to_charged,
     f_z_op,
     filtration_dims,
+    heisenberg_term_map,
     operator_matrix,
     plethysm_class,
     singular_subspace,
@@ -428,10 +430,34 @@ def transpose_reduction(pos, neg, bound: int) -> None:
 
 
 def fock_matrix() -> None:
-    rows, cols, entries = operator_matrix(lambda v: b_plus_op(v, 1, E2), 1, 0, 2)
+    rows, cols, entries = operator_matrix(heisenberg_term_map(1, E2, "ribbon", False), 1, 0, 2)
     assert cols == [Multipartition([[]])]
     coeffs = {rows[r].components[0]: val for (r, c), val in entries.items()}
     assert coeffs == {Partition([2]): 1, Partition([1, 1]): -1}
+
+
+def matrix_columns(params, bound: int) -> None:
+    """Each column of an operator_matrix built from a term map is the
+    public operator applied to that label's basis vector: f_z and e_z at
+    every box residue, and B_{+-d} in both models, in degrees <= bound."""
+    zs = sorted({params.residue(b) for lam in _labels(params, bound + 1) for b in lam.boxes()})
+    e = params.kappa.e
+    cases = [  # (public op, its argument and options, term map, degree step)
+        (op, z, (), box_term_map(params, z, op is e_z_op), 1)
+        for z in zs for op in (f_z_op, e_z_op)
+    ] + [
+        (op, d, (model,), heisenberg_term_map(d, params, model, op is b_minus_op), d * e)
+        for d in (range(1, bound // e + 1) if e else ())
+        for model in ("ribbon", "wedge") for op in (b_plus_op, b_minus_op)
+    ]
+    for op, arg, options, term_map, step in cases:
+        for low in range(bound + 1 - step):
+            ends = (low + step, low) if op in (e_z_op, b_minus_op) else (low, low + step)
+            rows, cols, entries = operator_matrix(term_map, params.level, *ends)
+            images = [op(basis_vector(lam, low + step), arg, params, *options) for lam in cols]
+            want = {(mu, lam): x for lam, v in zip(cols, images) for mu, x in v.entries.items()}
+            got = {(rows[r], cols[c]): x for (r, c), x in entries.items()}
+            assert got == want, (op.__name__, arg, options, ends)
 
 
 # -- checks ------------------------------------------------------------
@@ -503,6 +529,11 @@ def check_filtration_counts(full: bool) -> None:
     filtration_counts(make_params(4, Fraction(-1, 2), [0, 1, -1, 2]), 3)
 
 
+def check_fock_matrix(full: bool) -> None:
+    fock_matrix()
+    _on_grid(matrix_columns, 2, 4)(full)
+
+
 def check_transport_crystal(full: bool) -> None:
     bound = 6 if full else 4
     labels = [lam for n in range(bound + 1) for lam in enumerate_multipartitions(2, n)]
@@ -530,7 +561,7 @@ CHECKS: list[tuple[str, Callable[[bool], None]]] = [
     ("heis-q-lowering", check_heis_q_lowering),
     ("transpose-reduction", check_transpose_reduction),
     ("transport-crystal", check_transport_crystal),
-    ("fock-matrix", lambda full: fock_matrix()),
+    ("fock-matrix", check_fock_matrix),
     ("plethysm-lowering", _on_grid(plethysm_lowering, 1, 3, max_level=1)),
     ("singular-dimension", _on_grid(singular_dimension, 2, 5, rational=True)),
     ("filtration-counts", check_filtration_counts),

@@ -491,6 +491,18 @@ PINNED_MATRIX = [
          "0c7d05c712af1d20fc0763d2e962c8bb1a70807d8979b8f0750ec2038890027c"),
     ]
     for model in ("ribbon", "wedge")
+] + [
+    # the benchmark's sizes (operators-graphs), captured before the matrix
+    # was built from term maps; both models pin the same bytes
+    (GOLDEN_DOC, "--op bplus --d 1 --degree-from 12 --degree-to 14 --model ribbon",
+     "b438e79f0819e4f3abb88c493637c9cca64968804c9dae730692a8f84b85264e"),
+    (GOLDEN_DOC, "--op bplus --d 1 --degree-from 12 --degree-to 14 --model wedge",
+     "b438e79f0819e4f3abb88c493637c9cca64968804c9dae730692a8f84b85264e"),
+    (GOLDEN_DOC, "--op f --z 0:1 --degree-from 13 --degree-to 14",
+     "0195551289ae91a494ca9a2426e0dba2cc3a5291c470824050f0a47a8b618e14"),
+    ({"level": 2, "kappa": {"num": -1, "den": 3}, "s": [0, 1]},
+     "--op e --z 0:2 --degree-from 14 --degree-to 13",
+     "f0733239ded65c92bbf1be41faf2e9c6484c6658d5a8e80f6584f94a94605172"),
 ]
 
 
@@ -702,6 +714,15 @@ class TestRank1Command:
             capsys, ["rank1", "--level", "2", "--h", "0,oops", "--k", "0", "--j", "1"]
         )
         assert code == 2
+
+    def test_bad_h_entry_keeps_its_reason(self):
+        argv = ["rank1", "--level", "2", "--h", "0,1e99999999", "--k", "0", "--j", "1"]
+        proc = run_module("-m", "fockcrystal", *argv, timeout=2)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: cannot parse --h '0,1e99999999': cannot parse rational "
+            "'1e99999999': exponents are not accepted\n"
+        )
 
 
 class TestSelftestCommand:

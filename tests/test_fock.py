@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fockcrystal import (
     ChargedWord,
+    FockcrystalError,
     FockVector,
     InvalidInputError,
     Multipartition,
@@ -24,6 +25,7 @@ from fockcrystal import (
     b_minus_op,
     b_plus_op,
     basis_vector,
+    box_term_map,
     charged_to_multipartition,
     e_z_op,
     embed_to_charged,
@@ -31,6 +33,7 @@ from fockcrystal import (
     enumerate_partitions,
     f_z_op,
     filtration_dim,
+    heisenberg_term_map,
     inner_product,
     make_params,
     operator_matrix,
@@ -380,7 +383,7 @@ class TestWedgeOperators:
 class TestOperatorMatrix:
     def test_heisenberg_fixture(self):
         rows, cols, entries = operator_matrix(
-            lambda v: b_plus_op(v, 1, E2), 1, 0, 2
+            heisenberg_term_map(1, E2, "ribbon", remove=False), 1, 0, 2
         )
         assert cols == [mp([])]
         assert rows == [mp([2]), mp([1, 1])]
@@ -388,8 +391,123 @@ class TestOperatorMatrix:
 
     def test_wrong_target_degree_rejected(self):
         with pytest.raises(InvalidInputError):
-            operator_matrix(lambda v: b_plus_op(v, 1, E2), 1, 0, 3)
+            operator_matrix(heisenberg_term_map(1, E2, "ribbon", remove=False), 1, 0, 3)
 
     def test_image_beyond_truncation_overflows(self):
         with pytest.raises(TruncationOverflowError):
-            operator_matrix(lambda v: b_plus_op(v, 1, E2), 1, 2, 1)
+            operator_matrix(heisenberg_term_map(1, E2, "ribbon", remove=False), 1, 2, 1)
+
+
+def reference_operator_matrix(apply_op, level, degree_from, degree_to):
+    """operator_matrix as it was before it took term maps: each column is
+    the public operator applied to a basis vector, with Fraction entries."""
+    cols = enumerate_multipartitions(level, degree_from)
+    rows = enumerate_multipartitions(level, degree_to)
+    row_index = {lam: i for i, lam in enumerate(rows)}
+    truncation = max(degree_from, degree_to)
+    entries = {}
+    for j, lam in enumerate(cols):
+        image = apply_op(basis_vector(lam, truncation))
+        for mu, c in image.entries.items():
+            if mu.size != degree_to:
+                raise InvalidInputError(
+                    f"operator image leaves degree {degree_to}: got degree {mu.size}"
+                )
+            entries[(row_index[mu], j)] = c
+    return rows, cols, entries
+
+
+def outcome(build):
+    try:
+        return build()
+    except FockcrystalError as exc:
+        return type(exc), str(exc)
+
+
+# rational kappa of both signs, symbolic kappa and integer kappa per level
+MATRIX_POINTS = {
+    1: [E2, E3, make_params(1, Fraction(-1, 3), [1]), make_params(1, None, [0]),
+        make_params(1, Fraction(-1), [0])],
+    2: [GOLDEN, make_params(2, Fraction(-1, 3), [0, 1]), make_params(2, Fraction(1, 2), [0, 1]),
+        make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
+        make_params(2, None, [(0, 0), (1, 1)]), make_params(2, Fraction(-1), [0, 0])],
+    3: [make_params(3, Fraction(-1, 2), [0, 1, -1]), make_params(3, Fraction(-1, 3), [0, 1, -1]),
+        make_params(3, None, [0, -1, (1, 1)])],
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_operator_matrix_matches_the_fockvector_build(data):
+    """Term-map matrices equal the per-column FockVector build, or raise
+    the same error, across ops, models and matching, mismatched,
+    overflowing and empty-image degree pairs."""
+    level = data.draw(st.integers(1, 3), label="level")
+    params = data.draw(st.sampled_from(MATRIX_POINTS[level]), label="params")
+    op = data.draw(st.sampled_from(["bplus", "bminus", "e", "f"]), label="op")
+    top = 6 if level < 3 else 4
+    degree_from = data.draw(st.integers(0, top), label="degree_from")
+    if op in ("bplus", "bminus"):
+        d = data.draw(st.integers(0, 3), label="d")
+        model = data.draw(st.sampled_from(["ribbon", "wedge"]), label="model")
+        remove, public = (True, b_minus_op) if op == "bminus" else (False, b_plus_op)
+        step = d * (params.kappa.e or 1) * (-1 if remove else 1)
+        make = lambda: heisenberg_term_map(d, params, model, remove)
+        apply_op = lambda v: public(v, d, params, model)
+    else:
+        # values -1 and e occur at no box: their matrices are empty
+        z = Residue(
+            data.draw(st.integers(0, len(params.classes) - 1), label="class_id"),
+            data.draw(st.integers(-1, params.kappa.e or 4), label="value"),
+        )
+        remove, public = (True, e_z_op) if op == "e" else (False, f_z_op)
+        step = -1 if remove else 1
+        make = lambda: box_term_map(params, z, remove)
+        apply_op = lambda v: public(v, z, params)
+    natural = degree_from + step
+    if 0 <= natural <= top + 3 and data.draw(st.integers(0, 2), label="pick") > 0:
+        degree_to = natural
+    else:
+        degree_to = data.draw(st.integers(0, top + 3), label="degree_to")
+    want = outcome(lambda: reference_operator_matrix(apply_op, level, degree_from, degree_to))
+    got = outcome(lambda: operator_matrix(make(), level, degree_from, degree_to))
+    assert got == want
+    if isinstance(got, tuple) and len(got) == 3:
+        assert all(type(c) is int for c in got[2].values())
+
+
+@pytest.mark.parametrize("model", ["ribbon", "wedge"])
+def test_operator_matrix_refuses_b_plus_overflow_before_any_ribbon(monkeypatch, model):
+    """At e = 100000 every B_1 term has degree 100001: the library call
+    stops before it builds a single ribbon or bead move."""
+    from fockcrystal import fock
+
+    def refuse(*args):
+        raise AssertionError("a ribbon was built")
+
+    monkeypatch.setattr(fock, "ribbon_additions", refuse)
+    monkeypatch.setattr(fock, "_wedge_moves", refuse)
+    term_map = heisenberg_term_map(1, make_params(1, Fraction(-1, 100000), [0]), model, False)
+    message = "^term of degree 100001 exceeds truncation 1$"
+    with pytest.raises(TruncationOverflowError, match=message):
+        operator_matrix(term_map, 1, 1, 1)
+
+
+@pytest.mark.parametrize("direction", ["raise", "lower"])
+def test_operator_matrix_builds_no_checked_shape(monkeypatch, direction):
+    """Every shape of a degree-8 matrix comes from a move, so the checking
+    constructors never run on the matrix path."""
+    remove = direction == "lower"
+    maps = [heisenberg_term_map(1, GOLDEN, model, remove) for model in ("ribbon", "wedge")]
+    maps.append(box_term_map(GOLDEN, ONE2, remove))
+    steps = [-2, -2, -1] if remove else [2, 2, 1]
+
+    def refuse(self, *args):
+        raise AssertionError("a checking constructor ran on the matrix path")
+
+    monkeypatch.setattr(Partition, "__init__", refuse)
+    monkeypatch.setattr(Multipartition, "__init__", refuse)
+    for term_map, step in zip(maps, steps):
+        degree_from = 8 if remove else 8 - step
+        rows, cols, entries = operator_matrix(term_map, 2, degree_from, degree_from + step)
+        assert entries and {rows[r].size for r, _ in entries} == {degree_from + step}

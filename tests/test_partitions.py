@@ -2,6 +2,8 @@
 moves against a brute-force skew-shape oracle, division with remainder,
 and the canonical enumeration orders."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from fockcrystal import (
     ribbon_removals,
 )
 from fockcrystal import selftest
+from fockcrystal.fock import _wedge_moves
 
 
 def partitions_up_to(n):
@@ -40,6 +43,13 @@ class TestPartitionBasics:
             Partition([1, 2])
         with pytest.raises(InvalidInputError):
             Partition([2, -1])
+
+    @pytest.mark.parametrize(
+        "parts", [[2.7, 1], [2.0, 1], ["3"], [True], [1, False], [None], [Fraction(2)]]
+    )
+    def test_constructor_rejects_non_integer_parts(self, parts):
+        with pytest.raises(InvalidInputError, match="is not an integer"):
+            Partition(parts)
 
     def test_row_is_one_based_and_zero_padded(self):
         p = Partition([4, 2, 1])
@@ -102,6 +112,68 @@ class TestMultipartition:
     def test_replace_component(self):
         lam = Multipartition([[1], [2]])
         assert lam.replace_component(1, Partition([3])) == Multipartition([[1], [3]])
+
+
+def assert_checked(p):
+    """p is exactly what the checking constructor builds from its rows."""
+    public = Partition(list(p.parts))
+    assert type(p.parts) is tuple and all(type(x) is int for x in p.parts), p
+    assert public.parts == p.parts and public == p and hash(public) == hash(p), p
+
+
+class TestTrustedShapes:
+    """Moves build their results without the constructor's checks; each
+    result must be the shape the checking constructor gives."""
+
+    def test_cell_moves_accept_exactly_the_listed_cells(self):
+        # coordinates from -1 to past the edge of every shape of size <= 8
+        coords = range(-1, 11)
+        for p in partitions_up_to(8):
+            moves = [
+                (p.add_cell, set(p.addable_cells()), 1, "cannot add cell {} to {}"),
+                (p.remove_cell, set(p.removable_cells()), -1, "cannot remove cell {} from {}"),
+            ]
+            for move, legal, delta, message in moves:
+                for x in coords:
+                    for y in coords:
+                        if (x, y) not in legal:
+                            with pytest.raises(InvalidMoveError) as err:
+                                move(x, y)
+                            assert str(err.value) == message.format((x, y), p.parts)
+                            continue
+                        rows = list(p.parts) + [0]
+                        rows[y - 1] += delta
+                        got = move(x, y)
+                        assert_checked(got)
+                        assert got == Partition(rows), (p, x, y)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_ribbon_moves_build_checked_shapes(self, length):
+        for p in partitions_up_to(8):
+            for direction in (1, -1):
+                ribbon = (ribbon_additions if direction > 0 else ribbon_removals)(p, length)
+                wedge = _wedge_moves(p, direction * length)
+                for mv in ribbon + wedge:
+                    assert_checked(mv.result)
+                assert set(ribbon) == set(wedge), (p, direction * length)
+
+    @pytest.mark.parametrize("level,bound", [(1, 6), (2, 5), (3, 4)])
+    def test_moved_multipartitions_match_public_ones(self, level, bound):
+        for n in range(bound + 1):
+            for lam in enumerate_multipartitions(level, n):
+                moved = [lam]
+                moved += [lam.add_box(b) for b in lam.addable_boxes()]
+                moved += [lam.remove_box(b) for b in lam.removable_boxes()]
+                moved += [
+                    lam.replace_component(i, mv.result)
+                    for i, c in enumerate(lam.components)
+                    for mv in ribbon_additions(c, 2) + ribbon_removals(c, 2)
+                ]
+                for mu in moved:
+                    public = Multipartition([list(c.parts) for c in mu.components])
+                    assert public == mu and mu == public, mu
+                    assert hash(public) == hash(mu) == hash(mu.components), mu
+                    assert public.size == mu.size == sum(c.size for c in mu.components), mu
 
 
 def cells_of(p):

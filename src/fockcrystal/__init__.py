@@ -5,7 +5,7 @@ arithmetic."""
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # module -> the public names it defines.  A module is imported the first
 # time one of its names is read, so `import fockcrystal` loads nothing.
@@ -22,11 +22,9 @@ _MODULES = {
     ),
     "params": (
         "IRRATIONAL", "ChargeDifferenceWall", "ChargeValue", "CherednikParams",
-        "CValue", "HeckeExponents", "KappaDenominatorWall", "KappaValue",
-        "Residue", "c_sort_key", "charge", "cvalue_integer_difference",
-        "equivalence_classes", "essential_walls", "hecke_exponents",
-        "is_essential_charge_wall", "make_params", "normalize_for_support",
-        "rank_one_verma_hom", "rational_kappa",
+        "HeckeExponents", "KappaDenominatorWall", "KappaValue", "Residue",
+        "charge", "essential_walls", "hecke_exponents", "is_essential_charge_wall",
+        "make_params", "normalize_for_support", "rank_one_verma_hom", "rational_kappa",
     ),
     "orders": ("box_leq", "c_lambda", "leq_c", "preceq"),
     "crystal": (

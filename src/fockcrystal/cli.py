@@ -8,8 +8,7 @@ canonically so identical invocations produce identical bytes.
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
 4 truncation overflow, 5 internal error (a violated internal invariant
 or any other exception, reported as "internal error: <Type>: <message>").
-3 is unused.  `--strict-ties` is accepted and does nothing; it is removed
-in 0.3.0.  Exit 2 also covers a parameter file that is not UTF-8 or holds
+3 is unused.  Exit 2 also covers a parameter file that is not UTF-8 or holds
 an integer too long to convert, an `--out` that cannot be written (missing
 directory, or a directory), and a number written with an exponent, which
 is refused before it is expanded.
@@ -48,7 +47,6 @@ from .jsonio import (
 )
 from .params import (
     ChargeDifferenceWall,
-    equivalence_classes,
     essential_walls,
     hecke_exponents,
     rank_one_verma_hom,
@@ -62,11 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
     common.add_argument(
         "--format", choices=("json", "dot"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--strict-ties",
-        action="store_true",
-        help="no effect, since signature boxes never tie; removed in 0.3.0",
     )
 
     parser = argparse.ArgumentParser(
@@ -252,7 +245,7 @@ def cmd_params(args) -> int:
         raise InvalidInputError("--n must be >= 1")
     doc = {
         "params": params_to_json(params),
-        "classes": [list(c) for c in equivalence_classes(params)],
+        "classes": [list(c) for c in params.classes],
         "walls": [wall_to_json(w) for w in essential_walls(params, args.n)],
     }
     try:

@@ -14,13 +14,7 @@ from collections import deque
 from typing import Container, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInputError
-from .params import (
-    CherednikParams,
-    Residue,
-    c_sort_key,
-    reject_integer_kappa,
-    reject_level_mismatch,
-)
+from .params import CherednikParams, Residue, reject_integer_kappa, reject_level_mismatch
 from .partitions import Box, Multipartition, enumerate_multipartitions
 
 
@@ -59,7 +53,7 @@ def z_signature(
     entries = [
         (b, "+") for b in lam.addable_boxes() if params.residue(b) == z
     ] + [(b, "-") for b in lam.removable_boxes() if params.residue(b) == z]
-    entries.sort(key=lambda entry: c_sort_key(params.c_of_box(entry[0]), params.kappa))
+    entries.sort(key=lambda entry: params.c_of_box(entry[0]))
     return Signature(z, tuple(entries))
 
 

@@ -11,30 +11,40 @@ therefore exists iff each residue has equally many boxes in both labels
 and the first label's c-values, sorted descending, dominate the second's
 termwise: the fine order is sorted per-residue dominance.
 
-All-pairs callers compare every label with every other, so each label's
-c-value and sorted keys are computed once per (label, params) and kept
-for the life of the process.
+C-values are the integer keys of `CherednikParams.c_of_box`, scaled by
+the record's D.  All-pairs callers compare every label with every
+other, so each label's c-value and sorted keys are computed once per
+(label, params) and kept for the life of the process.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
-from .params import (
-    C_ZERO,
-    CherednikParams,
-    CValue,
-    c_sort_key,
-    cvalue_integer_difference,
-    reject_level_mismatch,
-)
+from .params import CherednikParams, CKey, reject_level_mismatch
 from .partitions import Multipartition
 
 
 @lru_cache(maxsize=None)
-def c_lambda(lam: Multipartition, params: CherednikParams) -> CValue:
+def c_lambda(lam: Multipartition, params: CherednikParams) -> CKey:
+    """The sum of lam's box keys: D*c_lam, or (D*u, D*v) at symbolic kappa."""
     reject_level_mismatch(lam, params)
-    return sum((params.c_of_box(b) for b in lam.boxes()), C_ZERO)
+    keys = [params.c_of_box(b) for b in lam.boxes()]
+    if params.kappa.is_rational:
+        return sum(keys)
+    return (sum(u for u, _ in keys), sum(v for _, v in keys))
+
+
+def _c_difference(k1: CKey, k2: CKey, params: CherednikParams) -> Optional[int]:
+    """c1 - c2 for the keys k1, k2 when it is an exact integer, else None."""
+    scale = params.c_keys[0]
+    if not params.kappa.is_rational:
+        if k1[0] != k2[0]:
+            return None
+        k1, k2 = k1[1], k2[1]
+    d, rest = divmod(k1 - k2, scale)
+    return None if rest else d
 
 
 def leq_c(tau: Multipartition, xi: Multipartition, params: CherednikParams) -> bool:
@@ -42,28 +52,25 @@ def leq_c(tau: Multipartition, xi: Multipartition, params: CherednikParams) -> b
     reject_level_mismatch(tau, params)  # c_lambda checks both when tau != xi
     if tau == xi:
         return True
-    d = cvalue_integer_difference(c_lambda(tau, params), c_lambda(xi, params), params.kappa)
+    d = _c_difference(c_lambda(tau, params), c_lambda(xi, params), params)
     return d is not None and d > 0
 
 
 def box_leq(b1, b2, params: CherednikParams) -> bool:
-    """b1 <= b2 in the box order: equivalent boxes whose c-difference
-    c_{b1} - c_{b2} is a nonnegative integer (smaller boxes have the
-    larger c-value)."""
-    if not params.box_equivalent(b1, b2):
+    """b1 <= b2 in the box order: equivalent boxes (equal residues) whose
+    c-difference c_{b1} - c_{b2} is a nonnegative integer (smaller boxes
+    have the larger c-value)."""
+    if params.residue(b1) != params.residue(b2):
         return False
-    d = cvalue_integer_difference(params.c_of_box(b1), params.c_of_box(b2), params.kappa)
+    d = _c_difference(params.c_of_box(b1), params.c_of_box(b2), params)
     return d is not None and d >= 0
 
 
 @lru_cache(maxsize=None)
 def _residues_and_c(lam: Multipartition, params: CherednikParams) -> tuple:
-    """lam's boxes as (residue, c-value) sort keys, in descending order."""
+    """lam's boxes as (residue, c-value key) pairs, in descending order."""
     reject_level_mismatch(lam, params)
-    keys = [
-        (params.residue(b), c_sort_key(params.c_of_box(b), params.kappa))
-        for b in lam.boxes()
-    ]
+    keys = [(params.residue(b), params.c_of_box(b)) for b in lam.boxes()]
     return tuple(sorted(keys, reverse=True))
 
 

@@ -10,6 +10,8 @@ Z + (1/kappa)Z stay exact in the symbolic case.
 Derived scalars:
   h_i  = kappa*s_i - i/l
   c_b  = kappa*l*(x - y) + l*h_i = kappa*l*cont(b) - i   (cont charged)
+Residues and c-values are compiled to integers per component when a
+`CherednikParams` is built, so no box builds a Fraction.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .errors import InvalidInputError, UnsupportedParameterError
 from .partitions import Box
 
 RationalLike = Union[int, str, Fraction]
+# A c-value as an integer key (see `CherednikParams.c_keys`)
+CKey = Union[int, tuple[int, int]]
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -108,56 +112,6 @@ def charge(a: RationalLike, b: RationalLike = 0) -> ChargeValue:
     return ChargeValue(a, b)
 
 
-class _CValue(NamedTuple):
-    u: Fraction
-    v: Fraction
-
-
-class CValue(_CValue):
-    """The value u*kappa + v with exact rational u, v."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: RationalLike, v: RationalLike):
-        return tuple.__new__(cls, (_frac(u), _frac(v)))
-
-    def __add__(self, other: "CValue") -> "CValue":
-        return CValue(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other: "CValue") -> "CValue":
-        return CValue(self.u - other.u, self.v - other.v)
-
-    def collapse(self, kappa: KappaValue) -> Fraction:
-        if not kappa.is_rational:
-            raise UnsupportedParameterError("cannot collapse a c-value at symbolic kappa")
-        return self.u * kappa.value + self.v
-
-
-C_ZERO = CValue(Fraction(0), Fraction(0))
-
-
-def cvalue_integer_difference(
-    c1: CValue, c2: CValue, kappa: KappaValue
-) -> Optional[int]:
-    """c1 - c2 when it is an exact integer, else None."""
-    d = c1 - c2
-    if kappa.is_rational:
-        val = d.collapse(kappa)
-        return int(val) if val.denominator == 1 else None
-    if d.u != 0 or d.v.denominator != 1:
-        return None
-    return int(d.v)
-
-
-def c_sort_key(c: CValue, kappa: KappaValue):
-    """Total order on c-values: numeric for rational kappa, and
-    lexicographic in (u, v) otherwise (kappa is transcendental-generic,
-    so equality of pairs is the only equality)."""
-    if kappa.is_rational:
-        return c.collapse(kappa)
-    return (c.u, c.v)
-
-
 class Residue(NamedTuple):
     """Label of a box-equivalence class: the component class and the
     normalized content, an integer mod e (plain integer when e = inf).
@@ -197,14 +151,19 @@ class _CherednikParams(NamedTuple):
     s: tuple[ChargeValue, ...]
     classes: tuple[tuple[int, ...], ...]
     bases: tuple[tuple[int, int], ...]
+    c_keys: tuple[int, int, tuple]
 
 
 class CherednikParams(_CherednikParams):
-    """`classes` and `bases` are derived, not passed (copy and pickle pass
-    the rest).  `classes`: {0..l-1} split by s_i - s_j in Z + (1/kappa)Z,
-    ordered by least member.  `bases[i]`: (class id, base) of component i,
-    whose box of content c has residue value (base + c) mod e (no mod at
-    symbolic kappa)."""
+    """`classes`, `bases` and `c_keys` are derived, not passed (copy and
+    pickle pass the rest).  `classes`: {0..l-1} split by s_i - s_j in
+    Z + (1/kappa)Z, ordered by least member.  `bases[i]`: (class id, base)
+    of component i, whose box of content c has residue value (base + c)
+    mod e (no mod at symbolic kappa).  `c_keys`: (D, step, c_bases), one
+    positive integer D scaling every c-value to an integer key; the box of
+    content c in component i has key c_bases[i] + step*c = D*c_b at
+    rational kappa, and (u_i + step*c, v_i) = D*(u, v) for
+    c_b = u*kappa + v at symbolic kappa, where c_bases[i] = (u_i, v_i)."""
 
     __slots__ = ()
 
@@ -225,7 +184,8 @@ class CherednikParams(_CherednikParams):
                 cid = len(classes)
                 classes.append([i])
             bases.append((cid, _residue_base(s[i], s[classes[cid][0]], kappa)))
-        return tuple.__new__(cls, (level, kappa, s, tuple(map(tuple, classes)), tuple(bases)))
+        keys = _c_keys(level, kappa, s)
+        return tuple.__new__(cls, (level, kappa, s, tuple(map(tuple, classes)), tuple(bases), keys))
 
     def __getnewargs__(self):
         return (self.level, self.kappa, self.s)
@@ -234,20 +194,21 @@ class CherednikParams(_CherednikParams):
     def e(self) -> Optional[int]:
         return self.kappa.e
 
-    def h(self, i: int) -> CValue:
-        """h_i = kappa*s_i - i/l as a CValue (exact in both kappa modes)."""
-        si = self.s[i]
-        return CValue(si.a, si.b - Fraction(i, self.level))
-
     def charged_content(self, b: Box) -> ChargeValue:
         if not 0 <= b.comp < self.level:
             raise InvalidInputError(f"component {b.comp} out of range")
         return self.s[b.comp].shift(b.x - b.y)
 
-    def c_of_box(self, b: Box) -> CValue:
-        """c_b = kappa*l*cont(b) - comp, as u*kappa + v."""
-        cont = self.charged_content(b)
-        return CValue(self.level * cont.a, self.level * cont.b - b.comp)
+    def c_of_box(self, b: Box) -> CKey:
+        """c_b = kappa*l*cont(b) - comp as its integer key (see `c_keys`):
+        keys sort as the c-values do, lexicographically at symbolic kappa."""
+        if not 0 <= b.comp < self.level:
+            raise InvalidInputError(f"component {b.comp} out of range")
+        _, step, c_bases = self.c_keys
+        base = c_bases[b.comp]
+        if self.kappa.value is None:
+            return (base[0] + step * (b.x - b.y), base[1])
+        return base + step * (b.x - b.y)
 
     def box_equivalent(self, b1: Box, b2: Box) -> bool:
         d = self.charged_content(b1) - self.charged_content(b2)
@@ -317,6 +278,20 @@ def _in_mixed_lattice(d: ChargeValue, kappa: KappaValue) -> bool:
     return d.a.denominator == 1 and d.b.denominator == 1
 
 
+def _c_keys(level: int, kappa: KappaValue, s: tuple[ChargeValue, ...]) -> tuple:
+    """`CherednikParams.c_keys`.  With s_i = a + b/kappa, the box of
+    content c in component i has c_b = u*kappa + v, u = l*(a + c) and
+    v = l*b - i; D is the least positive integer making the keys integers."""
+    if kappa.is_rational:
+        step = kappa.value * level
+        c_bases = [step * c.a + level * c.b - i for i, c in enumerate(s)]
+        scale = math.lcm(step.denominator, *(c.denominator for c in c_bases))
+        return scale, int(step * scale), tuple(int(c * scale) for c in c_bases)
+    c_bases = [(level * c.a, level * c.b - i) for i, c in enumerate(s)]
+    scale = math.lcm(*(x.denominator for pair in c_bases for x in pair))
+    return scale, scale * level, tuple((int(u * scale), int(v * scale)) for u, v in c_bases)
+
+
 def _residue_base(si: ChargeValue, rep: ChargeValue, kappa: KappaValue) -> int:
     """The base of a component of charge si whose class representative
     has charge rep.  si - rep lies in Z + (1/kappa)Z, which is (1/r)Z at
@@ -326,12 +301,6 @@ def _residue_base(si: ChargeValue, rep: ChargeValue, kappa: KappaValue) -> int:
     r, e = kappa.r_abs, kappa.e
     scaled = r * (si - rep).collapse(kappa) + math.floor(r * rep.collapse(kappa))
     return int(scaled) * pow(r, -1, e) % e
-
-
-def equivalence_classes(params: CherednikParams) -> tuple[tuple[int, ...], ...]:
-    """The partition of {0..l-1} by s_i - s_j in Z + (1/kappa)Z, ordered
-    by least member."""
-    return params.classes
 
 
 def is_essential_charge_wall(

@@ -54,7 +54,7 @@ from .fock import (
     wedge_f_op,
 )
 from .orders import leq_c, preceq
-from .params import ChargeDifferenceWall, Residue, c_sort_key, make_params
+from .params import ChargeDifferenceWall, Residue, make_params
 from .partitions import (
     Multipartition,
     Partition,
@@ -148,10 +148,7 @@ def signature_keys(params, bound: int) -> None:
     one addable or removable box per diagonal."""
     for lam in _labels(params, bound):
         for z in relevant_residues(lam, params):
-            keys = [
-                c_sort_key(params.c_of_box(b), params.kappa)
-                for b, _ in z_signature(lam, z, params).entries
-            ]
+            keys = [params.c_of_box(b) for b, _ in z_signature(lam, z, params).entries]
             assert all(a < b for a, b in zip(keys, keys[1:])), (lam, z, keys)
 
 

@@ -152,8 +152,13 @@ class TestCrystalCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_strict_ties_changes_nothing(self, capsys, golden, fmt):
+        """0.3.0 removed the no-op `--strict-ties`; argparse now rejects it."""
         argv = ["crystal", "--params", golden, "--n-max", "3", "--format", fmt]
-        assert run(capsys, argv + ["--strict-ties"]) == run(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--strict-ties"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --strict-ties" in err
 
 
 class TestFockCommand:

@@ -75,10 +75,7 @@ def command(head, *parts):
     return st.tuples(*parts).map(lambda drawn: head + [x for part in drawn for x in part])
 
 
-common = (
-    st.sampled_from([[]] * 4 + [["--format=dot"], ["--format=json"]]),
-    st.sampled_from([[], ["--strict-ties"]]),
-)
+common = (st.sampled_from([[]] * 4 + [["--format=dot"], ["--format=json"]]),)
 residues = st.one_of(
     st.builds(lambda c, v: f"{c}:{v}", small, sizes), st.sampled_from(["0", "a:b", ":"])
 )

@@ -49,11 +49,9 @@ class TestSignatures:
         assert reduce_signature(sig_of("++--")).word == "++--"
 
     def test_entries_sorted_by_ascending_c(self):
-        from fockcrystal import c_sort_key
-
         for z in relevant_residues(GOLDEN_LAM, GOLDEN):
             sig = z_signature(GOLDEN_LAM, z, GOLDEN)
-            keys = [c_sort_key(GOLDEN.c_of_box(b), GOLDEN.kappa) for b, _ in sig.entries]
+            keys = [GOLDEN.c_of_box(b) for b, _ in sig.entries]
             assert keys == sorted(keys)
 
     def test_strict_ties_clean_on_golden(self):

@@ -9,11 +9,9 @@ import pytest
 
 from fockcrystal import (
     Box,
-    CValue,
     Multipartition,
     box_leq,
     c_lambda,
-    c_sort_key,
     enumerate_multipartitions,
     leq_c,
     make_params,
@@ -39,20 +37,24 @@ def brute_preceq(lam, mu, params):
 
 class TestCLambda:
     def test_golden_fixture(self):
+        # -18*kappa - 6 = 3 at kappa = -1/2, and the golden scale D is 1
         lam = make_lam([[2, 2], [3, 1, 1, 1]])
-        assert c_lambda(lam, GOLDEN) == CValue(Fraction(-18), Fraction(-6))
-        assert c_lambda(lam, GOLDEN).collapse(GOLDEN.kappa) == 3
+        assert GOLDEN.c_keys[0] == 1
+        assert c_lambda(lam, GOLDEN) == 3
 
     def test_level_one_fixture(self):
         p = make_params(1, Fraction(-1, 2), [0])
-        assert c_lambda(make_lam([[2]]), p).collapse(p.kappa) == Fraction(-1, 2)
+        assert Fraction(c_lambda(make_lam([[2]]), p), p.c_keys[0]) == Fraction(-1, 2)
+        # c = (-2*kappa - 1) + (0*kappa - 1) at symbolic kappa, with D = 1
+        q = make_params(2, None, [0, -1])
+        assert c_lambda(make_lam([[], [2]]), q) == (-2, -2)
 
     def test_additive_over_boxes(self):
         lam = make_lam([[2, 1], [1]])
-        total = CValue(Fraction(0), Fraction(0))
-        for b in lam.boxes():
-            total = total + GOLDEN.c_of_box(b)
-        assert c_lambda(lam, GOLDEN) == total
+        assert c_lambda(lam, GOLDEN) == sum(GOLDEN.c_of_box(b) for b in lam.boxes())
+        p = make_params(2, None, [0, -1])
+        keys = [p.c_of_box(b) for b in lam.boxes()]
+        assert c_lambda(lam, p) == tuple(map(sum, zip(*keys)))
 
 
 class TestLeqC:
@@ -116,9 +118,7 @@ class TestBoxOrder:
             for b in lam.boxes()
         }
 
-        def key(b):
-            return c_sort_key(params.c_of_box(b), params.kappa)
-
+        key = params.c_of_box
         for b1 in boxes:
             for b2 in boxes:
                 want = params.residue(b1) == params.residue(b2) and key(b1) >= key(b2)

@@ -12,7 +12,6 @@ from fockcrystal.params import (
     ChargeDifferenceWall,
     ChargeValue,
     CherednikParams,
-    CValue,
     HeckeExponents,
     KappaDenominatorWall,
     KappaValue,
@@ -43,15 +42,18 @@ def test_star_import_binds_every_export():
 
 
 def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        fockcrystal.no_such_name
+    """Also every public name removed in 0.3.0, so none comes back by accident."""
+    for name in ("no_such_name", "CValue", "c_sort_key", "cvalue_integer_difference",
+                 "equivalence_classes"):
+        assert name not in fockcrystal.__all__
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(fockcrystal, name)
 
 
 RECORDS = [
     KappaValue(Fraction(-1, 2)),
     KappaValue(None),
     ChargeValue(1, "1/2"),
-    CValue(1, 2),
     Residue(0, 1),
     KappaDenominatorWall(3),
     ChargeDifferenceWall(0, 1, -2),
@@ -65,7 +67,7 @@ RECORDS = [
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in RECORDS}) == 12
+    assert len({type(r) for r in RECORDS}) == 11
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -85,7 +87,6 @@ def test_record_is_immutable(record):
 
 
 REPRS = [
-    (CValue(1, 2), "CValue(u=Fraction(1, 1), v=Fraction(2, 1))"),
     (Residue(0, 1), "Residue(class_id=0, value=1)"),
     (KappaDenominatorWall(3), "KappaDenominatorWall(d=3)"),
     (ChargeDifferenceWall(0, 1, -2), "ChargeDifferenceWall(i=0, j=1, m=-2)"),
@@ -129,7 +130,7 @@ def test_residues_sort_by_class_then_value():
 
 def test_validated_records_normalise_their_fields():
     assert KappaValue("2/3").value == Fraction(2, 3)
-    for record in (KappaValue(-2), ChargeValue(1), CValue(1, "-1/2")):
+    for record in (KappaValue(-2), ChargeValue(1, "-1/2")):
         assert all(type(x) is Fraction for x in record), record
     assert ChargeValue(1).b == 0
     params = CherednikParams(1, KappaValue(Fraction(-1, 3)), (0,))

@@ -1,6 +1,6 @@
-"""Parameter arithmetic: exact charge and c-value types, box residues,
-component equivalence classes, essential walls, Hecke exponents, and the
-rank-one Hom criterion."""
+"""Parameter arithmetic: exact charges, integer c-value keys checked
+against Fraction c-values, box residues, component equivalence classes,
+essential walls, Hecke exponents, and the rank-one Hom criterion."""
 
 import copy
 import math
@@ -16,7 +16,6 @@ from fockcrystal import (
     Box,
     ChargeValue,
     CherednikParams,
-    CValue,
     InvalidInputError,
     KappaValue,
     ChargeDifferenceWall,
@@ -28,15 +27,14 @@ from fockcrystal import (
     asymptotic_q,
     b_plus_op,
     basis_vector,
+    box_leq,
     c_lambda,
-    c_sort_key,
     charge,
     crystal_component,
     crystal_graph,
-    cvalue_integer_difference,
     e_tilde,
     e_z_op,
-    equivalence_classes,
+    enumerate_multipartitions,
     essential_walls,
     f_tilde,
     f_z_op,
@@ -59,6 +57,8 @@ from fockcrystal import (
     wall_cross,
     z_signature,
 )
+from fockcrystal import orders, selftest
+from fockcrystal.orders import _c_difference
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 
@@ -94,27 +94,36 @@ class TestChargeAndCValues:
         assert charge(1, 2).shift(Fraction(1, 2)) == charge(Fraction(3, 2), 2)
 
     def test_cvalue_collapse(self):
-        # u*kappa + v at kappa = -1/2
-        assert CValue(Fraction(-18), Fraction(-6)).collapse(GOLDEN.kappa) == 3
+        # kappa*l = -4/3 and c at content 0 is -5/3 in component 1, so D = 3
+        p = make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)])
+        assert p.c_keys == (3, -4, (0, -5))
+        # c = kappa*l*(1/2 + 1) - 1 = -3
+        assert p.c_of_box(Box(2, 1, 1)) == 3 * -3
 
     def test_cvalue_integer_difference(self):
-        k = rational_kappa(-1, 2)
-        c1 = CValue(Fraction(-2), Fraction(0))
-        c2 = CValue(Fraction(0), Fraction(-1))
-        assert cvalue_integer_difference(c1, c2, k) == 2
-        assert cvalue_integer_difference(c1, CValue(Fraction(1), Fraction(0)), k) is None
-        assert cvalue_integer_difference(c1, c2, IRRATIONAL) is None
-        assert (
-            cvalue_integer_difference(c1, CValue(Fraction(-2), Fraction(-3)), IRRATIONAL)
-            == 3
-        )
+        p = make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)])
+        c = [p.c_of_box(b) for b in (Box(1, 1, 0), Box(2, 1, 1), Box(2, 1, 0))]
+        # c-values 0, -3 and -4/3
+        assert _c_difference(c[0], c[1], p) == 3
+        assert _c_difference(c[1], c[0], p) == -3
+        assert _c_difference(c[0], c[2], p) is None
+        q = make_params(3, None, [0, (0, Fraction(1, 6)), (0, 1)])
+        assert q.c_keys == (2, 6, ((0, 0), (0, -1), (0, 2)))
+        # c-values 0, 3*kappa, -1/2 and 1
+        c = [q.c_of_box(b) for b in (Box(1, 1, 0), Box(2, 1, 0), Box(1, 1, 1), Box(1, 1, 2))]
+        assert _c_difference(c[1], c[0], q) is None
+        assert _c_difference(c[2], c[0], q) is None
+        assert _c_difference(c[3], c[0], q) == 1
 
     def test_c_sort_key_irrational_is_lexicographic(self):
-        a = CValue(Fraction(0), Fraction(0))
-        b = CValue(Fraction(1), Fraction(1))
-        assert c_sort_key(a, IRRATIONAL) < c_sort_key(b, IRRATIONAL)
-        # numerically at kappa = -2 the comparison flips
-        assert c_sort_key(a, rational_kappa(-2)) > c_sort_key(b, rational_kappa(-2))
+        p = make_params(2, None, [0, -1])
+        a, b = p.c_of_box(Box(1, 1, 0)), p.c_of_box(Box(2, 1, 0))
+        assert (a, b) == ((0, 0), (2, 0))
+        # c-values 0 and 2*kappa: the kappa part decides, whatever the rest
+        assert a < b and p.c_of_box(Box(1, 1, 1)) < a
+        # numerically at kappa = -1/2 the comparison flips
+        q = make_params(2, Fraction(-1, 2), [0, -1])
+        assert q.c_of_box(Box(1, 1, 0)) > q.c_of_box(Box(2, 1, 0))
 
 
 class TestParams:
@@ -129,8 +138,8 @@ class TestParams:
         assert p.s[1] == ChargeValue(Fraction(0), Fraction(1))
 
     def test_h_values_at_golden(self):
-        assert GOLDEN.h(0).collapse(GOLDEN.kappa) == 0
-        assert GOLDEN.h(1).collapse(GOLDEN.kappa) == 0
+        # a content-0 box of component i has c = l*h_i, and h_0 = h_1 = 0
+        assert GOLDEN.c_of_box(Box(1, 1, 0)) == GOLDEN.c_of_box(Box(1, 1, 1)) == 0
 
     def test_charged_content(self):
         assert GOLDEN.charged_content(Box(1, 4, 1)) == charge(-4)
@@ -139,8 +148,11 @@ class TestParams:
             GOLDEN.charged_content(Box(1, 1, 2))
 
     def test_c_of_box(self):
-        assert GOLDEN.c_of_box(Box(1, 4, 1)).collapse(GOLDEN.kappa) == 3
-        assert GOLDEN.c_of_box(Box(2, 2, 0)).collapse(GOLDEN.kappa) == 0
+        assert GOLDEN.c_keys[0] == 1
+        assert GOLDEN.c_of_box(Box(1, 4, 1)) == 3
+        assert GOLDEN.c_of_box(Box(2, 2, 0)) == 0
+        with pytest.raises(InvalidInputError, match="component -1 out of range"):
+            GOLDEN.c_of_box(Box(1, 1, -1))
 
     def test_box_equivalence(self):
         # charged contents must differ by a multiple of 1/kappa = -2
@@ -151,29 +163,31 @@ class TestParams:
 
 class TestEquivalenceClasses:
     def test_golden_single_class(self):
-        assert equivalence_classes(GOLDEN) == ((0, 1),)
+        assert GOLDEN.classes == ((0, 1),)
         assert GOLDEN.class_of_component(0) == 0
         assert GOLDEN.class_of_component(1) == 0
 
     def test_split_classes(self):
         p = make_params(2, Fraction(-1, 2), [0, Fraction(1, 2)])
-        assert equivalence_classes(p) == ((0,), (1,))
+        assert p.classes == ((0,), (1,))
 
     def test_larger_numerator_merges(self):
         # Z + (e/r)Z = (1/2)Z at kappa = -2/3 absorbs the half charge
         p = make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)])
-        assert equivalence_classes(p) == ((0, 1),)
+        assert p.classes == ((0, 1),)
 
     def test_irrational_classes(self):
         p = make_params(3, None, [0, (0, 1), (Fraction(1, 2), 0)])
-        assert equivalence_classes(p) == ((0, 1), (2,))
+        assert p.classes == ((0, 1), (2,))
 
     def test_classes_are_a_field(self):
-        assert CherednikParams._fields == ("level", "kappa", "s", "classes", "bases")
+        assert CherednikParams._fields == ("level", "kappa", "s", "classes", "bases", "c_keys")
         p = make_params(3, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(3, 2)])
-        assert p.classes == ((0, 2), (1,)) == equivalence_classes(p)
+        assert p.classes == ((0, 2), (1,))
         assert p.bases == ((0, 0), (1, 0), (0, 1))
-        assert p == (p.level, p.kappa, p.s, p.classes, p.bases)
+        # kappa*l = -3/2; c at content 0 is -3/4, -1 and -17/4
+        assert p.c_keys == (4, -6, (-3, -4, -17))
+        assert p == (p.level, p.kappa, p.s, p.classes, p.bases, p.c_keys)
         # the record is rebuilt from its three inputs
         assert copy.copy(p) == pickle.loads(pickle.dumps(p)) == p
 
@@ -307,6 +321,93 @@ class TestCompiledResidue:
             p.class_of_component(comp)
 
 
+def reference_c(p, b):
+    """c_b = kappa*l*(s_i + x - y) - i worked out with Fractions, or the
+    pair (u, v) of c_b = u*kappa + v at symbolic kappa."""
+    cont = p.charged_content(b)
+    if p.kappa.is_rational:
+        return p.kappa.value * p.level * cont.collapse(p.kappa) - b.comp
+    return (p.level * cont.a, p.level * cont.b - b.comp)
+
+
+def reference_difference(c1, c2):
+    """c1 - c2 by Fraction subtraction when it is an integer, else None."""
+    if isinstance(c1, tuple):
+        if c1[0] != c2[0]:
+            return None
+        c1, c2 = c1[1], c2[1]
+    d = c1 - c2
+    return int(d) if d.denominator == 1 else None
+
+
+# The selftest grid, the positive-kappa points of the transpose-reduction
+# check, and the off-grid points of the signature-keys test in
+# test_crystal.py (levels 2-4, half-integer charges, symbolic kappa).
+C_KEY_POINTS = selftest.GRID + [
+    make_params(level, kappa, charges)
+    for level, kappa, charges in (
+        (1, Fraction(1, 2), [0]),
+        (1, Fraction(2, 3), [Fraction(1, 2)]),
+        (2, Fraction(1, 2), [0, -1]),
+        (2, Fraction(2, 3), [0, Fraction(1, 2)]),
+        (3, Fraction(1, 3), [0, 1, -1]),
+        (2, Fraction(1, 2), [0, 1]),
+        (2, Fraction(2, 3), [(0, 1), Fraction(1, 2)]),
+        (3, Fraction(3, 4), [0, (1, 2), -1]),
+        (4, Fraction(-1, 3), [0, 1, (0, 1), Fraction(1, 2)]),
+        (4, None, [0, (1, 1), -1, (0, 2)]),
+    )
+]
+
+
+def assert_keys_match(p, boxes):
+    """Over every pair of boxes, the integer keys sort as the exact
+    c-values do, and their integer difference is the Fraction difference."""
+    exact = [(reference_c(p, b), p.c_of_box(b)) for b in set(boxes)]
+    for c1, k1 in exact:
+        for c2, k2 in exact:
+            assert (k1 < k2, k1 == k2) == (c1 < c2, c1 == c2), (p, c1, c2)
+            assert _c_difference(k1, k2, p) == reference_difference(c1, c2), (p, c1, c2)
+
+
+class TestCKeys:
+    @pytest.mark.parametrize("p", C_KEY_POINTS, ids=repr)
+    def test_keys_match_the_fraction_c_values(self, p):
+        """Every box on a label of size <= 4."""
+        labels = [lam for n in range(5) for lam in enumerate_multipartitions(p.level, n)]
+        assert_keys_match(p, [b for lam in labels for b in lam.boxes()])
+
+    @settings(max_examples=300, deadline=None)
+    @given(params_and_boxes())
+    def test_keys_match_the_fraction_c_values_anywhere(self, drawn):
+        """Charges whose denominators the grid does not sample."""
+        assert_keys_match(*drawn)
+
+    @pytest.mark.parametrize("p", [selftest.GRID[6], selftest.GRID[-1]], ids=["D=3", "symbolic"])
+    def test_c_value_path_builds_no_fraction(self, p, monkeypatch):
+        """Keys, signatures and the orders run on integers once the record
+        is built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        labels = [lam for n in range(4) for lam in enumerate_multipartitions(p.level, n)]
+        orders.c_lambda.cache_clear()
+        orders._residues_and_c.cache_clear()
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        for lam in labels:
+            for z in relevant_residues(lam, p):
+                z_signature(lam, z, p)
+            for mu in labels:
+                leq_c(lam, mu, p)
+                preceq(lam, mu, p)
+            for b1 in lam.boxes():
+                for b2 in lam.boxes():
+                    box_leq(b1, b2, p)
+        monkeypatch.undo()
+        assert Fraction(2, 4) == Fraction(1, 2)
+
+
 class TestWalls:
     def test_golden_walls_rank_two(self):
         assert essential_walls(GOLDEN, 2) == [
@@ -361,7 +462,7 @@ class TestIntegerKappa:
 
     def test_diagnostics_accept_integer_kappa(self):
         p = make_params(2, -1, [0, 0])
-        assert equivalence_classes(p) == ((0, 1),)
+        assert p.classes == ((0, 1),)
         assert hecke_exponents(p).q_exp == 0
 
 

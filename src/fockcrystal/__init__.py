@@ -29,8 +29,8 @@ _MODULES = {
     "orders": ("box_leq", "c_lambda", "leq_c", "preceq"),
     "crystal": (
         "CrystalGraph", "Signature", "crystal_component", "crystal_graph",
-        "e_tilde", "f_tilde", "is_singular", "km_depth", "reduce_signature",
-        "relevant_residues", "z_signature",
+        "e_tilde", "f_tilde", "graph_depths", "is_singular", "km_depth",
+        "reduce_signature", "relevant_residues", "z_signature",
     ),
     "supports": (
         "SupportDescriptor", "WallCrossStep", "asymptotic_q",

@@ -43,48 +43,71 @@ def relevant_residues(
     return sorted(seen)
 
 
+def _signatures(
+    lam: Multipartition, params: CherednikParams
+) -> dict[Residue, list[tuple[Box, str]]]:
+    """Every signature of lam from one pass over its boxes: each residue
+    carried by an addable (+) or removable (-) box maps to its entries in
+    ascending c.  No two of them share a c-value (selftest
+    `signature_keys`)."""
+    reject_level_mismatch(lam, params)
+    groups: dict[Residue, list[tuple[Box, str]]] = {}
+    for sign, boxes in (("+", lam.addable_boxes()), ("-", lam.removable_boxes())):
+        for b in boxes:
+            groups.setdefault(params.residue(b), []).append((b, sign))
+    for entries in groups.values():
+        entries.sort(key=lambda entry: params.c_of_box(entry[0]))
+    return groups
+
+
 def z_signature(
     lam: Multipartition, z: Residue, params: CherednikParams
 ) -> Signature:
-    """The addable (+) and removable (-) z-boxes of lam in ascending c.
-    No two of them share a c-value (selftest `signature_keys`)."""
+    """The addable (+) and removable (-) z-boxes of lam in ascending c."""
     reject_integer_kappa(params)
-    reject_level_mismatch(lam, params)
-    entries = [
-        (b, "+") for b in lam.addable_boxes() if params.residue(b) == z
-    ] + [(b, "-") for b in lam.removable_boxes() if params.residue(b) == z]
-    entries.sort(key=lambda entry: params.c_of_box(entry[0]))
-    return Signature(z, tuple(entries))
+    return Signature(z, tuple(_signatures(lam, params).get(z, ())))
 
 
-def reduce_signature(sig: Signature) -> Signature:
+def _reduce(entries) -> list[tuple[Box, str]]:
     stack: list[tuple[Box, str]] = []
-    for entry in sig.entries:
+    for entry in entries:
         if entry[1] == "+" and stack and stack[-1][1] == "-":
             stack.pop()
         else:
             stack.append(entry)
-    return Signature(sig.residue, tuple(stack))
+    return stack
 
 
-def e_tilde(
-    lam: Multipartition, z: Residue, params: CherednikParams
-) -> Optional[Multipartition]:
-    reduced = reduce_signature(z_signature(lam, z, params))
-    for box, sign in reduced.entries:
+def reduce_signature(sig: Signature) -> Signature:
+    return Signature(sig.residue, tuple(_reduce(sig.entries)))
+
+
+def _raised(lam: Multipartition, entries) -> Optional[Multipartition]:
+    """e~ on the signature `entries` of lam: remove the leftmost - box."""
+    for box, sign in _reduce(entries):
         if sign == "-":
             return lam.remove_box(box)
     return None
 
 
-def f_tilde(
-    lam: Multipartition, z: Residue, params: CherednikParams
-) -> Optional[Multipartition]:
-    reduced = reduce_signature(z_signature(lam, z, params))
-    for box, sign in reversed(reduced.entries):
+def _lowered(lam: Multipartition, entries) -> Optional[Multipartition]:
+    """f~ on the signature `entries` of lam: add the rightmost + box."""
+    for box, sign in reversed(_reduce(entries)):
         if sign == "+":
             return lam.add_box(box)
     return None
+
+
+def e_tilde(
+    lam: Multipartition, z: Residue, params: CherednikParams
+) -> Optional[Multipartition]:
+    return _raised(lam, z_signature(lam, z, params).entries)
+
+
+def f_tilde(
+    lam: Multipartition, z: Residue, params: CherednikParams
+) -> Optional[Multipartition]:
+    return _lowered(lam, z_signature(lam, z, params).entries)
 
 
 def raising_walk(
@@ -94,8 +117,9 @@ def raising_walk(
     vertex or a vertex in `known`, yielding each step as (vertex, residue,
     vertex above); a step is computed only when it is asked for."""
     while lam not in known:
-        for z in relevant_residues(lam, params, addable=False):
-            above = e_tilde(lam, z, params)
+        sigs = _signatures(lam, params)
+        for z in sorted(sigs):
+            above = _raised(lam, sigs[z])
             if above is not None:
                 yield lam, z, above
                 lam = above
@@ -141,17 +165,31 @@ def _node_key(lam: Multipartition):
 def _assemble_graph(
     params: CherednikParams, node_set: set[Multipartition], size_bound: int
 ) -> CrystalGraph:
+    """The f~ edges among node_set, in the order of their source and then
+    of their residue."""
     nodes = sorted(node_set, key=_node_key)
     edges = []
     for lam in nodes:
         if lam.size >= size_bound:
             continue
-        for z in relevant_residues(lam, params, removable=False):
-            target = f_tilde(lam, z, params)
+        sigs = _signatures(lam, params)
+        for z in sorted(sigs):
+            target = _lowered(lam, sigs[z])
             if target is not None and target in node_set:
                 edges.append((lam, z, target))
-    edges.sort(key=lambda t: (_node_key(t[0]), t[1]))
     return CrystalGraph(params, tuple(nodes), tuple(edges))
+
+
+def graph_depths(graph: CrystalGraph) -> dict[Multipartition, int]:
+    """km_depth of every vertex, read off the edges: a vertex with no
+    incoming edge has depth 0, and an f~ edge adds one.  Edges come in the
+    order of their source's size, so each source's depth is final before
+    it is read.  This needs a graph closed under e~, as both builders give:
+    then every vertex that is not highest weight has an incoming edge."""
+    depth = dict.fromkeys(graph.nodes, 0)
+    for src, _, dst in graph.edges:
+        depth[dst] = depth[src] + 1
+    return depth
 
 
 def crystal_component(
@@ -166,12 +204,10 @@ def crystal_component(
     queue = deque([lam])
     while queue:
         cur = queue.popleft()
-        moves = []
-        for z in relevant_residues(cur, params, addable=False):
-            moves.append(e_tilde(cur, z, params))
+        sigs = _signatures(cur, params).values()
+        moves = [_raised(cur, entries) for entries in sigs]
         if cur.size < size_bound:
-            for z in relevant_residues(cur, params, removable=False):
-                moves.append(f_tilde(cur, z, params))
+            moves += [_lowered(cur, entries) for entries in sigs]
         for nxt in moves:
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)

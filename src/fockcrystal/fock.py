@@ -318,15 +318,26 @@ def b_minus_op(
     return _apply_termwise(v, heisenberg_term_map(d, params, model, remove=True))
 
 
-@lru_cache(maxsize=None)
 def _mn_character(mu: tuple[int, ...], rho: tuple[int, ...]) -> int:
     """Symmetric group character chi^mu(rho) by Murnaghan-Nakayama."""
-    if not rho:
-        return 1 if not mu else 0
-    total = 0
-    for mv in ribbon_removals(Partition(mu), rho[0]):
-        total += mv.sign * _mn_character(mv.result.parts, rho[1:])
-    return total
+    return _mn_column(rho)[Partition(mu)]
+
+
+@lru_cache(maxsize=None)
+def _mn_column(rho: tuple[int, ...]) -> Counter:
+    """chi^lambda(rho) for every lambda of size |rho|.  Murnaghan-Nakayama
+    strips signed ribbons of lengths rho[0], rho[1], ... from lambda down
+    to the empty shape; read backwards, that adds ribbons of lengths
+    rho[-1], ..., rho[0] to the empty shape, so one signed sum of shapes
+    per step gives every lambda at once and each column is built once."""
+    layer = Counter({Partition(()): 1})
+    for length in reversed(rho):
+        above: Counter = Counter()
+        for shape, coeff in layer.items():
+            for mv in ribbon_additions(shape, length):
+                above[mv.result] += mv.sign * coeff
+        layer = above
+    return layer
 
 
 def _z_rho(rho: Partition) -> int:

@@ -243,15 +243,12 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def crystal_graph_to_json(graph: CrystalGraph) -> dict:
-    from .crystal import km_depth
+    from .crystal import graph_depths
 
-    params = graph.params
-    nodes = []
-    for lam in graph.nodes:
-        depth = km_depth(lam, params)
-        nodes.append(
-            {"lambda": multipartition_to_json(lam), "singular": depth == 0, "depth": depth}
-        )
+    nodes = [
+        {"lambda": multipartition_to_json(lam), "singular": depth == 0, "depth": depth}
+        for lam, depth in graph_depths(graph).items()
+    ]
     index = {lam: i for i, lam in enumerate(graph.nodes)}
     edges = [
         {"from": index[src], "to": index[dst], "residue": residue_to_json(z)}
@@ -266,15 +263,12 @@ def crystal_graph_to_dot(graph: CrystalGraph) -> str:
     edges labeled by residue.  Ordering follows the canonical node
     order, so output is byte-stable.  Depth 0 is the same as singular
     (selftest `crystal-axioms`)."""
-    from .crystal import km_depth
+    from .crystal import graph_depths
 
-    params = graph.params
     index = {lam: i for i, lam in enumerate(graph.nodes)}
     lines = ["digraph crystal {"]
-    for i, lam in enumerate(graph.nodes):
-        attrs = [f'label="{multipartition_label(lam)}"']
-        depth = km_depth(lam, params)
-        attrs.append(f'depth="{depth}"')
+    for i, (lam, depth) in enumerate(graph_depths(graph).items()):
+        attrs = [f'label="{multipartition_label(lam)}"', f'depth="{depth}"']
         if depth == 0:
             attrs.append('singular="true"')
             attrs.append("shape=doublecircle")

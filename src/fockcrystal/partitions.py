@@ -279,8 +279,9 @@ def enumerate_multipartitions(level: int, n: int) -> list[Multipartition]:
         return [Multipartition._trusted((p,)) for p in enumerate_partitions(n)]
     out = []
     for first in range(n, -1, -1):
+        tails = enumerate_multipartitions(level - 1, n - first)
         for head in enumerate_partitions(first):
-            for tail in enumerate_multipartitions(level - 1, n - first):
+            for tail in tails:
                 out.append(Multipartition._trusted((head,) + tail.components))
     return out
 

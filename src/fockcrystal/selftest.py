@@ -25,8 +25,10 @@ from typing import Callable
 
 from .crystal import (
     crystal_component,
+    crystal_graph,
     e_tilde,
     f_tilde,
+    graph_depths,
     is_singular,
     km_depth,
     reduce_signature,
@@ -122,10 +124,17 @@ def crystal_axioms(params, bound: int) -> None:
     """f~ adds one box of its residue, e~ removes one, and they invert
     each other.  (Every e~ move reverses an f~ move of a smaller label,
     so its box residue is checked there.)  Each acting e~ lowers km_depth
-    by exactly one, and depth 0 is the same as singular."""
+    by exactly one, and depth 0 is the same as singular.  The graph of
+    every label up to the bound gives the same depths off its edges
+    (`graph_depths`), and a vertex has no incoming edge exactly when it is
+    singular."""
+    graph = crystal_graph(params.level, bound, params)
+    depths = graph_depths(graph)
+    targets = {dst for _, _, dst in graph.edges}
     for lam in _labels(params, bound):
         depth = km_depth(lam, params)
-        assert (depth == 0) == is_singular(lam, params), (lam, depth)
+        assert depths[lam] == depth, (lam, depths[lam], depth)
+        assert (depth == 0) == is_singular(lam, params) == (lam not in targets), (lam, depth)
         for z in relevant_residues(lam, params):
             down = f_tilde(lam, z, params)
             if down is not None:

@@ -559,7 +559,8 @@ def test_params_accepts_integer_kappa(capsys, tmp_path):
 
 # sha256 of the stdout of `crystal --n-max 5` in both formats, captured
 # before km_depth became one raising walk; the `depth` and `singular`
-# annotations are where km_depth and is_singular reach the CLI.
+# annotations are read off the graph's edges (`graph_depths`), which
+# selftest `crystal-axioms` checks against km_depth and is_singular.
 PINNED_CRYSTAL = [
     (
         {"level": 1, "kappa": {"num": -1, "den": 3}, "s": [0]},

@@ -1,10 +1,13 @@
-"""Crystal operators: signature words, the golden raising/lowering
-chain, level-one classifications with their component isomorphisms,
-singular families at symbolic kappa, and the crystal axioms."""
+"""Crystal operators: signature words checked against the per-residue
+rule, the golden raising/lowering chain, level-one classifications with
+their component isomorphisms, singular families at symbolic kappa, the
+crystal axioms, and depths read off graph edges."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcrystal import (
     Box,
@@ -18,6 +21,7 @@ from fockcrystal import (
     e_tilde,
     enumerate_multipartitions,
     f_tilde,
+    graph_depths,
     is_singular,
     km_depth,
     make_params,
@@ -71,6 +75,59 @@ class TestSignatures:
         """Positive kappa, charges with a 1/kappa part and level 4, which
         the selftest grid does not sample."""
         selftest.signature_keys(make_params(level, kappa, charges), bound)
+
+
+def reference_signature(lam, z, params):
+    """The signature rule read residue by residue: the addable and
+    removable boxes of residue z, sorted by c."""
+    entries = [(b, "+") for b in lam.addable_boxes() if params.residue(b) == z] + [
+        (b, "-") for b in lam.removable_boxes() if params.residue(b) == z
+    ]
+    entries.sort(key=lambda entry: params.c_of_box(entry[0]))
+    return Signature(z, tuple(entries))
+
+
+def assert_signatures_match(lam, params):
+    boxes = lam.addable_boxes() + lam.removable_boxes()
+    for z in {params.residue(b) for b in boxes}:
+        assert z_signature(lam, z, params) == reference_signature(lam, z, params), (lam, z)
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+partitions = st.lists(st.integers(1, 5), max_size=4).map(lambda rows: sorted(rows, reverse=True))
+
+
+@st.composite
+def params_and_label(draw):
+    """Params at level 1-4 with charges a + b/kappa (kappa never an
+    integer), and a label of that level."""
+    level = draw(st.integers(1, 4))
+    kappa = draw(
+        st.one_of(
+            st.none(),
+            st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(2, 7)).filter(
+                lambda k: k.denominator > 1
+            ),
+        )
+    )
+    a0 = draw(fractions)
+    parts = st.one_of(st.integers(-3, 3), fractions)
+    p = make_params(level, kappa, [(a0 + draw(parts), draw(parts)) for _ in range(level)])
+    return p, Multipartition([draw(partitions) for _ in range(level)])
+
+
+class TestSignatureOracle:
+    @pytest.mark.parametrize("params", selftest.GRID, ids=repr)
+    def test_grid_labels_up_to_size_4(self, params):
+        for n in range(5):
+            for lam in enumerate_multipartitions(params.level, n):
+                assert_signatures_match(lam, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params_and_label())
+    def test_any_charges_and_label(self, drawn):
+        p, lam = drawn
+        assert_signatures_match(lam, p)
 
 
 class TestGoldenChain:
@@ -248,6 +305,27 @@ class TestGraphs:
         g = crystal_graph(1, 3, make_params(1, Fraction(-1, 2), [0]))
         assert all(src.size < 3 for src, _, _ in g.edges)
         assert all(dst.size == src.size + 1 for src, _, dst in g.edges)
+
+    @pytest.mark.parametrize(
+        "params, lam, bound",
+        [
+            (GOLDEN, GOLDEN_LAM, 11),
+            (GOLDEN, Multipartition([[], [1, 1]]), 6),
+            (make_params(2, None, [0, -1]), Multipartition([[], [3, 3]]), 8),
+            (make_params(3, Fraction(-1, 3), [0, 1, -1]), Multipartition([[], [], []]), 5),
+            (make_params(1, Fraction(-1, 3), [0]), Multipartition([[3, 1]]), 8),
+        ],
+    )
+    def test_component_depths_off_the_edges(self, params, lam, bound):
+        """graph_depths agrees with km_depth on a component, and a vertex
+        has no incoming edge exactly when it is singular."""
+        g = crystal_component(lam, params, bound)
+        depths = graph_depths(g)
+        targets = {dst for _, _, dst in g.edges}
+        assert list(depths) == list(g.nodes)
+        for v in g.nodes:
+            assert depths[v] == km_depth(v, params), v
+            assert (v not in targets) == is_singular(v, params), v
 
     def test_strict_ties_graph_clean(self):
         selftest.signature_keys(GOLDEN, 3)

@@ -4,7 +4,9 @@ against a principal-specialization oracle, singular subspaces, the
 two-parameter filtration, and the charged-word realization."""
 
 import json
+import math
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from fockcrystal import (
     wedge_f_op,
 )
 from fockcrystal import cli, selftest
+from fockcrystal.fock import _mn_character
 from fockcrystal.jsonio import params_to_json
 from fockcrystal.selftest import E2, E3, GOLDEN
 
@@ -219,6 +222,29 @@ class TestPlethysm:
     def test_killed_by_raising_operators(self):
         for params in (E2, E3):
             selftest.plethysm_lowering(params, 2)
+
+
+class TestCharacters:
+    """Murnaghan-Nakayama against facts that share no code with it."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_column_orthogonality(self, n):
+        """sum over mu of chi^mu(rho)^2 is the centralizer order z_rho."""
+        shapes = [p.parts for p in enumerate_partitions(n)]
+        for rho in shapes:
+            z_rho = math.prod(d**m * math.factorial(m) for d, m in Counter(rho).items())
+            assert sum(_mn_character(mu, rho) ** 2 for mu in shapes) == z_rho, rho
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trivial_and_sign_characters(self, n):
+        for rho in enumerate_partitions(n):
+            assert _mn_character((n,), rho.parts) == 1
+            assert _mn_character((1,) * n, rho.parts) == (-1) ** (n - len(rho.parts))
+
+    def test_sizes_must_agree(self):
+        assert _mn_character((), ()) == 1
+        assert _mn_character((2, 1), (2,)) == 0
+        assert _mn_character((1,), ()) == 0
 
 
 class TestSingularSubspace:

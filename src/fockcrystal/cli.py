@@ -147,7 +147,7 @@ def cmd_crystal(args) -> int:
     _check_level(args, params)
     if args.n_max < 0:
         raise InvalidInputError("--n-max must be >= 0")
-    graph = crystal_graph(params.level, args.n_max, params)
+    graph = crystal_graph(args.n_max, params)
     if args.format == "dot":
         _emit(crystal_graph_to_dot(graph), args)
     else:
@@ -200,7 +200,7 @@ def cmd_fock(args) -> int:
         if args.degree_from is None or args.degree_to is None:
             raise InvalidInputError("fock matrix needs --degree-from and --degree-to")
         rows, cols, entries = operator_matrix(
-            _matrix_term_map(args, params), params.level, args.degree_from, args.degree_to
+            _matrix_term_map(args, params), args.degree_from, args.degree_to
         )
         doc = matrix_to_json(rows, cols, entries, args.degree_from, args.degree_to)
         _emit(canonical_dumps(doc), args)
@@ -208,7 +208,7 @@ def cmd_fock(args) -> int:
     if args.n is None:
         raise InvalidInputError(f"fock {args.subop} needs --n")
     if args.subop == "singular":
-        basis = singular_subspace(params.level, args.n, params)
+        basis = singular_subspace(args.n, params)
         doc = {
             "degree": args.n,
             "dimension": len(basis),
@@ -230,7 +230,7 @@ def cmd_fock(args) -> int:
     e = params.kappa.e
     ps = range(args.n + 1) if args.p is None else [args.p]
     qs = range(args.n // e + 1 if e is not None else 1) if args.q is None else [args.q]
-    runs = {q: filtration_dims(ps[-1], q, args.n, params.level, params) for q in qs}
+    runs = {q: filtration_dims(ps[-1], q, args.n, params) for q in qs}
     table = [
         {"p": p, "q": q, "n": args.n, "dim": runs[q][min(p, args.n)]} for p in ps for q in qs
     ]

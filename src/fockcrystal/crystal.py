@@ -215,12 +215,12 @@ def crystal_component(
     return _assemble_graph(params, seen, size_bound)
 
 
-def crystal_graph(level: int, n_max: int, params: CherednikParams) -> CrystalGraph:
+def crystal_graph(n_max: int, params: CherednikParams) -> CrystalGraph:
     """Full crystal on all multipartitions of the level up to size n_max."""
     reject_integer_kappa(params)
     node_set = {
         lam
         for n in range(n_max + 1)
-        for lam in enumerate_multipartitions(level, n)
+        for lam in enumerate_multipartitions(params.level, n)
     }
     return _assemble_graph(params, node_set, n_max)

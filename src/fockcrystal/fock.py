@@ -161,13 +161,28 @@ def inner_product(u: FockVector, v: FockVector) -> Fraction:
     )
 
 
-TermMap = Callable[[Multipartition], Iterable[tuple[Multipartition, int]]]
+class TermMap(NamedTuple):
+    """An operator termwise: `moves(lam)` lists the (label, integer
+    coefficient) terms of its image of lam, a label of `params.level`.
+    When every label has a term, each of degree `raising` above it, a
+    label that would overflow a truncation is rejected before any term is
+    built; `raising` is 0 otherwise."""
+
+    params: CherednikParams
+    moves: Callable[[Multipartition], Iterable[tuple[Multipartition, int]]]
+    raising: int = 0
 
 
 def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
+    if v.level != term_map.params.level:
+        raise InvalidInputError(
+            f"vector level {v.level} does not match parameter level {term_map.params.level}"
+        )
+    for lam in v.entries:
+        _check_truncation(lam.size + term_map.raising, v.truncation)
     out: dict[Multipartition, Fraction] = {}
     for lam, c in v.entries.items():
-        for mu, w in term_map(lam):
+        for mu, w in term_map.moves(lam):
             out[mu] = out.get(mu, Fraction(0)) + c * w
     return FockVector(v.level, v.truncation, out)
 
@@ -194,26 +209,17 @@ def box_term_map(params: CherednikParams, z: Residue, remove: bool) -> TermMap:
     """f_z (or e_z) termwise: each single-box addition (or removal) of
     residue z, coefficient 1."""
     reject_integer_kappa(params)
-    return lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params, remove, z)]
+    return TermMap(params, lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params, remove, z)])
 
 
 def f_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
     """Sum of all single-box additions of residue z, coefficient 1."""
-    _check_vector_level(v, params)
     return _apply_termwise(v, box_term_map(params, z, remove=False))
 
 
 def e_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
     """Sum of all single-box removals of residue z, coefficient 1."""
-    _check_vector_level(v, params)
     return _apply_termwise(v, box_term_map(params, z, remove=True))
-
-
-def _check_vector_level(v: FockVector, params: CherednikParams) -> None:
-    if v.level != params.level:
-        raise InvalidInputError(
-            f"vector level {v.level} does not match parameter level {params.level}"
-        )
 
 
 def _bead_moves(
@@ -268,7 +274,7 @@ def heisenberg_term_map(
     """B_d (or B_{-d}) componentwise: one d*e-ribbon added to (or removed
     from) a single component, with sign (-1)^(ribbon height), found as a
     ribbon or as a bead move on the abacus.  Every label takes a B_d
-    ribbon (on its first row), so the B_d map carries `raising` = d*e."""
+    ribbon (on its first row), so the B_d map has `raising` = d*e."""
     reject_integer_kappa(params)
     if params.kappa.e is None:
         raise UnsupportedParameterError(
@@ -284,16 +290,14 @@ def heisenberg_term_map(
     else:
         raise InvalidInputError(f"unknown Heisenberg model {model!r}")
 
-    def term_map(lam: Multipartition):
+    def term_moves(lam: Multipartition):
         return [
             (lam.replace_component(i, mv.result), mv.sign)
             for i, comp in enumerate(lam.components)
             for mv in moves(comp, step)
         ]
 
-    if not remove:
-        term_map.raising = length
-    return term_map
+    return TermMap(params, term_moves, 0 if remove else length)
 
 
 def b_plus_op(
@@ -303,18 +307,13 @@ def b_plus_op(
     single component, sign (-1)^(ribbon height).  Every label takes at
     least one ribbon, so a label that would overflow the truncation is
     rejected before any ribbon is built."""
-    _check_vector_level(v, params)
-    term_map = heisenberg_term_map(d, params, model, remove=False)
-    for lam in v.entries:
-        _check_truncation(lam.size + term_map.raising, v.truncation)
-    return _apply_termwise(v, term_map)
+    return _apply_termwise(v, heisenberg_term_map(d, params, model, remove=False))
 
 
 def b_minus_op(
     v: FockVector, d: int, params: CherednikParams, model: str = "ribbon"
 ) -> FockVector:
     """Degree-d lowering Heisenberg operator, adjoint to b_plus_op."""
-    _check_vector_level(v, params)
     return _apply_termwise(v, heisenberg_term_map(d, params, model, remove=True))
 
 
@@ -375,32 +374,20 @@ def plethysm_class(mu, e: int) -> FockVector:
     return acc
 
 
-def _check_level(level: int, params: CherednikParams) -> None:
-    if params.level != level:
-        raise InvalidInputError(
-            f"level argument {level} does not match parameter level {params.level}"
-        )
-
-
-def singular_subspace(
-    level: int, n: int, params: CherednikParams
-) -> list[FockVector]:
+def singular_subspace(n: int, params: CherednikParams) -> list[FockVector]:
     """Basis of the degree-n joint kernel of every lowering operator:
     all e_z for residues z present on degree-n multipartitions, and all
     Heisenberg b_minus_op of degree d with d*e <= n when kappa is
     rational.  Returned vectors have truncation n."""
-    _check_level(level, params)
     if n < 0:
         raise InvalidInputError(f"degree must be >= 0, got {n}")
     reject_integer_kappa(params)
-    return list(_singular_subspace_cached(level, n, params))
+    return list(_singular_subspace_cached(n, params))
 
 
 @lru_cache(maxsize=None)
-def _singular_subspace_cached(
-    level: int, n: int, params: CherednikParams
-) -> tuple[FockVector, ...]:
-    basis = enumerate_multipartitions(level, n)
+def _singular_subspace_cached(n: int, params: CherednikParams) -> tuple[FockVector, ...]:
+    basis = enumerate_multipartitions(params.level, n)
 
     # One pass over the basis fills the matrix of every e_z at once:
     # the row of (z, mu) holds a 1 in column j when removing one box of
@@ -416,29 +403,25 @@ def _singular_subspace_cached(
             term_map = heisenberg_term_map(d, params, "ribbon", remove=True)
             b_rows: dict[Multipartition, dict[int, int]] = {}
             for j, lam in enumerate(basis):
-                for mu, sign in term_map(lam):
+                for mu, sign in term_map.moves(lam):
                     b_rows.setdefault(mu, {})[j] = sign
             rows.extend(b_rows.values())
 
     return tuple(
-        FockVector(level, n, {basis[i]: c for i, c in vec.items()})
+        FockVector(params.level, n, {basis[i]: c for i, c in vec.items()})
         for vec in kernel_basis(rows, len(basis))
     )
 
 
-def filtration_dim(
-    p: int, q: int, n: int, level: int, params: CherednikParams
-) -> int:
+def filtration_dim(p: int, q: int, n: int, params: CherednikParams) -> int:
     """Dimension of the degree-n slice of the filtration space built
     from singular vectors by at most q units of Heisenberg raising and
     at most p single-box raisings."""
-    return filtration_dims(p, q, n, level, params)[-1]
+    return filtration_dims(p, q, n, params)[-1]
 
 
-def filtration_dims(
-    p: int, q: int, n: int, level: int, params: CherednikParams
-) -> list[int]:
-    """[filtration_dim(k, q, n, level, params) for k = 0..min(p, n)],
+def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int]:
+    """[filtration_dim(k, q, n, params) for k = 0..min(p, n)],
     from one run of raising layers.  A run to p makes the same inserts
     in the same order as a run to k < p over its first k layers, and
     after n layers every vector has degree >= n, so no layer adds more.
@@ -448,7 +431,6 @@ def filtration_dims(
     positive scaling leaves RowSpan's primitive rows, hence every
     decision, as they are.  Each multipartition's moves are read once
     per run."""
-    _check_level(level, params)
     if p < 0 or q < 0 or n < 0:
         raise InvalidInputError("filtration indices must be >= 0")
     reject_integer_kappa(params)
@@ -457,7 +439,7 @@ def filtration_dims(
     # stays in degree n
     p, q = min(p, n), min(q, n // e) if e is not None else 0
 
-    bases = [enumerate_multipartitions(level, g) for g in range(n + 1)]
+    bases = [enumerate_multipartitions(params.level, g) for g in range(n + 1)]
     indexes = [{lam: i for i, lam in enumerate(basis)} for basis in bases]
     spans = [RowSpan(len(basis)) for basis in bases]
     b_maps = {
@@ -471,11 +453,11 @@ def filtration_dims(
         lam = bases[g][i]
         if d == 0:
             return [(z, indexes[g + 1][mu]) for z, mu in _box_moves(lam, params, remove=False)]
-        return [(sign, indexes[g + d * e][mu]) for mu, sign in b_maps[d](lam)]
+        return [(sign, indexes[g + d * e][mu]) for mu, sign in b_maps[d].moves(lam)]
 
     layer: list[tuple[int, Row]] = []
     for g in range(n + 1):
-        for sing in singular_subspace(level, g, params):
+        for sing in singular_subspace(g, params):
             den = math.lcm(*(c.denominator for c in sing.entries.values()))
             base = {
                 indexes[g][lam]: c.numerator * (den // c.denominator)
@@ -601,21 +583,22 @@ def _wedge_word_op(
 
 
 def operator_matrix(
-    term_map: TermMap, level: int, degree_from: int, degree_to: int
+    term_map: TermMap, degree_from: int, degree_to: int
 ) -> tuple[list[Multipartition], list[Multipartition], dict[tuple[int, int], int]]:
-    """Matrix of a term map between graded pieces: returns the row basis
-    (degree_to), column basis (degree_from), and the sparse integer entry
-    dict keyed by (row, column).  A term above max(degree_from, degree_to)
-    raises TruncationOverflowError, before any is built when the map has a
-    `raising` degree; any other term outside degree_to InvalidInputError."""
-    cols = enumerate_multipartitions(level, degree_from)
-    rows = enumerate_multipartitions(level, degree_to)
+    """Matrix of a term map between graded pieces of its parameters'
+    level: returns the row basis (degree_to), column basis (degree_from),
+    and the sparse integer entry dict keyed by (row, column).  A term above
+    max(degree_from, degree_to) raises TruncationOverflowError, before any
+    is built when the map has a `raising` degree; any other term outside
+    degree_to InvalidInputError."""
+    cols = enumerate_multipartitions(term_map.params.level, degree_from)
+    rows = enumerate_multipartitions(term_map.params.level, degree_to)
     row_index = {lam: i for i, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
-    _check_truncation(degree_from + getattr(term_map, "raising", 0), truncation)
+    _check_truncation(degree_from + term_map.raising, truncation)
     entries: dict[tuple[int, int], int] = {}
     for j, lam in enumerate(cols):
-        for mu, w in term_map(lam):
+        for mu, w in term_map.moves(lam):
             if mu.size != degree_to:
                 _check_truncation(mu.size, truncation)
                 raise InvalidInputError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Sequence, Union
 
 from .errors import InvalidInputError
 from .params import (
@@ -25,7 +25,7 @@ from .params import (
     Residue,
     make_params,
 )
-from .partitions import Multipartition, Partition
+from .partitions import Multipartition
 
 if TYPE_CHECKING:
     from .crystal import CrystalGraph
@@ -141,32 +141,8 @@ def multipartition_label(lam: Multipartition) -> str:
     return str(multipartition_to_json(lam)).replace(" ", "")
 
 
-def multipartition_from_json(obj: Any, level: Optional[int] = None) -> Multipartition:
-    if not isinstance(obj, list) or not all(isinstance(c, list) for c in obj):
-        raise InvalidInputError(
-            f"multipartition must be an array of arrays, got {obj!r}"
-        )
-    comps = []
-    for comp in obj:
-        parts = []
-        for part in comp:
-            if isinstance(part, bool) or not isinstance(part, int):
-                raise InvalidInputError(f"partition part {part!r} is not an integer")
-            parts.append(part)
-        try:
-            comps.append(Partition(parts))
-        except (InvalidInputError, ValueError) as exc:
-            raise InvalidInputError(f"bad partition {comp!r}: {exc}") from exc
-    lam = Multipartition(comps)
-    if level is not None and lam.level != level:
-        raise InvalidInputError(
-            f"multipartition has {lam.level} components, expected {level}"
-        )
-    return lam
-
-
 def residue_to_json(z: Residue) -> str:
-    return f"{z.class_id}:{z.value}"
+    return str(z)
 
 
 def residue_from_json(text: str) -> Residue:
@@ -183,25 +159,6 @@ def wall_to_json(wall: Wall) -> dict:
     if isinstance(wall, ChargeDifferenceWall):
         return {"type": "charge_difference", "i": wall.i, "j": wall.j, "m": wall.m}
     raise InvalidInputError(f"unknown wall object {wall!r}")
-
-
-def _wall_ints(obj: dict, *keys: str) -> list[int]:
-    """The integer fields `keys` of a wall object; a missing key reads as null."""
-    values = [obj.get(key) for key in keys]
-    for key, x in zip(keys, values):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidInputError(f"wall field {key!r} must be an integer, got {x!r}")
-    return values
-
-
-def wall_from_json(obj: Any) -> Wall:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InvalidInputError(f"wall must be an object with a type, got {obj!r}")
-    if obj["type"] == "kappa_denominator":
-        return KappaDenominatorWall(*_wall_ints(obj, "d"))
-    if obj["type"] == "charge_difference":
-        return ChargeDifferenceWall(*_wall_ints(obj, "i", "j", "m"))
-    raise InvalidInputError(f"unknown wall type {obj['type']!r}")
 
 
 def support_table_to_json(

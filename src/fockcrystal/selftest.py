@@ -128,7 +128,7 @@ def crystal_axioms(params, bound: int) -> None:
     every label up to the bound gives the same depths off its edges
     (`graph_depths`), and a vertex has no incoming edge exactly when it is
     singular."""
-    graph = crystal_graph(params.level, bound, params)
+    graph = crystal_graph(bound, params)
     depths = graph_depths(graph)
     targets = {dst for _, _, dst in graph.edges}
     for lam in _labels(params, bound):
@@ -284,7 +284,7 @@ def filtration_counts(params, bound: int) -> None:
     for n in range(bound + 1):
         rows = _supports(params, n)
         for q in range(n // params.e + 1):
-            dims = filtration_dims(n, q, n, params.level, params)
+            dims = filtration_dims(n, q, n, params)
             for p in range(n + 1):
                 count = sum(1 for s in rows if s.p <= p and s.q <= q)
                 assert dims[p] == count, (n, p, q)
@@ -296,7 +296,7 @@ def singular_dimension(params, bound: int) -> None:
     support, (p, q) = (0, 0)."""
     for n in range(bound + 1):
         count = sum(1 for s in _supports(params, n) if s.p == 0 and s.q == 0)
-        assert len(singular_subspace(params.level, n, params)) == count, n
+        assert len(singular_subspace(n, params)) == count, n
 
 
 def embed_intertwines(params, bound: int) -> None:
@@ -436,7 +436,7 @@ def transpose_reduction(pos, neg, bound: int) -> None:
 
 
 def fock_matrix() -> None:
-    rows, cols, entries = operator_matrix(heisenberg_term_map(1, E2, "ribbon", False), 1, 0, 2)
+    rows, cols, entries = operator_matrix(heisenberg_term_map(1, E2, "ribbon", False), 0, 2)
     assert cols == [Multipartition([[]])]
     coeffs = {rows[r].components[0]: val for (r, c), val in entries.items()}
     assert coeffs == {Partition([2]): 1, Partition([1, 1]): -1}
@@ -459,7 +459,7 @@ def matrix_columns(params, bound: int) -> None:
     for op, arg, options, term_map, step in cases:
         for low in range(bound + 1 - step):
             ends = (low + step, low) if op in (e_z_op, b_minus_op) else (low, low + step)
-            rows, cols, entries = operator_matrix(term_map, params.level, *ends)
+            rows, cols, entries = operator_matrix(term_map, *ends)
             images = [op(basis_vector(lam, low + step), arg, params, *options) for lam in cols]
             want = {(mu, lam): x for lam, v in zip(cols, images) for mu, x in v.entries.items()}
             got = {(rows[r], cols[c]): x for (r, c), x in entries.items()}

@@ -308,15 +308,9 @@ def heis_q(
     return total
 
 
-def support(
-    lam: Multipartition, params: CherednikParams, n: Optional[int] = None
-) -> SupportDescriptor:
-    """Full support descriptor of the simple labelled by lam."""
+def support(lam: Multipartition, params: CherednikParams) -> SupportDescriptor:
+    """Full support descriptor of the simple labelled by lam, of rank |lam|."""
     reject_level_mismatch(lam, params)
-    if n is None:
-        n = lam.size
-    elif n != lam.size:
-        raise InvalidInputError(f"rank {n} does not match |lam| = {lam.size}")
     normalized, flip = normalize_for_support(params)
     work = lam.transpose() if flip else lam
     level = normalized.level
@@ -326,7 +320,7 @@ def support(
     else:
         e, q = None, 0
     p = km_depth(work, normalized)
-    residual = n - p - (e * q if e is not None else 0)
+    residual = lam.size - p - (e * q if e is not None else 0)
     if residual < 0:
         raise InternalInvariantError(
             f"support invariant p + e*q <= n violated for {lam}: ({p}, {q})"

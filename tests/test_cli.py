@@ -112,6 +112,18 @@ class TestSupportCommand:
         )
         assert code == 2
 
+    def test_level_cross_check(self, capsys, golden):
+        """support(lam, params) reads the level from the parameters, so
+        `--level` is checked against the file before any label is made."""
+        code, out, err = run(
+            capsys, ["support", "--params", golden, "--n", "2", "--level", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--level 3 contradicts the parameter file level 2" in err
+        code, _, _ = run(capsys, ["support", "--params", golden, "--n", "2", "--level", "2"])
+        assert code == 0
+
 
 class TestCrystalCommand:
     def test_json_graph(self, capsys, golden):

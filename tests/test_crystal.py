@@ -292,7 +292,7 @@ class TestGraphs:
             assert f_tilde(src, z, GOLDEN) == dst
 
     def test_full_graph_counts(self):
-        g = crystal_graph(2, 3, GOLDEN)
+        g = crystal_graph(3, GOLDEN)
         expected = sum(len(enumerate_multipartitions(2, n)) for n in range(4))
         assert len(g.nodes) == expected
         # every non-singular node has an incoming edge
@@ -301,8 +301,28 @@ class TestGraphs:
             if not is_singular(lam, GOLDEN) and lam.size >= 1:
                 assert lam in targets
 
+    def test_graph_has_the_params_level(self):
+        g = crystal_graph(0, GOLDEN)
+        assert g.nodes == (Multipartition([[], []]),)
+        assert g.edges == ()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            make_params(1, Fraction(-1, 2), [0]),
+            GOLDEN,
+            make_params(3, Fraction(-1, 3), [0, 1, -1]),
+        ],
+        ids=["l1", "l2", "l3"],
+    )
+    def test_nodes_are_the_params_level_labels(self, params):
+        g = crystal_graph(2, params)
+        assert set(g.nodes) == {
+            lam for n in range(3) for lam in enumerate_multipartitions(params.level, n)
+        }
+
     def test_edges_only_below_bound(self):
-        g = crystal_graph(1, 3, make_params(1, Fraction(-1, 2), [0]))
+        g = crystal_graph(3, make_params(1, Fraction(-1, 2), [0]))
         assert all(src.size < 3 for src, _, _ in g.edges)
         assert all(dst.size == src.size + 1 for src, _, dst in g.edges)
 

@@ -53,6 +53,7 @@ from fockcrystal.selftest import E2, E3, GOLDEN
 
 ZERO2 = Residue(0, 0)
 ONE2 = Residue(0, 1)
+L3 = make_params(3, Fraction(-1, 3), [0, 1, -1])
 
 
 def mp(*components):
@@ -129,6 +130,54 @@ class TestBoxOperators:
             bv(mp([], [1]), 3), ZERO2, GOLDEN
         ).scale(3)
         assert img == want
+
+
+@pytest.mark.parametrize("op", [f_z_op, e_z_op, b_plus_op, b_minus_op])
+def test_operators_reject_a_vector_of_another_level(op):
+    """A level-1 vector under level-2 operators is refused by its level,
+    and b_plus_op refuses it before its truncation check: B_1 would push
+    the vacuum past truncation 0."""
+    arg = ZERO2 if op in (f_z_op, e_z_op) else 1
+    with pytest.raises(InvalidInputError, match="^vector level 1 does not match parameter level 2$"):
+        op(bv(mp([]), 0), arg, GOLDEN)
+
+
+@pytest.mark.parametrize("op", [f_z_op, e_z_op, b_plus_op, b_minus_op])
+def test_operators_reject_a_zero_vector_of_another_level(op):
+    """The level check reads the vector, not its terms: a zero vector of
+    another level is refused too."""
+    arg = ZERO2 if op in (f_z_op, e_z_op) else 1
+    with pytest.raises(InvalidInputError, match="^vector level 3 does not match parameter level 2$"):
+        op(FockVector(3, 4, {}), arg, GOLDEN)
+
+
+TERM_MAPS = {
+    "f": (lambda: box_term_map(GOLDEN, ZERO2, remove=False), GOLDEN, 1, 0),
+    "e": (lambda: box_term_map(GOLDEN, ZERO2, remove=True), GOLDEN, -1, 0),
+    "ribbon-plus": (lambda: heisenberg_term_map(1, E2, "ribbon", remove=False), E2, 2, 2),
+    "ribbon-minus": (lambda: heisenberg_term_map(1, E2, "ribbon", remove=True), E2, -2, 0),
+    "wedge-plus": (lambda: heisenberg_term_map(2, GOLDEN, "wedge", remove=False), GOLDEN, 4, 4),
+    "wedge-minus": (lambda: heisenberg_term_map(2, GOLDEN, "wedge", remove=True), GOLDEN, -4, 0),
+}
+
+
+@pytest.mark.parametrize("name", TERM_MAPS)
+def test_term_map_carries_its_params_and_raising_degree(name):
+    """A term map holds the parameters it was built from, every term it
+    makes moves a label by the map's degree, and a map with a `raising`
+    degree has a term on every label, so its truncation check may run
+    before any term is built."""
+    build, params, step, raising = TERM_MAPS[name]
+    term_map = build()
+    assert term_map.params is params
+    assert term_map.raising == raising
+    for n in range(5):
+        for lam in enumerate_multipartitions(params.level, n):
+            terms = list(term_map.moves(lam))
+            assert all(mu.size == n + step for mu, _ in terms), lam
+            assert all(mu.level == params.level for mu, _ in terms), lam
+            if raising:
+                assert terms, lam
 
 
 class TestHeisenberg:
@@ -249,12 +298,12 @@ class TestCharacters:
 
 class TestSingularSubspace:
     def test_golden_degrees(self):
-        assert len(singular_subspace(2, 0, GOLDEN)) == 1
-        assert len(singular_subspace(2, 2, GOLDEN)) == 2
+        assert len(singular_subspace(0, GOLDEN)) == 1
+        assert len(singular_subspace(2, GOLDEN)) == 2
 
     def test_level_one_only_vacuum(self):
         for n in range(5):
-            got = singular_subspace(1, n, E2)
+            got = singular_subspace(n, E2)
             assert len(got) == (1 if n == 0 else 0)
 
     @pytest.mark.parametrize(
@@ -263,15 +312,22 @@ class TestSingularSubspace:
     def test_dimension_counts_fully_supported_simples(self, level, params):
         selftest.singular_dimension(params, 4)
 
+    @pytest.mark.parametrize(
+        "params", [E2, GOLDEN, L3], ids=["l1", "l2", "l3"]
+    )
+    def test_vectors_have_the_params_level(self, params):
+        for n in range(4):
+            for vec in singular_subspace(n, params):
+                assert (vec.level, vec.truncation) == (params.level, n)
+                assert all(
+                    lam.level == params.level and lam.size == n for lam in vec.entries
+                )
+
     def test_vectors_are_killed(self):
-        for vec in singular_subspace(2, 2, GOLDEN):
+        for vec in singular_subspace(2, GOLDEN):
             for z in (ZERO2, ONE2):
                 assert e_z_op(vec, z, GOLDEN).is_zero()
             assert b_minus_op(vec, 1, GOLDEN).is_zero()
-
-    def test_level_must_match_params(self):
-        with pytest.raises(InvalidInputError):
-            singular_subspace(1, 2, GOLDEN)
 
 
 class TestFiltration:
@@ -285,7 +341,7 @@ class TestFiltration:
             (2, 1): 2,
         }
         for (p, q), dim in expected.items():
-            assert filtration_dim(p, q, 2, 1, E2) == dim
+            assert filtration_dim(p, q, 2, E2) == dim
 
     @pytest.mark.parametrize(
         "level,params", [(1, E2), (1, E3), (2, GOLDEN)]
@@ -299,16 +355,14 @@ class TestFiltration:
             counts = [support(lam, p).p for lam in enumerate_multipartitions(2, n)]
             for depth in range(n + 1):
                 want = sum(1 for c in counts if c <= depth)
-                assert filtration_dim(depth, 0, n, 2, p) == want
-                assert filtration_dim(depth, 3, n, 2, p) == want
+                assert filtration_dim(depth, 0, n, p) == want
+                assert filtration_dim(depth, 3, n, p) == want
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            filtration_dim(-1, 0, 2, 1, E2)
-        with pytest.raises(InvalidInputError):
-            filtration_dim(0, 0, 2, 2, E2)
+            filtration_dim(-1, 0, 2, E2)
         with pytest.raises(UnsupportedParameterError):
-            filtration_dim(0, 0, 2, 1, make_params(1, -1, [0]))
+            filtration_dim(0, 0, 2, make_params(1, -1, [0]))
 
 
 @st.composite
@@ -334,7 +388,7 @@ def test_filtration_table_rows_match_single_entries(point):
         table = json.loads(out.read_text())
     dims = {(row["p"], row["q"]): row["dim"] for row in table}
     for (p, q), dim in dims.items():
-        assert dim == filtration_dim(p, q, n, params.level, params), (p, q)
+        assert dim == filtration_dim(p, q, n, params), (p, q)
         assert dims.get((p - 1, q), 0) <= dim and dims.get((p, q - 1), 0) <= dim
 
 
@@ -409,19 +463,27 @@ class TestWedgeOperators:
 class TestOperatorMatrix:
     def test_heisenberg_fixture(self):
         rows, cols, entries = operator_matrix(
-            heisenberg_term_map(1, E2, "ribbon", remove=False), 1, 0, 2
+            heisenberg_term_map(1, E2, "ribbon", remove=False), 0, 2
         )
         assert cols == [mp([])]
         assert rows == [mp([2]), mp([1, 1])]
         assert entries == {(0, 0): Fraction(1), (1, 0): Fraction(-1)}
 
+    def test_rows_and_columns_have_the_params_level(self):
+        rows, cols, entries = operator_matrix(
+            heisenberg_term_map(1, GOLDEN, "ribbon", remove=False), 0, 2
+        )
+        assert cols == [mp([], [])]
+        assert rows == enumerate_multipartitions(2, 2)
+        assert len(entries) == 4
+
     def test_wrong_target_degree_rejected(self):
         with pytest.raises(InvalidInputError):
-            operator_matrix(heisenberg_term_map(1, E2, "ribbon", remove=False), 1, 0, 3)
+            operator_matrix(heisenberg_term_map(1, E2, "ribbon", remove=False), 0, 3)
 
     def test_image_beyond_truncation_overflows(self):
         with pytest.raises(TruncationOverflowError):
-            operator_matrix(heisenberg_term_map(1, E2, "ribbon", remove=False), 1, 2, 1)
+            operator_matrix(heisenberg_term_map(1, E2, "ribbon", remove=False), 2, 1)
 
 
 def reference_operator_matrix(apply_op, level, degree_from, degree_to):
@@ -496,7 +558,7 @@ def test_operator_matrix_matches_the_fockvector_build(data):
     else:
         degree_to = data.draw(st.integers(0, top + 3), label="degree_to")
     want = outcome(lambda: reference_operator_matrix(apply_op, level, degree_from, degree_to))
-    got = outcome(lambda: operator_matrix(make(), level, degree_from, degree_to))
+    got = outcome(lambda: operator_matrix(make(), degree_from, degree_to))
     assert got == want
     if isinstance(got, tuple) and len(got) == 3:
         assert all(type(c) is int for c in got[2].values())
@@ -516,7 +578,7 @@ def test_operator_matrix_refuses_b_plus_overflow_before_any_ribbon(monkeypatch, 
     term_map = heisenberg_term_map(1, make_params(1, Fraction(-1, 100000), [0]), model, False)
     message = "^term of degree 100001 exceeds truncation 1$"
     with pytest.raises(TruncationOverflowError, match=message):
-        operator_matrix(term_map, 1, 1, 1)
+        operator_matrix(term_map, 1, 1)
 
 
 @pytest.mark.parametrize("direction", ["raise", "lower"])
@@ -535,5 +597,5 @@ def test_operator_matrix_builds_no_checked_shape(monkeypatch, direction):
     monkeypatch.setattr(Multipartition, "__init__", refuse)
     for term_map, step in zip(maps, steps):
         degree_from = 8 if remove else 8 - step
-        rows, cols, entries = operator_matrix(term_map, 2, degree_from, degree_from + step)
+        rows, cols, entries = operator_matrix(term_map, degree_from, degree_from + step)
         assert entries and {rows[r].size for r, _ in entries} == {degree_from + step}

@@ -1,6 +1,7 @@
 """The package surface: public names resolved on first access, and the
 record types, which are tuples of their fields."""
 
+import inspect
 import sys
 from fractions import Fraction
 
@@ -41,6 +42,15 @@ def test_star_import_binds_every_export():
         assert namespace[name] is getattr(fockcrystal, name)
 
 
+def test_no_public_call_takes_level_and_params():
+    """A parameter record fixes its level, so no call takes it again."""
+    for name in fockcrystal.__all__:
+        value = getattr(fockcrystal, name)
+        # exceptions take *args and have no signature to inspect
+        if callable(value) and not (isinstance(value, type) and issubclass(value, Exception)):
+            assert not {"level", "params"} <= set(inspect.signature(value).parameters), name
+
+
 def test_unknown_name_is_an_attribute_error():
     """Also every public name removed in 0.3.0, so none comes back by accident."""
     for name in ("no_such_name", "CValue", "c_sort_key", "cvalue_integer_difference",
@@ -60,7 +70,7 @@ RECORDS = [
     HeckeExponents(Fraction(1, 2), (Fraction(0), Fraction(1, 3))),
     GOLDEN,
     z_signature(GOLDEN_LAM, Residue(0, 0), GOLDEN),
-    crystal_graph(2, 1, GOLDEN),
+    crystal_graph(1, GOLDEN),
     support(Multipartition([[2], []]), GOLDEN),
     WallCrossStep(ChargeDifferenceWall(0, 1, 1)),
 ]

@@ -204,8 +204,8 @@ class TestEquivalenceClasses:
         assert z_signature(lam, z, GOLDEN).word == "++-+-"
         assert e_tilde(lam, z, GOLDEN) == Multipartition([[2, 2], [3, 1, 1]])
         assert f_tilde(lam, z, GOLDEN) == Multipartition([[3, 2], [3, 1, 1, 1]])
-        assert len(crystal_graph(2, 4, GOLDEN).edges) == 26
-        assert len(crystal_graph(3, 3, make_params(3, None, [0, -1, (1, 1)])).edges) == 36
+        assert len(crystal_graph(4, GOLDEN).edges) == 26
+        assert len(crystal_graph(3, make_params(3, None, [0, -1, (1, 1)])).edges) == 36
 
 
 class TestResidues:
@@ -447,12 +447,12 @@ class TestIntegerKappa:
         calls = [
             lambda: z_signature(lam, z, p),
             lambda: crystal_component(lam, p, 2),
-            lambda: crystal_graph(2, 2, p),
+            lambda: crystal_graph(2, p),
             lambda: f_z_op(v, z, p),
             lambda: e_z_op(v, z, p),
             lambda: b_plus_op(v, 1, p),
-            lambda: singular_subspace(2, 2, p),
-            lambda: filtration_dim(0, 0, 2, 2, p),
+            lambda: singular_subspace(2, p),
+            lambda: filtration_dim(0, 0, 2, p),
             lambda: support(lam, p),
             lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 0)), p),
         ]
@@ -479,7 +479,6 @@ class TestLevelMismatch:
             lambda: is_singular(lam, GOLDEN),
             lambda: km_depth(lam, GOLDEN),
             lambda: crystal_component(lam, GOLDEN, 3),
-            lambda: crystal_graph(1, 2, GOLDEN),
             lambda: support(lam, GOLDEN),
             lambda: heis_q(lam, GOLDEN),
             lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 1)), GOLDEN),

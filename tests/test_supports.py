@@ -262,10 +262,6 @@ class TestSupportTable:
         s = support(Multipartition([[], []]), GOLDEN)
         assert (s.p, s.q, s.dim_support, s.finite_dimensional) == (0, 0, 0, True)
 
-    def test_rank_argument_must_match(self):
-        with pytest.raises(InvalidInputError):
-            support(Multipartition([[1], []]), GOLDEN, n=2)
-
     def test_positive_kappa_transposes_labels(self):
         pos = make_params(2, Fraction(1, 2), [0, -1])
         selftest.transpose_reduction(pos, make_params(2, Fraction(-1, 2), [0, 1]), 3)

@@ -27,20 +27,9 @@ class Signature(NamedTuple):
         return "".join(sign for _, sign in self.entries)
 
 
-def relevant_residues(
-    lam: Multipartition,
-    params: CherednikParams,
-    addable: bool = True,
-    removable: bool = True,
-) -> list[Residue]:
-    """Residues carried by the addable/removable boxes of lam, sorted."""
-    reject_level_mismatch(lam, params)
-    seen = set()
-    if addable:
-        seen.update(params.residue(b) for b in lam.addable_boxes())
-    if removable:
-        seen.update(params.residue(b) for b in lam.removable_boxes())
-    return sorted(seen)
+def relevant_residues(lam: Multipartition, params: CherednikParams) -> list[Residue]:
+    """Residues carried by the addable and removable boxes of lam, sorted."""
+    return sorted(_signatures(lam, params))
 
 
 def _signatures(

@@ -506,10 +506,17 @@ class ChargedWord(NamedTuple):
         return "|".join(",".join(str(a) for a in run) for run in self.runs)
 
 
+def _exact_int(x, what: str) -> int:
+    """x itself when it is an int (a bool is not), else InvalidInputError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidInputError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def _validate_word(runs: Sequence[Sequence[int]]) -> ChargedWord:
     packed = []
     for run in runs:
-        t = tuple(int(a) for a in run)
+        t = tuple(_exact_int(a, "charged word entry") for a in run)
         if any(t[k] <= t[k + 1] for k in range(len(t) - 1)):
             raise InvalidInputError(f"run {t} is not strictly decreasing")
         packed.append(t)
@@ -527,7 +534,7 @@ def embed_to_charged(lam: Multipartition, charges: Sequence[int]) -> ChargedWord
         )
     runs = []
     for i, comp in enumerate(lam.components):
-        s = int(charges[i])
+        s = _exact_int(charges[i], "charge")
         if s < 1:
             raise InvalidInputError(f"charge {s} for component {i} must be >= 1")
         if len(comp.parts) > s:

@@ -367,9 +367,10 @@ def rank_one_verma_hom(
 def normalize_for_support(
     params: CherednikParams,
 ) -> tuple[CherednikParams, bool]:
-    """Reduce to kappa < 0 for support computations: positive rational
-    kappa maps to (-kappa, -s) with a transpose flag for the labels.
-    Symbolic kappa carries no sign and is returned unchanged."""
+    """Reduce to kappa < 0 for the Heisenberg depth, whose asymptotic
+    chambers are set up there: positive rational kappa maps to (-kappa, -s)
+    with a transpose flag for the labels.  Symbolic kappa carries no sign
+    and is returned unchanged.  The crystal depth needs no reduction."""
     if not params.kappa.is_rational or params.kappa.value < 0:
         return params, False
     flipped = CherednikParams(

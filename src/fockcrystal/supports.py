@@ -294,13 +294,14 @@ def heis_q(
     transported to an asymptotic chamber by lowering one designated
     component through every essential wall ahead of it; the optional
     ``lowering`` map overrides the designated component per class id (the
-    result is independent of the choice, which the tests exercise)."""
+    result is independent of the choice, which the tests exercise).  At
+    positive kappa it is the depth of lam transposed at (-kappa, -s)."""
     reject_level_mismatch(lam, params)
     normalized, flip = normalize_for_support(params)
     lam = lam.transpose() if flip else lam
     if not normalized.kappa.is_rational:
         return 0
-    _require_rational(normalized, "the Heisenberg depth")
+    reject_integer_kappa(normalized)
     total = 0
     for cid, members in enumerate(normalized.classes):
         pick = lowering.get(cid) if lowering else None
@@ -310,29 +311,22 @@ def heis_q(
 
 def support(lam: Multipartition, params: CherednikParams) -> SupportDescriptor:
     """Full support descriptor of the simple labelled by lam, of rank |lam|."""
-    reject_level_mismatch(lam, params)
-    normalized, flip = normalize_for_support(params)
-    work = lam.transpose() if flip else lam
-    level = normalized.level
-    if normalized.kappa.is_rational:
-        e = _require_rational(normalized, "support computation")
-        q = heis_q(work, normalized)
-    else:
-        e, q = None, 0
-    p = km_depth(work, normalized)
+    q = heis_q(lam, params)
+    p = km_depth(lam, params)
+    e = params.kappa.e
     residual = lam.size - p - (e * q if e is not None else 0)
     if residual < 0:
         raise InternalInvariantError(
             f"support invariant p + e*q <= n violated for {lam}: ({p}, {q})"
         )
-    if level >= 2:
+    if params.level >= 2:
         dim = p + q
     else:
         dim = max(p + q + (1 if residual > 0 else 0) - 1, 0)
     return SupportDescriptor(
         p=p,
         q=q,
-        stabilizer=(level, residual, e, q),
+        stabilizer=(params.level, residual, e, q),
         dim_support=dim,
         finite_dimensional=(dim == 0),
     )

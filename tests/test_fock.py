@@ -193,14 +193,12 @@ class TestHeisenberg:
         assert got.coeff(mp([2, 1, 1])) == 1
         assert got.coeff(mp([1, 1, 1, 1])) == -1
 
-    @pytest.mark.parametrize("params", [E2, E3, GOLDEN])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_models_agree(self, params, d):
+    @pytest.mark.parametrize("params", [E2, E3, GOLDEN], ids=["E2", "E3", "GOLDEN"])
+    def test_models_agree(self, params):
         selftest.heisenberg_models(params, 5)
 
-    @pytest.mark.parametrize("params", [E2, E3, GOLDEN])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_commutator_is_central(self, params, d):
+    @pytest.mark.parametrize("params", [E2, E3, GOLDEN], ids=["E2", "E3", "GOLDEN"])
+    def test_commutator_is_central(self, params):
         selftest.heisenberg_commutator(params, 3)
 
     def test_different_degrees_commute(self):
@@ -306,10 +304,8 @@ class TestSingularSubspace:
             got = singular_subspace(n, E2)
             assert len(got) == (1 if n == 0 else 0)
 
-    @pytest.mark.parametrize(
-        "level,params", [(1, E2), (1, E3), (2, GOLDEN)]
-    )
-    def test_dimension_counts_fully_supported_simples(self, level, params):
+    @pytest.mark.parametrize("params", [E2, E3, GOLDEN], ids=["E2", "E3", "GOLDEN"])
+    def test_dimension_counts_fully_supported_simples(self, params):
         selftest.singular_dimension(params, 4)
 
     @pytest.mark.parametrize(
@@ -343,10 +339,8 @@ class TestFiltration:
         for (p, q), dim in expected.items():
             assert filtration_dim(p, q, 2, E2) == dim
 
-    @pytest.mark.parametrize(
-        "level,params", [(1, E2), (1, E3), (2, GOLDEN)]
-    )
-    def test_matches_crystal_counts(self, level, params):
+    @pytest.mark.parametrize("params", [E2, E3, GOLDEN], ids=["E2", "E3", "GOLDEN"])
+    def test_matches_crystal_counts(self, params):
         selftest.filtration_counts(params, 4)
 
     def test_symbolic_kappa_has_trivial_heisenberg_direction(self):
@@ -417,11 +411,26 @@ class TestChargedWords:
         with pytest.raises(InvalidInputError):
             embed_to_charged(mp([1, 1, 1]), [2])
 
+    @pytest.mark.parametrize("bad", [7.9, 7.0, "7", True, Fraction(7)])
+    def test_embed_rejects_a_charge_that_is_not_an_int(self, bad):
+        with pytest.raises(InvalidInputError, match="charge .* is not an integer"):
+            embed_to_charged(mp([1], []), [bad, 7])
+
     def test_word_validation(self):
         with pytest.raises(InvalidInputError):
             wedge_f_op(ChargedWord(((1, 3),)), 0, 2)
         with pytest.raises(UnsupportedParameterError):
             wedge_f_op(ChargedWord(((3, 1),)), 0, 1)
+
+    @pytest.mark.parametrize("op", [wedge_f_op, wedge_e_op])
+    @pytest.mark.parametrize(
+        "runs",
+        [((9.5, 7.2, 5.0),), ((9, 7, 5.0),), ((3, 1), ("2", 1)), ((True,),)],
+        ids=["floats", "float", "str", "bool"],
+    )
+    def test_word_rejects_an_entry_that_is_not_an_int(self, op, runs):
+        with pytest.raises(InvalidInputError, match="entry .* is not an integer"):
+            op(ChargedWord(runs), 1, 2)
 
     def test_preimage_validation(self):
         with pytest.raises(InvalidInputError):
@@ -446,17 +455,10 @@ class TestWedgeOperators:
         got = wedge_e_op(ChargedWord(((3, 2, 1),)), 1, 2)
         assert got == {}
 
-    @pytest.mark.parametrize(
-        "level,charges,params",
-        [
-            (1, [7], E2),
-            (1, [8], E3),
-            (2, [7, 6], GOLDEN),
-        ],
-    )
-    def test_intertwines_box_operators(self, level, charges, params):
-        """Embedding at a common charge shift carries the box operators
-        to the wedge operators with the matching label."""
+    @pytest.mark.parametrize("params", [E2, E3, GOLDEN], ids=["E2", "E3", "GOLDEN"])
+    def test_intertwines_box_operators(self, params):
+        """Embedding at the charge shifts 7 and 8 carries the box
+        operators to the wedge operators with the matching label."""
         selftest.embed_intertwines(params, 4)
 
 

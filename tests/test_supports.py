@@ -27,7 +27,7 @@ from fockcrystal import (
     support,
     wall_cross,
 )
-from fockcrystal import cli, params, selftest, supports
+from fockcrystal import cli, crystal, params, selftest, supports
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
 FAR = make_params(2, Fraction(-1, 2), [0, -3])
@@ -265,6 +265,27 @@ class TestSupportTable:
     def test_positive_kappa_transposes_labels(self):
         pos = make_params(2, Fraction(1, 2), [0, -1])
         selftest.transpose_reduction(pos, make_params(2, Fraction(-1, 2), [0, 1]), 3)
+
+    def test_transpose_reduction_sees_a_fault_in_the_positive_kappa_crystal(
+        self, monkeypatch
+    ):
+        """p at positive kappa is read from that crystal, so a fault planted
+        there alone (each signature in reverse order) fails the check."""
+        signatures = crystal._signatures
+
+        def reversed_at_positive_kappa(lam, point):
+            groups = signatures(lam, point)
+            if point.kappa.is_rational and point.kappa.value > 0:
+                for entries in groups.values():
+                    entries.reverse()
+            return groups
+
+        monkeypatch.setattr(crystal, "_signatures", reversed_at_positive_kappa)
+        # no depth walked under the fault outlives this test
+        monkeypatch.setattr(crystal, "_DEPTHS", {})
+        pos = make_params(2, Fraction(1, 2), [0, -1])
+        with pytest.raises(AssertionError):
+            selftest.transpose_reduction(pos, make_params(2, Fraction(-1, 2), [0, 1]), 3)
 
     def test_irrational_support_is_crystal_depth_only(self):
         p = make_params(2, None, [0, 0])

@@ -40,6 +40,7 @@ from .errors import (
 from .linalg import Row, RowSpan, kernel_basis
 from .params import CherednikParams, Residue, make_params, reject_integer_kappa
 from .partitions import (
+    Box,
     Multipartition,
     Partition,
     RibbonMove,
@@ -162,15 +163,23 @@ def inner_product(u: FockVector, v: FockVector) -> Fraction:
 
 
 class TermMap(NamedTuple):
-    """An operator termwise: `moves(lam)` lists the (label, integer
-    coefficient) terms of its image of lam, a label of `params.level`.
-    When every label has a term, each of degree `raising` above it, a
-    label that would overflow a truncation is rejected before any term is
-    built; `raising` is 0 otherwise."""
+    """An operator termwise, as a sum over components: `component_moves(i, p)`
+    lists the (partition, integer coefficient) terms that replace component i
+    of a label of `params.level` when it is p.  When every label has a term,
+    each of degree `raising` above it, a label that would overflow a truncation
+    is rejected before any term is built; `raising` is 0 otherwise."""
 
     params: CherednikParams
-    moves: Callable[[Multipartition], Iterable[tuple[Multipartition, int]]]
+    component_moves: Callable[[int, Partition], Iterable[tuple[Partition, int]]]
     raising: int = 0
+
+    def moves(self, lam: Multipartition) -> list[tuple[Multipartition, int]]:
+        """The (label, coefficient) terms of the image of lam."""
+        return [
+            (lam.replace_component(i, mu), w)
+            for i, comp in enumerate(lam.components)
+            for mu, w in self.component_moves(i, comp)
+        ]
 
 
 def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
@@ -187,29 +196,31 @@ def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
     return FockVector(v.level, v.truncation, out)
 
 
-def _box_moves(
-    lam: Multipartition,
-    params: CherednikParams,
-    remove: bool,
-    z: Optional[Residue] = None,
-) -> Iterator[tuple[Residue, Multipartition]]:
-    """(residue, result) for each single-box removal (or addition) on
-    lam; only the moves of residue z when z is given."""
-    if remove:
-        boxes, move = lam.removable_boxes(), lam.remove_box
-    else:
-        boxes, move = lam.addable_boxes(), lam.add_box
-    for b in boxes:
-        r = params.residue(b)
-        if z is None or r == z:
-            yield r, move(b)
+def _cell_moves(params: CherednikParams, i: int, p: Partition, remove: bool) -> list:
+    """(residue, result) of each one-box removal (or addition) on p, component i of a label."""
+    cells = p.removable_cells() if remove else p.addable_cells()
+    move = p.remove_cell if remove else p.add_cell
+    return [(params.residue(Box(x, y, i)), move(x, y)) for x, y in cells]
+
+
+def _box_moves(lam: Multipartition, params: CherednikParams, remove: bool) -> Iterator[tuple]:
+    """(residue, result) for each single-box removal (or addition) on lam."""
+    for i, comp in enumerate(lam.components):
+        for z, p in _cell_moves(params, i, comp, remove):
+            yield z, lam.replace_component(i, p)
 
 
 def box_term_map(params: CherednikParams, z: Residue, remove: bool) -> TermMap:
     """f_z (or e_z) termwise: each single-box addition (or removal) of
-    residue z, coefficient 1."""
+    residue z, coefficient 1.  z must be a residue some box can have."""
     reject_integer_kappa(params)
-    return TermMap(params, lambda lam: [(mu, 1) for _, mu in _box_moves(lam, params, remove, z)])
+    if z.class_id not in range(len(params.classes)):
+        raise InvalidInputError(f"no box has residue {z}: class ids 0..{len(params.classes) - 1}")
+    if params.e is not None and z.value not in range(params.e):
+        raise InvalidInputError(f"no box has residue {z}: values 0..{params.e - 1}")
+    return TermMap(
+        params, lambda i, p: [(mu, 1) for r, mu in _cell_moves(params, i, p, remove) if r == z]
+    )
 
 
 def f_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
@@ -290,14 +301,8 @@ def heisenberg_term_map(
     else:
         raise InvalidInputError(f"unknown Heisenberg model {model!r}")
 
-    def term_moves(lam: Multipartition):
-        return [
-            (lam.replace_component(i, mv.result), mv.sign)
-            for i, comp in enumerate(lam.components)
-            for mv in moves(comp, step)
-        ]
-
-    return TermMap(params, term_moves, 0 if remove else length)
+    raising = 0 if remove else length
+    return TermMap(params, lambda i, p: [(mv.result, mv.sign) for mv in moves(p, step)], raising)
 
 
 def b_plus_op(
@@ -600,16 +605,27 @@ def operator_matrix(
     degree_to InvalidInputError."""
     cols = enumerate_multipartitions(term_map.params.level, degree_from)
     rows = enumerate_multipartitions(term_map.params.level, degree_to)
-    row_index = {lam: i for i, lam in enumerate(rows)}
+    row_index = {tuple(c.parts for c in lam.components): r for r, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
     _check_truncation(degree_from + term_map.raising, truncation)
+    component_terms: dict[tuple, list] = {}  # (i, parts) -> the terms, read once per call
     entries: dict[tuple[int, int], int] = {}
     for j, lam in enumerate(cols):
-        for mu, w in term_map.moves(lam):
-            if mu.size != degree_to:
-                _check_truncation(mu.size, truncation)
-                raise InvalidInputError(
-                    f"operator image leaves degree {degree_to}: got degree {mu.size}"
-                )
-            entries[(row_index[mu], j)] = w  # distinct moves give distinct terms
+        key = tuple(c.parts for c in lam.components)
+        for i, comp in enumerate(lam.components):
+            terms = component_terms.get((i, comp.parts))
+            if terms is None:
+                terms = component_terms[i, comp.parts] = [
+                    (mu.parts, w) for mu, w in term_map.component_moves(i, comp)
+                ]
+            head, tail = key[:i], key[i + 1 :]
+            for parts, w in terms:
+                r = row_index.get(head + (parts,) + tail)
+                if r is None:  # every label of degree_to is a row
+                    size = lam.size - comp.size + sum(parts)
+                    _check_truncation(size, truncation)
+                    raise InvalidInputError(
+                        f"operator image leaves degree {degree_to}: got degree {size}"
+                    )
+                entries[(r, j)] = w  # distinct moves give distinct terms
     return rows, cols, entries

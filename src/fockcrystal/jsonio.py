@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Sequence, Union
 
 from .errors import InvalidInputError
@@ -196,7 +197,39 @@ def matrix_to_json(
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, in one pass
+    over what commands emit: dicts with str keys, lists, strs, ints, bools
+    and None.  Anything else raises TypeError."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(obj: Any, indent: str, out: list[str]) -> None:
+    """Append obj's text to out; `indent` starts obj's line."""
+    kind, inner = type(obj), indent + "  "
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(repr(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is list:
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(indent + "]" if obj else "[]")
+    elif kind is dict:  # a key that is not a str fails to sort or to encode
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}" if obj else "{}")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} {obj!r} as JSON")
 
 
 def crystal_graph_to_json(graph: CrystalGraph) -> dict:

@@ -221,6 +221,26 @@ class TestFockCommand:
         assert doc["rows"] == ["[[1],[]]", "[[],[1]]"]
         assert doc["entries"] == [[0, 0, "1/1"]]
 
+    @pytest.mark.parametrize(
+        "z,reason",
+        [("0:-1", "values 0..1"), ("0:2", "values 0..1"), ("0:7", "values 0..1"),
+         ("5:0", "class ids 0..0")],
+    )
+    def test_box_matrix_refuses_a_residue_no_box_has(self, capsys, tmp_path, z, reason):
+        """-1 is 1 mod 2, but only 0:1 names that residue; a value or a
+        class id that no box has exits 2 with one error line."""
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, 1]}))
+        argv = ["fock", "matrix", "--params", str(path), "--op", "f"]
+        argv += ["--degree-from", "1", "--degree-to", "2", "--z"]
+        assert len(run_json(capsys, argv + ["0:1"])["entries"]) == 3
+        assert run(capsys, argv + [z]) == (2, "", f"error: no box has residue {z}: {reason}\n")
+
+    def test_box_matrix_takes_any_value_at_symbolic_kappa(self, capsys, irr):
+        argv = ["fock", "matrix", "--params", irr, "--op", "f", "--z", "0:-1"]
+        doc = run_json(capsys, argv + ["--degree-from", "1", "--degree-to", "2"])
+        assert doc["entries"]
+
     def test_matrix_models_agree(self, capsys, e2):
         base = [
             "fock",

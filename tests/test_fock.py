@@ -5,6 +5,7 @@ two-parameter filtration, and the charged-word realization."""
 
 import json
 import math
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -130,6 +131,64 @@ class TestBoxOperators:
             bv(mp([], [1]), 3), ZERO2, GOLDEN
         ).scale(3)
         assert img == want
+
+
+L2_SHIFTED = make_params(2, Fraction(-1, 2), [0, 1])
+L2_TWO_CLASSES = make_params(2, Fraction(-1, 2), [0, Fraction(1, 2)])
+L2_SYMBOLIC = make_params(2, None, [0, 1])
+
+
+class TestBoxTermMapResidues:
+    """A box map takes only a residue some box can have: a class id of
+    the parameters and, at rational kappa, a value in 0..e-1."""
+
+    @pytest.mark.parametrize(
+        "params,z,reason",
+        [
+            (L2_SHIFTED, Residue(0, -1), "values 0..1"),
+            (L2_SHIFTED, Residue(0, 2), "values 0..1"),
+            (L2_SHIFTED, Residue(0, 7), "values 0..1"),
+            (L2_SHIFTED, Residue(1, 0), "class ids 0..0"),
+            (L2_SHIFTED, Residue(5, 0), "class ids 0..0"),
+            (L2_SHIFTED, Residue(-1, 0), "class ids 0..0"),
+            (L2_TWO_CLASSES, Residue(2, 1), "class ids 0..1"),
+            (L3, Residue(0, 3), "values 0..2"),
+            (L2_SYMBOLIC, Residue(1, 0), "class ids 0..0"),
+        ],
+    )
+    def test_refuses_a_residue_no_box_has(self, params, z, reason):
+        message = f"^no box has residue {re.escape(str(z))}: {reason}$"
+        for remove in (False, True):
+            with pytest.raises(InvalidInputError, match=message):
+                box_term_map(params, z, remove)
+        for op in (f_z_op, e_z_op):
+            with pytest.raises(InvalidInputError, match=message):
+                op(bv(mp([1], [1]), 3), z, params)
+
+    def test_a_residue_is_named_by_its_value_in_0_to_e_minus_1(self):
+        """-1 and 1 are the same value mod 2; 0:1 names that residue (0:-1
+        is refused), and its f map adds the boxes of both components."""
+        rows, cols, entries = operator_matrix(box_term_map(L2_SHIFTED, ONE2, False), 1, 2)
+        assert len(entries) == 3
+        got = f_z_op(bv(mp([1], []), 2), ONE2, L2_SHIFTED)
+        assert set(got.entries) == {mp([2], []), mp([1, 1], []), mp([1], [1])}
+
+    def test_every_class_of_a_multi_class_point_is_accepted(self):
+        """At s = (0, 1/2) each component is its own class, of base 0."""
+        assert f_z_op(bv(mp([], []), 1), Residue(1, 0), L2_TWO_CLASSES) == bv(mp([], [1]), 1)
+        got = f_z_op(bv(mp([], [1]), 2), Residue(1, 1), L2_TWO_CLASSES)
+        assert set(got.entries) == {mp([], [2]), mp([], [1, 1])}
+
+    @pytest.mark.parametrize("value", [-3, -1, 0, 2, 7])
+    def test_symbolic_kappa_takes_any_integer_value(self, value):
+        """At symbolic kappa a box of content c in component i has value
+        base_i + c, with no modulus, so every integer is some box's value."""
+        lam = mp([3, 3, 3], [3, 3, 3])
+        want = {
+            lam.add_box(b) for b in lam.addable_boxes() if L2_SYMBOLIC.residue(b).value == value
+        }
+        got = f_z_op(bv(lam, 19), Residue(0, value), L2_SYMBOLIC)
+        assert set(got.entries) == want
 
 
 @pytest.mark.parametrize("op", [f_z_op, e_z_op, b_plus_op, b_minus_op])
@@ -545,7 +604,7 @@ def test_operator_matrix_matches_the_fockvector_build(data):
         make = lambda: heisenberg_term_map(d, params, model, remove)
         apply_op = lambda v: public(v, d, params, model)
     else:
-        # values -1 and e occur at no box: their matrices are empty
+        # values -1 and e occur at no box at rational kappa: both builds refuse them
         z = Residue(
             data.draw(st.integers(0, len(params.classes) - 1), label="class_id"),
             data.draw(st.integers(-1, params.kappa.e or 4), label="value"),
@@ -601,3 +660,111 @@ def test_operator_matrix_builds_no_checked_shape(monkeypatch, direction):
         degree_from = 8 if remove else 8 - step
         rows, cols, entries = operator_matrix(term_map, degree_from, degree_from + step)
         assert entries and {rows[r].size for r, _ in entries} == {degree_from + step}
+
+
+# every TERM_MAPS kind at levels 1, 2 and 3, at a point with two charge
+# classes and at symbolic kappa (box maps only there: the Heisenberg maps
+# need rational kappa); at s = (0, 1) the label ([1], [1]) has the same
+# partition in two components of different residue bases
+MOVES_POINTS = {
+    "E2": E2,
+    "E3": E3,
+    "GOLDEN": GOLDEN,
+    "L2_SHIFTED": L2_SHIFTED,
+    "L2_TWO_CLASSES": L2_TWO_CLASSES,
+    "L2_SYMBOLIC": L2_SYMBOLIC,
+    "L3": L3,
+}
+
+
+def kind_term_maps(kind, params, top):
+    """(term map, degree step) of a TERM_MAPS kind at params: a box map for
+    each residue of an addable box in degrees < top, or B_{+-d} in the
+    kind's model for every d with d*e <= top."""
+    if kind in ("f", "e"):
+        zs = {
+            params.residue(b)
+            for n in range(top)
+            for lam in enumerate_multipartitions(params.level, n)
+            for b in lam.addable_boxes()
+        }
+        step = -1 if kind == "e" else 1
+        return [(box_term_map(params, z, kind == "e"), step) for z in sorted(zs)]
+    e = params.kappa.e
+    if e is None:
+        return []
+    model, direction = kind.split("-")
+    remove = direction == "minus"
+    return [
+        (heisenberg_term_map(d, params, model, remove), -d * e if remove else d * e)
+        for d in range(1, top // e + 1)
+    ]
+
+
+def matrix_from_moves(term_map, degree_from, degree_to):
+    """operator_matrix's entries, built column by column from whole-label
+    moves."""
+    level = term_map.params.level
+    row_index = {lam: r for r, lam in enumerate(enumerate_multipartitions(level, degree_to))}
+    return {
+        (row_index[mu], j): w
+        for j, lam in enumerate(enumerate_multipartitions(level, degree_from))
+        for mu, w in term_map.moves(lam)
+    }
+
+
+@pytest.mark.parametrize("point", MOVES_POINTS)
+@pytest.mark.parametrize("kind", TERM_MAPS)
+def test_operator_matrix_equals_the_build_from_moves(kind, point):
+    """Rows found by their parts and component moves read once per
+    partition give the matrix that term_map.moves gives, in degrees <= 6."""
+    params = MOVES_POINTS[point]
+    top = 6
+    maps = kind_term_maps(kind, params, top)
+    assert maps or params.kappa.e is None
+    for term_map, step in maps:
+        for low in range(top + 1 - abs(step)):
+            ends = (low + abs(step), low) if step < 0 else (low, low + step)
+            rows, cols, entries = operator_matrix(term_map, *ends)
+            assert entries == matrix_from_moves(term_map, *ends), (kind, ends)
+
+
+def test_operator_matrix_reads_the_residues_of_each_component():
+    """([1], [1]) at s = (0, 1): the same partition in both components,
+    but only the second component's addable boxes have residue 0:0."""
+    rows, cols, entries = operator_matrix(box_term_map(L2_SHIFTED, ZERO2, False), 2, 3)
+    j = cols.index(mp([1], [1]))
+    assert {rows[r] for r, c in entries if c == j} == {mp([1], [2]), mp([1], [1, 1])}
+
+
+@pytest.mark.parametrize("kind", TERM_MAPS)
+def test_operator_matrix_reads_each_component_partition_once(kind):
+    """Within one call the moves of a (component, partition) pair are
+    computed once, however many labels hold that partition there."""
+    build, params, step, _ = TERM_MAPS[kind]
+    term_map = build()
+    calls = Counter()
+
+    def counted(i, p):
+        calls[i, p.parts] += 1
+        return term_map.component_moves(i, p)
+
+    ends = (8, 8 + step) if step < 0 else (8 - step, 8)
+    want = operator_matrix(term_map, *ends)
+    assert operator_matrix(term_map._replace(component_moves=counted), *ends) == want
+    assert set(calls.values()) == {1}
+    assert set(calls) == {(i, c.parts) for lam in want[1] for i, c in enumerate(lam.components)}
+
+
+def test_operator_matrix_names_the_degree_a_term_lands_in():
+    """An f map asked for two degrees up: its terms land one degree up,
+    inside the truncation."""
+    with pytest.raises(InvalidInputError, match="^operator image leaves degree 4: got degree 3$"):
+        operator_matrix(box_term_map(GOLDEN, ZERO2, False), 2, 4)
+
+
+def test_operator_matrix_checks_a_missed_term_against_the_truncation_first():
+    """An f map asked for one degree down: its terms land above both ends,
+    so the truncation overflow is raised, not the wrong degree."""
+    with pytest.raises(TruncationOverflowError, match="^term of degree 3 exceeds truncation 2$"):
+        operator_matrix(box_term_map(GOLDEN, ZERO2, False), 2, 1)

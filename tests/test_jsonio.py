@@ -1,6 +1,7 @@
 """Serialization layer: exact fraction encoding, parameter and residue
 roundtrips, the label and wall writers, and byte-stable canonical dumps."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,46 @@ class TestCanonicalDumps:
         assert canonical_dumps(doc) == canonical_dumps(
             {"a": {"y": 2, "z": 1}, "x": [3, 1]}
         )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [1.0, (1, 2), Fraction(1, 2), [{"a": [0.5]}], {1: "a"}, {"a": 1, 2: "b"}, {None: 0}],
+        ids=["float", "tuple", "fraction", "nested-float", "int-key", "mixed-keys", "none-key"],
+    )
+    def test_refuses_what_commands_do_not_emit(self, doc):
+        with pytest.raises(TypeError):
+            canonical_dumps(doc)
+
+    def test_bools_are_not_written_as_ints(self):
+        assert canonical_dumps([True, False, 1, 0, None]) == (
+            "[\n  true,\n  false,\n  1,\n  0,\n  null\n]\n"
+        )
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-1, 0, 2**64, -(2**64) - 1, 10**40]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001f600", "\ud800", ""]),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents)
+def test_canonical_dumps_is_the_indented_sorted_json_text(doc):
+    """The one-pass writer gives json.dumps(indent=2, sort_keys=True)'s
+    text for every document of the types commands emit, empty and nested
+    containers, big integers and escaped text included."""
+    assert canonical_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- fuzzed round trips ------------------------------------------------

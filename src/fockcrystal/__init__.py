@@ -5,7 +5,7 @@ arithmetic."""
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # module -> the public names it defines.  A module is imported the first
 # time one of its names is read, so `import fockcrystal` loads nothing.

@@ -147,16 +147,12 @@ class CrystalGraph(NamedTuple):
     edges: tuple[tuple[Multipartition, Residue, Multipartition], ...]
 
 
-def _node_key(lam: Multipartition):
-    return (lam.size, lam.sort_key())
-
-
 def _assemble_graph(
     params: CherednikParams, node_set: set[Multipartition], size_bound: int
 ) -> CrystalGraph:
     """The f~ edges among node_set, in the order of their source and then
     of their residue."""
-    nodes = sorted(node_set, key=_node_key)
+    nodes = sorted(node_set, key=Multipartition.sort_key)
     edges = []
     for lam in nodes:
         if lam.size >= size_bound:

@@ -91,9 +91,7 @@ class FockVector:
 
     def items(self) -> list[tuple[Multipartition, Fraction]]:
         """Terms sorted by degree then the canonical multipartition order."""
-        return sorted(
-            self.entries.items(), key=lambda kv: (kv[0].size, kv[0].sort_key())
-        )
+        return sorted(self.entries.items(), key=lambda kv: kv[0].sort_key())
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -177,7 +175,7 @@ class TermMap(NamedTuple):
         """The (label, coefficient) terms of the image of lam."""
         return [
             (lam.replace_component(i, mu), w)
-            for i, comp in enumerate(lam.components)
+            for i, comp in enumerate(lam)
             for mu, w in self.component_moves(i, comp)
         ]
 
@@ -205,7 +203,7 @@ def _cell_moves(params: CherednikParams, i: int, p: Partition, remove: bool) -> 
 
 def _box_moves(lam: Multipartition, params: CherednikParams, remove: bool) -> Iterator[tuple]:
     """(residue, result) for each single-box removal (or addition) on lam."""
-    for i, comp in enumerate(lam.components):
+    for i, comp in enumerate(lam):
         for z, p in _cell_moves(params, i, comp, remove):
             yield z, lam.replace_component(i, p)
 
@@ -268,13 +266,13 @@ def _wedge_moves(p: Partition, step: int) -> list[RibbonMove]:
     """
     if -step > p.size:
         return []
-    window = len(p.parts) + abs(step)
+    window = len(p) + abs(step)
     betas = [p.row(k) - k + window for k in range(1, window + 1)]
     # bead k at x gives part x - window + k, zero past the last row
     return [
-        RibbonMove(Partition._trusted(tuple(
+        RibbonMove(Partition._trusted(
             x - window + k for k, x in enumerate(moved, 1) if x > window - k
-        )), h, sign)
+        ), h, sign)
         for moved, h, sign in _bead_moves(betas, step, floor=0)
     ]
 
@@ -346,7 +344,7 @@ def _mn_column(rho: tuple[int, ...]) -> Counter:
 
 def _z_rho(rho: Partition) -> int:
     return math.prod(
-        part**m * math.factorial(m) for part, m in Counter(rho.parts).items()
+        part**m * math.factorial(m) for part, m in Counter(rho).items()
     )
 
 
@@ -358,7 +356,7 @@ def plethysm_class(mu, e: int) -> FockVector:
     sum of e*|mu|-sized terms whose coefficients are the e-ribbon
     tableau signs.
     """
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    mu = Partition(mu)
     if e < 2:
         raise UnsupportedParameterError(
             f"plethysm classes need quantization e >= 2, got {e}"
@@ -369,11 +367,11 @@ def plethysm_class(mu, e: int) -> FockVector:
     vacuum = Multipartition([[]])
     acc = FockVector(1, truncation)
     for rho in enumerate_partitions(n):
-        chi = _mn_character(mu.parts, rho.parts)
+        chi = _mn_character(mu, rho)
         if chi == 0:
             continue
         vec = basis_vector(vacuum, truncation)
-        for part in rho.parts:
+        for part in rho:
             vec = b_plus_op(vec, part, params, model="ribbon")
         acc = acc + vec.scale(Fraction(chi, _z_rho(rho)))
     return acc
@@ -471,7 +469,7 @@ def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int
             for total in range(min(q, (n - g) // e) + 1 if e else 1):
                 for mono in enumerate_partitions(total):
                     row, deg = base, g
-                    for d in mono.parts:
+                    for d in mono:
                         out: Row = {}
                         for i, c in row.items():
                             for sign, j in moves(deg, i, d):
@@ -538,14 +536,12 @@ def embed_to_charged(lam: Multipartition, charges: Sequence[int]) -> ChargedWord
             f"expected {lam.level} charges, got {len(charges)}"
         )
     runs = []
-    for i, comp in enumerate(lam.components):
+    for i, comp in enumerate(lam):
         s = _exact_int(charges[i], "charge")
         if s < 1:
             raise InvalidInputError(f"charge {s} for component {i} must be >= 1")
-        if len(comp.parts) > s:
-            raise InvalidInputError(
-                f"charge {s} too small for component {i} of length {len(comp.parts)}"
-            )
+        if len(comp) > s:
+            raise InvalidInputError(f"charge {s} too small for component {i} of length {len(comp)}")
         runs.append(tuple(s + comp.row(k) - k + 1 for k in range(1, s + 1)))
     return ChargedWord(tuple(runs))
 
@@ -605,24 +601,21 @@ def operator_matrix(
     degree_to InvalidInputError."""
     cols = enumerate_multipartitions(term_map.params.level, degree_from)
     rows = enumerate_multipartitions(term_map.params.level, degree_to)
-    row_index = {tuple(c.parts for c in lam.components): r for r, lam in enumerate(rows)}
+    row_index = {lam: r for r, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
     _check_truncation(degree_from + term_map.raising, truncation)
-    component_terms: dict[tuple, list] = {}  # (i, parts) -> the terms, read once per call
+    component_terms: dict[tuple, list] = {}  # (i, partition) -> its terms, read once per call
     entries: dict[tuple[int, int], int] = {}
     for j, lam in enumerate(cols):
-        key = tuple(c.parts for c in lam.components)
-        for i, comp in enumerate(lam.components):
-            terms = component_terms.get((i, comp.parts))
+        for i, comp in enumerate(lam):
+            terms = component_terms.get((i, comp))
             if terms is None:
-                terms = component_terms[i, comp.parts] = [
-                    (mu.parts, w) for mu, w in term_map.component_moves(i, comp)
-                ]
-            head, tail = key[:i], key[i + 1 :]
-            for parts, w in terms:
-                r = row_index.get(head + (parts,) + tail)
+                terms = component_terms[i, comp] = list(term_map.component_moves(i, comp))
+            head, tail = lam[:i], lam[i + 1 :]
+            for mu, w in terms:
+                r = row_index.get(head + (mu,) + tail)
                 if r is None:  # every label of degree_to is a row
-                    size = lam.size - comp.size + sum(parts)
+                    size = lam.size - comp.size + mu.size
                     _check_truncation(size, truncation)
                     raise InvalidInputError(
                         f"operator image leaves degree {degree_to}: got degree {size}"

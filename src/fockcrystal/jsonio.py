@@ -134,7 +134,7 @@ def load_params(path: str) -> CherednikParams:
 
 
 def multipartition_to_json(lam: Multipartition) -> list[list[int]]:
-    return [list(comp.parts) for comp in lam.components]
+    return [list(comp) for comp in lam]
 
 
 def multipartition_label(lam: Multipartition) -> str:

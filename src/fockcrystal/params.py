@@ -10,6 +10,8 @@ Z + (1/kappa)Z stay exact in the symbolic case.
 Derived scalars:
   h_i  = kappa*s_i - i/l
   c_b  = kappa*l*(x - y) + l*h_i = kappa*l*cont(b) - i   (cont charged)
+h_i is the c-function weight that `c_keys` and `hecke_exponents` use;
+`rank_one_verma_hom` takes the rank-one lowest weight, which is -h_i.
 Residues and c-values are compiled to integers per component when a
 `CherednikParams` is built, so no box builds a Fraction.
 """
@@ -347,7 +349,9 @@ def rank_one_verma_hom(
     level: int, h: Sequence[RationalLike], k: int, j: int
 ) -> tuple[int, Optional[int]]:
     """Dimension of the Hom space between rank-one standard modules with
-    lowest h-weights h_k, h_j, together with the witness degree.
+    lowest h-weights h_k, h_j, together with the witness degree.  This h
+    is the rank-one lowest weight h_i = i/l - kappa*s_i, the negative of
+    the c-function weight of the module docstring (selftest `rank-one`).
 
     A nonzero map exists exactly when n := l*(h_j - h_k) is a nonnegative
     integer congruent to j - k mod l (the degree-n coefficient

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError, InvalidMoveError
 
@@ -37,12 +37,13 @@ class RibbonMove(NamedTuple):
     sign: int
 
 
-class Partition:
-    """An integer partition, stored as a tuple of positive parts."""
+class Partition(tuple):
+    """An integer partition: the tuple of its positive parts, weakly
+    decreasing.  It equals and hashes as that plain tuple."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(parts)
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, int):
@@ -53,54 +54,38 @@ class Partition:
             raise InvalidInputError(f"negative part in {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        self.parts = parts
+        return tuple.__new__(cls, parts)
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
         """Partition(parts) unchecked, for the valid shape a move just built."""
-        p = object.__new__(cls)
-        p.parts = parts
-        return p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
+        return tuple.__new__(cls, parts)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     def row(self, y: int) -> int:
         """Length of row y (1-based); zero beyond the last row."""
-        return self.parts[y - 1] if 1 <= y <= len(self.parts) else 0
+        return self[y - 1] if 1 <= y <= len(self) else 0
 
     def transpose(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return self
-        return Partition(
-            sum(1 for p in self.parts if p >= x) for x in range(1, self.parts[0] + 1)
-        )
+        return Partition(sum(1 for p in self if p >= x) for x in range(1, self[0] + 1))
 
     def cells(self) -> Iterator[tuple[int, int]]:
-        for y, p in enumerate(self.parts, start=1):
+        for y, p in enumerate(self, start=1):
             for x in range(1, p + 1):
                 yield (x, y)
 
     def addable_cells(self) -> list[tuple[int, int]]:
         """Cells (x, y) whose addition keeps the shape a partition, y ascending."""
         out = []
-        for y in range(1, len(self.parts) + 2):
+        for y in range(1, len(self) + 2):
             above = self.row(y - 1) if y > 1 else None
             here = self.row(y)
             if above is None or here < above:
@@ -109,22 +94,20 @@ class Partition:
 
     def removable_cells(self) -> list[tuple[int, int]]:
         out = []
-        for y in range(1, len(self.parts) + 1):
+        for y in range(1, len(self) + 1):
             if self.row(y) > self.row(y + 1):
                 out.append((self.row(y), y))
         return out
 
     def add_cell(self, x: int, y: int) -> "Partition":
-        parts = self.parts
-        if not (0 < y <= len(parts) + 1 and x == self.row(y) + 1 and (y == 1 or parts[y - 2] >= x)):
-            raise InvalidMoveError(f"cannot add cell {(x, y)} to {parts}")
-        return Partition._trusted(parts[: y - 1] + (x,) + parts[y:])
+        if not (0 < y <= len(self) + 1 and x == self.row(y) + 1 and (y == 1 or self[y - 2] >= x)):
+            raise InvalidMoveError(f"cannot add cell {(x, y)} to {tuple(self)}")
+        return Partition._trusted(self[: y - 1] + (x,) + self[y:])
 
     def remove_cell(self, x: int, y: int) -> "Partition":
-        parts = self.parts
-        if not (0 < y <= len(parts) and x == parts[y - 1] > self.row(y + 1)):
-            raise InvalidMoveError(f"cannot remove cell {(x, y)} from {parts}")
-        return Partition._trusted(parts[: y - 1] + ((x - 1,) if x > 1 else ()) + parts[y:])
+        if not (0 < y <= len(self) and x == self[y - 1] > self.row(y + 1)):
+            raise InvalidMoveError(f"cannot remove cell {(x, y)} from {tuple(self)}")
+        return Partition._trusted(self[: y - 1] + ((x - 1,) if x > 1 else ()) + self[y:])
 
 
 def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
@@ -132,9 +115,8 @@ def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
     given length, with heights and signs."""
     if length <= 0:
         raise InvalidInputError("ribbon length must be positive")
-    parts = p.parts
     moves = []
-    for y2 in range(1, len(parts) + length + 1):
+    for y2 in range(1, len(p) + length + 1):
         for y1 in range(max(1, y2 - length + 1), y2 + 1):
             # row y1 of the result is forced by the total size; the rows
             # below it each start one column right of the previous row's end
@@ -143,111 +125,92 @@ def ribbon_additions(p: Partition, length: int) -> list[RibbonMove]:
                 continue
             if y1 > 1 and top > p.row(y1 - 1):
                 continue
-            rows = list(parts) + [0] * max(0, y2 - len(parts))
+            rows = list(p) + [0] * max(0, y2 - len(p))
             rows[y1 - 1] = top
             for y in range(y1 + 1, y2 + 1):
                 rows[y - 1] = p.row(y - 1) + 1
-            moves.append(RibbonMove(Partition._trusted(tuple(rows)), y2 - y1, (-1) ** (y2 - y1)))
-    moves.sort(key=lambda m: m.result.parts, reverse=True)
+            moves.append(RibbonMove(Partition._trusted(rows), y2 - y1, (-1) ** (y2 - y1)))
+    moves.sort(reverse=True)  # by result; distinct moves give distinct results
     return moves
 
 
 def ribbon_removals(p: Partition, length: int) -> list[RibbonMove]:
     if length <= 0:
         raise InvalidInputError("ribbon length must be positive")
-    parts = p.parts
     moves = []
-    for y2 in range(1, len(parts) + 1):
+    for y2 in range(1, len(p) + 1):
         for y1 in range(max(1, y2 - length + 1), y2 + 1):
             last = p.row(y1) - length + (y2 - y1)
             if not (max(p.row(y2 + 1), 0) <= last <= p.row(y2) - 1):
                 continue
-            rows = list(parts)
+            rows = list(p)
             for y in range(y1, y2):
                 rows[y - 1] = p.row(y + 1) - 1
             rows[y2 - 1] = last
-            shape = Partition._trusted(tuple(r for r in rows if r))  # empty rows trail
+            shape = Partition._trusted(r for r in rows if r)  # empty rows trail
             moves.append(RibbonMove(shape, y2 - y1, (-1) ** (y2 - y1)))
-    moves.sort(key=lambda m: m.result.parts, reverse=True)
+    moves.sort(reverse=True)  # by result; distinct moves give distinct results
     return moves
 
 
-class Multipartition:
-    """A tuple of partitions indexed by component 0 .. level-1."""
+class Multipartition(tuple):
+    """A label: the tuple of its partitions, indexed by component 0 ..
+    level-1.  It equals and hashes as that plain tuple of tuples."""
 
-    __slots__ = ("components", "size", "_hash")
+    __slots__ = ()
 
-    def __init__(self, components):
-        comps = tuple(
-            c if isinstance(c, Partition) else Partition(c) for c in components
-        )
+    def __new__(cls, components):
+        comps = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
         if not comps:
             raise InvalidInputError("a multipartition needs at least one component")
-        self.components, self.size, self._hash = comps, sum(c.size for c in comps), hash(comps)
+        return tuple.__new__(cls, comps)
 
     @classmethod
-    def _trusted(cls, comps: tuple[Partition, ...]) -> "Multipartition":
+    def _trusted(cls, comps: Iterable[Partition]) -> "Multipartition":
         """Multipartition(comps) unchecked, for the Partitions a move just built."""
-        lam = object.__new__(cls)
-        lam.components, lam.size, lam._hash = comps, sum(c.size for c in comps), hash(comps)
-        return lam
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Multipartition) and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, comps)
 
     def __repr__(self) -> str:
-        return f"Multipartition({[list(c.parts) for c in self.components]})"
+        return f"Multipartition({[list(c) for c in self]})"
 
     @property
     def level(self) -> int:
-        return len(self.components)
+        return len(self)
 
-    def component(self, i: int) -> Partition:
-        return self.components[i]
+    @property
+    def size(self) -> int:
+        return sum(map(sum, self))
 
     def boxes(self) -> Iterator[Box]:
-        for i, c in enumerate(self.components):
+        for i, c in enumerate(self):
             for x, y in c.cells():
                 yield Box(x, y, i)
 
     def addable_boxes(self) -> list[Box]:
-        return [
-            Box(x, y, i)
-            for i, c in enumerate(self.components)
-            for x, y in c.addable_cells()
-        ]
+        return [Box(x, y, i) for i, c in enumerate(self) for x, y in c.addable_cells()]
 
     def removable_boxes(self) -> list[Box]:
-        return [
-            Box(x, y, i)
-            for i, c in enumerate(self.components)
-            for x, y in c.removable_cells()
-        ]
+        return [Box(x, y, i) for i, c in enumerate(self) for x, y in c.removable_cells()]
 
     def add_box(self, box: Box) -> "Multipartition":
-        return self.replace_component(box.comp, self.components[box.comp].add_cell(box.x, box.y))
+        return self.replace_component(box.comp, self[box.comp].add_cell(box.x, box.y))
 
     def remove_box(self, box: Box) -> "Multipartition":
-        return self.replace_component(box.comp, self.components[box.comp].remove_cell(box.x, box.y))
+        return self.replace_component(box.comp, self[box.comp].remove_cell(box.x, box.y))
 
     def replace_component(self, i: int, p: Partition) -> "Multipartition":
-        comps = list(self.components)
+        comps = list(self)
         comps[i] = p
-        return Multipartition._trusted(tuple(comps))
+        return Multipartition._trusted(comps)
 
     def transpose(self) -> "Multipartition":
         """Componentwise conjugate; component order is unchanged."""
-        return Multipartition([c.transpose() for c in self.components])
+        return Multipartition([c.transpose() for c in self])
 
     def sort_key(self):
-        """Canonical order: earlier components first by larger size, then
-        reverse lexicographically larger parts."""
-        return tuple((-c.size, tuple(-p for p in c.parts)) for c in self.components)
+        """Canonical order: smaller size first; then earlier components
+        first by larger size, then reverse lexicographically larger parts."""
+        return (self.size, tuple((-c.size, tuple(-p for p in c)) for c in self))
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +245,7 @@ def enumerate_multipartitions(level: int, n: int) -> list[Multipartition]:
         tails = enumerate_multipartitions(level - 1, n - first)
         for head in enumerate_partitions(first):
             for tail in tails:
-                out.append(Multipartition._trusted((head,) + tail.components))
+                out.append(Multipartition._trusted((head,) + tail))
     return out
 
 
@@ -297,12 +260,12 @@ def divide_with_remainder(nu: Partition, e: int) -> tuple[Partition, Partition]:
         raise InvalidInputError("modulus must be a positive integer")
     rem_rows: list[int] = []
     below = 0
-    for part in reversed(nu.parts):
+    for part in reversed(nu):
         below += (part - below) % e
         rem_rows.append(below)
     rem_rows.reverse()
     rem = Partition(rem_rows)
-    quot = Partition((p - r) // e for p, r in zip(nu.parts, rem_rows))
+    quot = Partition((p - r) // e for p, r in zip(nu, rem_rows))
     return quot, rem
 
 
@@ -317,8 +280,8 @@ def division_candidates(nu: Partition, e: int) -> Iterator[tuple[Partition, Part
         for quot in enumerate_partitions(qsize):
             if len(quot) > len(nu):
                 continue
-            qrows = quot.parts + (0,) * (len(nu) - len(quot))
-            rem_rows = [p - e * q for p, q in zip(nu.parts, qrows)]
+            qrows = quot + (0,) * (len(nu) - len(quot))
+            rem_rows = [p - e * q for p, q in zip(nu, qrows)]
             if any(r < 0 for r in rem_rows):
                 continue
             if any(

@@ -56,7 +56,7 @@ from .fock import (
     wedge_f_op,
 )
 from .orders import leq_c, preceq
-from .params import ChargeDifferenceWall, Residue, make_params
+from .params import ChargeDifferenceWall, Residue, make_params, rank_one_verma_hom
 from .partitions import (
     Multipartition,
     Partition,
@@ -164,7 +164,7 @@ def signature_keys(params, bound: int) -> None:
 def level1_singular(params, bound: int) -> None:
     """At level 1, lam is singular iff every part is divisible by e."""
     for lam in _labels(params, bound):
-        divisible = all(x % params.e == 0 for x in lam.component(0).parts)
+        divisible = all(x % params.e == 0 for x in lam[0])
         assert is_singular(lam, params) == divisible, lam
 
 
@@ -174,7 +174,7 @@ def restricted_component(params, bound: int) -> None:
     comp = crystal_component(Multipartition([[]]), params, size_bound=bound)
     want = set()
     for lam in _labels(params, bound):
-        padded = lam.component(0).parts + (0,)
+        padded = lam[0] + (0,)
         if all(padded[i] - padded[i + 1] < params.e for i in range(len(padded) - 1)):
             want.add(lam)
     assert set(comp.nodes) == want
@@ -189,8 +189,8 @@ def component_isomorphism(params, bound: int) -> None:
         assert is_singular(Multipartition([mu]), params), mu
 
         def shifted(lam):
-            rows = range(1, max(len(lam.component(0)), len(mu)) + 1)
-            return Multipartition([[lam.component(0).row(y) + mu.row(y) for y in rows]])
+            rows = range(1, max(len(lam[0]), len(mu)) + 1)
+            return Multipartition([[lam[0].row(y) + mu.row(y) for y in rows]])
 
         size = max(bound - mu.size, bound // 2)
         base = crystal_component(Multipartition([[]]), params, size_bound=size)
@@ -335,11 +335,11 @@ def plethysm_derivative(mu: Partition, e: int) -> None:
     for d in range(1, n + 1):
         want = FockVector(1, e * n)
         for rest in enumerate_partitions(n - d):
-            rho = sorted(rest.parts + (d,), reverse=True)
-            chi = _mn_character(mu.parts, tuple(rho))
+            rho = sorted(rest + (d,), reverse=True)
+            chi = _mn_character(mu, tuple(rho))
             coeff = Fraction(d * e * rho.count(d) * chi, _z_rho(Partition(rho)))
             term = vacuum
-            for part in rest.parts:
+            for part in rest:
                 term = b_plus_op(term, part, params)
             want = want + term.scale(coeff)
         assert b_minus_op(vec, d, params) == want, (mu, e, d)
@@ -419,13 +419,12 @@ def transport_crystal(m: int, upper: bool, labels) -> None:
         for z in relevant_residues(lam, params):
             for sign, op in (("-", e_tilde), ("+", f_tilde)):
                 want = op(lam, z, params)
-                want = None if want is None else want.components
-                got = _two_slot_move(lam.components, z.value, m, upper, sign)
+                got = _two_slot_move(lam, z.value, m, upper, sign)
                 assert got == want, (lam, m, upper, z, sign, got)
                 if sign == "-" and want is not None:
                     raises.append((z.value, want))
         want = raises[0] if raises else None
-        assert _two_slot_raise(lam.components, m, upper) == want, (lam, m, upper)
+        assert _two_slot_raise(lam, m, upper) == want, (lam, m, upper)
 
 
 def transpose_reduction(pos, neg, bound: int) -> None:
@@ -439,7 +438,7 @@ def transpose_reduction(pos, neg, bound: int) -> None:
 def fock_matrix() -> None:
     rows, cols, entries = operator_matrix(heisenberg_term_map(1, E2, "ribbon", False), 0, 2)
     assert cols == [Multipartition([[]])]
-    coeffs = {rows[r].components[0]: val for (r, c), val in entries.items()}
+    coeffs = {rows[r][0]: val for (r, c), val in entries.items()}
     assert coeffs == {Partition([2]): 1, Partition([1, 1]): -1}
 
 
@@ -530,6 +529,27 @@ def check_transpose_reduction(full: bool) -> None:
         transpose_reduction(pos, neg, (4 if level == 3 else 6) if full else 2)
 
 
+def check_rank_one(full: bool) -> None:
+    """At n = 1, the simple of the label with its box in component j is
+    finite-dimensional exactly when a rank-one standard module maps into
+    the one of j in some degree n >= 1, with lowest weights
+    h_i = i/l - kappa*s_i.  Checked at the rational grid points of level
+    >= 2, at s = (0, 0) for kappa = -+1/2 and at transpose-reduction's
+    points; at l = 1 rank one is degenerate (support works on C^0)."""
+    extra = [(2, "-1/2", [0, 0]), (2, "1/2", [0, 0]), (2, "1/2", [0, -1]),
+             (2, "2/3", [0, "1/2"]), (3, "1/3", [0, 1, -1])]
+    for params in [p for p in GRID if p.level >= 2 and p.kappa.is_rational] + [
+        make_params(*point) for point in extra
+    ]:
+        l, kappa = params.level, params.kappa
+        h = [Fraction(i, l) - kappa.value * s.collapse(kappa) for i, s in enumerate(params.s)]
+        for j in range(l):
+            lam = Multipartition([[1] if i == j else [] for i in range(l)])
+            # a witness degree is None (no map) or n >= 0; only n >= 1 counts
+            hom = any(rank_one_verma_hom(l, h, k, j)[1] for k in range(l))
+            assert support(lam, params).finite_dimensional == hom, (params, j)
+
+
 def check_filtration_counts(full: bool) -> None:
     """The grid, then one level-4 point up to size 3."""
     _on_grid(filtration_counts, 2, 5, rational=True)(full)
@@ -564,6 +584,7 @@ CHECKS: list[tuple[str, Callable[[bool], None]]] = [
     ("order-refinement", _on_grid(order_refinement, 3, 5)),
     ("support-table", lambda full: support_table()),
     ("level1-finite-dimensional", _on_grid(level1_finite_dimensional, 5, 7, max_level=1)),
+    ("rank-one", check_rank_one),
     ("wall-crossing", check_wall_crossing),
     ("heis-q-lowering", check_heis_q_lowering),
     ("transpose-reduction", check_transpose_reduction),

@@ -21,7 +21,7 @@ the first vertex already mapped.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .crystal import km_depth
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedParameterError
@@ -88,7 +88,7 @@ def asymptotic_q(
     every other charge by more than |lam|."""
     e = _require_rational(params, "asymptotic q")
     _check_asymptotic(lam, j, params)
-    quot, rem = divide_with_remainder(lam.component(j), e)
+    quot, rem = divide_with_remainder(lam[j], e)
     return quot.size, quot, rem
 
 
@@ -108,7 +108,7 @@ def heis_e_asymptotic(
     j-th component, raise the quotient at the given content, recombine."""
     e = _require_rational(params, "the asymptotic Heisenberg operator")
     _check_asymptotic(lam, j, params)
-    quot, rem = divide_with_remainder(lam.component(j), e)
+    quot, rem = divide_with_remainder(lam[j], e)
     cell = _boundary(quot).get(content)
     if cell is None or cell[2] != "-":
         return None
@@ -175,11 +175,12 @@ _TRANSPORTED: dict[tuple[int, str], dict[PartitionPair, PartitionPair]] = {}
 
 
 def level2_transport(
-    pair: Union[PartitionPair, Multipartition], m: int, direction: str = "up"
+    pair: PartitionPair, m: int, direction: str = "up"
 ) -> PartitionPair:
     """The unique size-preserving crystal isomorphism between the
     two-component generic-kappa crystals with slot charges (0, m) on the
-    two sides of a wall.
+    two sides of a wall.  `pair` is two partitions, such as a level-2
+    label; the image is a plain pair.
 
     Walks up (`_two_slot_raise`) until it meets a vertex already mapped
     or a highest weight vertex, which it maps to the same-size highest
@@ -190,10 +191,9 @@ def level2_transport(
     if direction not in ("up", "down"):
         raise InvalidInputError(f"unknown transport direction {direction!r}")
     upper = direction == "down"
-    lam = pair if isinstance(pair, Multipartition) else Multipartition(pair)
-    if lam.level != 2:
+    cur = Multipartition(pair)
+    if cur.level != 2:
         raise InvalidInputError("transport expects a pair of partitions")
-    cur = lam.components
     memo = _TRANSPORTED.setdefault((m, direction), {})
     path = []
     while cur not in memo:
@@ -230,9 +230,7 @@ def wall_cross(
         raise InvalidInputError(
             f"wall s_{wall.i} - s_{wall.j} = {wall.m} is not essential here"
         )
-    pi, pj = level2_transport(
-        (lam.component(wall.i), lam.component(wall.j)), -wall.m, step.direction
-    )
+    pi, pj = level2_transport((lam[wall.i], lam[wall.j]), -wall.m, step.direction)
     return lam.replace_component(wall.i, pi).replace_component(wall.j, pj)
 
 
@@ -279,9 +277,9 @@ def _class_q(
     j, walls = _class_crossings(params, members, lowering, lam.size)
     cur = lam
     for i, m in walls:
-        pi, pj = level2_transport((cur.component(i), cur.component(j)), -m, "up")
+        pi, pj = level2_transport((cur[i], cur[j]), -m, "up")
         cur = cur.replace_component(i, pi).replace_component(j, pj)
-    quot, _ = divide_with_remainder(cur.component(j), params.kappa.e)
+    quot, _ = divide_with_remainder(cur[j], params.kappa.e)
     return quot.size
 
 

@@ -133,7 +133,7 @@ def test_criterion_06_plethysm_singular_class():
                     for value in range(e):
                         img = e_z_op(vec, Residue(0, value), params)
                         if not img.is_zero():
-                            failures.append((mu.parts, e, f"e_{value}", img))
+                            failures.append((mu, e, f"e_{value}", img))
                     plethysm_derivative(mu, e)
         assert not failures, (
             "e_z does not kill the plethysm class: "

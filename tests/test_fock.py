@@ -292,7 +292,7 @@ class TestHeisenberg:
 
 def principal_specialization(p, t):
     """s_p(1, t, t^2, ...) as an exact rational number."""
-    weight = sum(i * part for i, part in enumerate(p.parts))
+    weight = sum(i * part for i, part in enumerate(p))
     tr = p.transpose()
     denom = Fraction(1)
     for x, y in p.cells():
@@ -316,7 +316,7 @@ class TestPlethysm:
             v = plethysm_class(mu, e)
             for t in (Fraction(2), Fraction(1, 2), Fraction(3, 7)):
                 lhs = sum(
-                    c * principal_specialization(lam.component(0), t)
+                    c * principal_specialization(lam[0], t)
                     for lam, c in v.items()
                 )
                 assert lhs == principal_specialization(mu, t**e), (mu, e, t)
@@ -336,7 +336,7 @@ class TestCharacters:
     @pytest.mark.parametrize("n", range(9))
     def test_column_orthogonality(self, n):
         """sum over mu of chi^mu(rho)^2 is the centralizer order z_rho."""
-        shapes = [p.parts for p in enumerate_partitions(n)]
+        shapes = enumerate_partitions(n)
         for rho in shapes:
             z_rho = math.prod(d**m * math.factorial(m) for d, m in Counter(rho).items())
             assert sum(_mn_character(mu, rho) ** 2 for mu in shapes) == z_rho, rho
@@ -344,8 +344,8 @@ class TestCharacters:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trivial_and_sign_characters(self, n):
         for rho in enumerate_partitions(n):
-            assert _mn_character((n,), rho.parts) == 1
-            assert _mn_character((1,) * n, rho.parts) == (-1) ** (n - len(rho.parts))
+            assert _mn_character((n,), rho) == 1
+            assert _mn_character((1,) * n, rho) == (-1) ** (n - len(rho))
 
     def test_sizes_must_agree(self):
         assert _mn_character((), ()) == 1
@@ -651,11 +651,12 @@ def test_operator_matrix_builds_no_checked_shape(monkeypatch, direction):
     maps.append(box_term_map(GOLDEN, ONE2, remove))
     steps = [-2, -2, -1] if remove else [2, 2, 1]
 
-    def refuse(self, *args):
+    def refuse(cls, *args):
         raise AssertionError("a checking constructor ran on the matrix path")
 
-    monkeypatch.setattr(Partition, "__init__", refuse)
-    monkeypatch.setattr(Multipartition, "__init__", refuse)
+    # the checks live in __new__; moves build through the unchecked _trusted
+    monkeypatch.setattr(Partition, "__new__", refuse)
+    monkeypatch.setattr(Multipartition, "__new__", refuse)
     for term_map, step in zip(maps, steps):
         degree_from = 8 if remove else 8 - step
         rows, cols, entries = operator_matrix(term_map, degree_from, degree_from + step)
@@ -746,14 +747,14 @@ def test_operator_matrix_reads_each_component_partition_once(kind):
     calls = Counter()
 
     def counted(i, p):
-        calls[i, p.parts] += 1
+        calls[i, p] += 1
         return term_map.component_moves(i, p)
 
     ends = (8, 8 + step) if step < 0 else (8 - step, 8)
     want = operator_matrix(term_map, *ends)
     assert operator_matrix(term_map._replace(component_moves=counted), *ends) == want
     assert set(calls.values()) == {1}
-    assert set(calls) == {(i, c.parts) for lam in want[1] for i, c in enumerate(lam.components)}
+    assert set(calls) == {(i, c) for lam in want[1] for i, c in enumerate(lam)}
 
 
 def test_operator_matrix_names_the_degree_a_term_lands_in():

@@ -1,7 +1,10 @@
-"""The package surface: public names resolved on first access, and the
-record types, which are tuples of their fields."""
+"""The package surface: public names resolved on first access, the
+record types, which are tuples of their fields, and the label types,
+which are tuples of their parts and of their partitions."""
 
+import copy
 import inspect
+import pickle
 import sys
 from fractions import Fraction
 
@@ -19,7 +22,7 @@ from fockcrystal.params import (
     Residue,
     make_params,
 )
-from fockcrystal.partitions import Multipartition
+from fockcrystal.partitions import Multipartition, Partition
 from fockcrystal.supports import WallCrossStep, support
 
 GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
@@ -145,3 +148,52 @@ def test_validated_records_normalise_their_fields():
     assert ChargeValue(1).b == 0
     params = CherednikParams(1, KappaValue(Fraction(-1, 3)), (0,))
     assert params.s == (ChargeValue(0),) and isinstance(params.s[0], ChargeValue)
+
+
+LABELS = [Partition([2, 1]), Partition([]), Multipartition([[2, 1], []]), GOLDEN_LAM]
+
+
+def _plain(label):
+    return tuple(tuple(c) for c in label) if isinstance(label, Multipartition) else tuple(label)
+
+
+@pytest.mark.parametrize("label", LABELS, ids=repr)
+def test_label_is_its_plain_tuple(label):
+    """A partition equals and hashes as its parts, a label as the tuple of
+    its components, so dict and set orders are those of the plain tuples."""
+    plain = _plain(label)
+    assert label == plain and plain == label
+    assert hash(label) == hash(plain)
+
+
+def test_labels_are_ordered_and_added_as_tuples():
+    """Comparison is lexicographic, not dominance; + gives a plain tuple."""
+    assert Partition([3]) > Partition([2, 2]) > Partition([2, 1, 1])
+    assert sorted([Partition([1, 1]), Partition([2])]) == [(1, 1), (2,)]
+    joined = Partition([2]) + Partition([1])
+    assert joined == (2, 1) and type(joined) is tuple
+
+
+@pytest.mark.parametrize("label", LABELS, ids=repr)
+def test_label_has_no_instance_dict(label):
+    assert not hasattr(label, "__dict__")
+    with pytest.raises(AttributeError):
+        label.extra = 1
+
+
+@pytest.mark.parametrize("label", LABELS, ids=repr)
+def test_label_survives_pickle_and_copy(label):
+    copies = [pickle.loads(pickle.dumps(label, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(label), copy.deepcopy(label)]
+    for other in copies:
+        assert type(other) is type(label) and other == label
+        assert [type(c) for c in other] == [type(c) for c in label]
+
+
+@pytest.mark.parametrize("name", ["parts", "components", "component"])
+def test_removed_label_accessors_stay_removed(name):
+    """The data aliases removed in 0.5.0: a label is its own tuple."""
+    for label in LABELS:
+        with pytest.raises(AttributeError):
+            getattr(label, name)

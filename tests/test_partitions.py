@@ -37,8 +37,8 @@ st_partition = st.integers(0, 9).flatmap(
 
 class TestPartitionBasics:
     def test_constructor_strips_zeros_and_validates(self):
-        assert Partition([3, 2, 0, 0]).parts == (3, 2)
-        assert Partition([]).parts == ()
+        assert Partition([3, 2, 0, 0]) == (3, 2)
+        assert Partition([]) == ()
         with pytest.raises(InvalidInputError):
             Partition([1, 2])
         with pytest.raises(InvalidInputError):
@@ -115,10 +115,24 @@ class TestMultipartition:
 
 
 def assert_checked(p):
-    """p is exactly what the checking constructor builds from its rows."""
-    public = Partition(list(p.parts))
-    assert type(p.parts) is tuple and all(type(x) is int for x in p.parts), p
-    assert public.parts == p.parts and public == p and hash(public) == hash(p), p
+    """p is exactly what the checking constructor builds from its rows: a
+    Partition of int parts that equals and hashes as its plain tuple."""
+    public = Partition(list(p))
+    assert type(p) is Partition and all(type(x) is int for x in p), p
+    assert public == p == tuple(p) and hash(public) == hash(p) == hash(tuple(p)), p
+
+
+def assert_checked_label(mu):
+    """mu is exactly what the checking constructor builds from its rows: a
+    Multipartition of checked Partitions that equals and hashes as its
+    plain tuple of tuples."""
+    assert type(mu) is Multipartition, mu
+    for c in mu:
+        assert_checked(c)
+    public = Multipartition([list(c) for c in mu])
+    rows = tuple(tuple(c) for c in mu)
+    assert public == mu == rows and hash(public) == hash(mu) == hash(rows), mu
+    assert public.size == mu.size == sum(map(sum, rows)), mu
 
 
 class TestTrustedShapes:
@@ -139,9 +153,9 @@ class TestTrustedShapes:
                         if (x, y) not in legal:
                             with pytest.raises(InvalidMoveError) as err:
                                 move(x, y)
-                            assert str(err.value) == message.format((x, y), p.parts)
+                            assert str(err.value) == message.format((x, y), tuple(p))
                             continue
-                        rows = list(p.parts) + [0]
+                        rows = list(p) + [0]
                         rows[y - 1] += delta
                         got = move(x, y)
                         assert_checked(got)
@@ -159,6 +173,8 @@ class TestTrustedShapes:
 
     @pytest.mark.parametrize("level,bound", [(1, 6), (2, 5), (3, 4)])
     def test_moved_multipartitions_match_public_ones(self, level, bound):
+        """Enumeration, box moves and replace_component with the results of
+        cell, ribbon and bead moves all build checked labels."""
         for n in range(bound + 1):
             for lam in enumerate_multipartitions(level, n):
                 moved = [lam]
@@ -166,18 +182,21 @@ class TestTrustedShapes:
                 moved += [lam.remove_box(b) for b in lam.removable_boxes()]
                 moved += [
                     lam.replace_component(i, mv.result)
-                    for i, c in enumerate(lam.components)
+                    for i, c in enumerate(lam)
                     for mv in ribbon_additions(c, 2) + ribbon_removals(c, 2)
+                    + _wedge_moves(c, 2) + _wedge_moves(c, -2)
+                ]
+                moved += [
+                    lam.replace_component(i, c.add_cell(x, y))
+                    for i, c in enumerate(lam)
+                    for x, y in c.addable_cells()
                 ]
                 for mu in moved:
-                    public = Multipartition([list(c.parts) for c in mu.components])
-                    assert public == mu and mu == public, mu
-                    assert hash(public) == hash(mu) == hash(mu.components), mu
-                    assert public.size == mu.size == sum(c.size for c in mu.components), mu
+                    assert_checked_label(mu)
 
 
 def cells_of(p):
-    return {(x, y) for y, part in enumerate(p.parts, start=1) for x in range(1, part + 1)}
+    return {(x, y) for y, part in enumerate(p, start=1) for x in range(1, part + 1)}
 
 
 def is_ribbon(cells):
@@ -206,7 +225,7 @@ def brute_ribbon_additions(p, length):
         if len(cells_of(mu)) - len(base) == length and base <= cells_of(mu):
             if is_ribbon(skew):
                 rows = [y for _, y in skew]
-                out.add((mu.parts, max(rows) - min(rows)))
+                out.add((mu, max(rows) - min(rows)))
     return out
 
 
@@ -214,7 +233,7 @@ class TestRibbons:
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
     def test_additions_match_skew_shape_oracle(self, length):
         for p in partitions_up_to(7):
-            got = {(mv.result.parts, mv.height) for mv in ribbon_additions(p, length)}
+            got = {(mv.result, mv.height) for mv in ribbon_additions(p, length)}
             assert got == brute_ribbon_additions(p, length), (p, length)
 
     def test_signs_are_parity_of_height(self):
@@ -228,19 +247,19 @@ class TestRibbons:
             for length in (1, 2, 3, 4):
                 for mv in ribbon_additions(p, length):
                     back = {
-                        (rm.result.parts, rm.height, rm.sign)
+                        (rm.result, rm.height, rm.sign)
                         for rm in ribbon_removals(mv.result, length)
                     }
-                    assert (p.parts, mv.height, mv.sign) in back
+                    assert (p, mv.height, mv.sign) in back
 
     def test_removals_only_from_valid_additions(self):
         for p in partitions_up_to(7):
             for length in (2, 3):
                 for rm in ribbon_removals(p, length):
                     forward = {
-                        mv.result.parts for mv in ribbon_additions(rm.result, length)
+                        mv.result for mv in ribbon_additions(rm.result, length)
                     }
-                    assert p.parts in forward
+                    assert p in forward
 
     def test_hook_count(self):
         """The number of removable r-ribbons equals the number of hooks
@@ -282,10 +301,10 @@ class TestDivision:
     @given(st_partition, st.integers(2, 4))
     def test_rowwise_reconstruction(self, nu, e):
         quot, rem = divide_with_remainder(nu, e)
-        rows = max(len(nu.parts), 1)
+        rows = max(len(nu), 1)
         for y in range(1, rows + 1):
             assert nu.row(y) == e * quot.row(y) + rem.row(y)
-        diffs = [rem.row(y) - rem.row(y + 1) for y in range(1, len(rem.parts) + 1)]
+        diffs = [rem.row(y) - rem.row(y + 1) for y in range(1, len(rem) + 1)]
         assert all(0 <= d < e for d in diffs)
 
     def test_decomposition_is_unique(self):
@@ -300,7 +319,7 @@ class TestEnumeration:
             assert len(enumerate_partitions(n)) == count
 
     def test_partition_order_reverse_lex(self):
-        got = [p.parts for p in enumerate_partitions(4)]
+        got = enumerate_partitions(4)
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
     def test_multipartition_counts(self):
@@ -317,6 +336,6 @@ class TestEnumeration:
                 assert len(set(out)) == len(out)
 
     def test_level_one_wraps_partitions(self):
-        assert [m.components[0] for m in enumerate_multipartitions(1, 5)] == (
+        assert [m[0] for m in enumerate_multipartitions(1, 5)] == (
             enumerate_partitions(5)
         )

@@ -100,7 +100,7 @@ class TestTransport:
     def test_down_inverts_up(self):
         for n in range(5):
             for lam in enumerate_multipartitions(2, n):
-                pair = (lam.component(0), lam.component(1))
+                pair = (lam[0], lam[1])
                 for m in (-1, 0, 1):
                     crossed = level2_transport(pair, m, "up")
                     assert level2_transport(crossed, m, "down") == pair
@@ -123,7 +123,7 @@ class TestTransport:
     def test_memo_does_not_depend_on_call_order(self, monkeypatch):
         monkeypatch.setattr(supports, "_TRANSPORTED", {})
         pairs = [
-            (lam.component(0), lam.component(1))
+            (lam[0], lam[1])
             for n in range(6)
             for lam in enumerate_multipartitions(2, n)
         ]
@@ -238,7 +238,7 @@ class TestSupportTable:
         }
         for lam in enumerate_multipartitions(2, 2):
             s = support(lam, GOLDEN)
-            key = (lam.component(0).parts, lam.component(1).parts)
+            key = (lam[0], lam[1])
             assert (s.p, s.q, s.dim_support, s.finite_dimensional) == expected[key]
 
     def test_stabilizer_shape(self):

@@ -5,7 +5,7 @@ arithmetic."""
 
 import importlib
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # module -> the public names it defines.  A module is imported the first
 # time one of its names is read, so `import fockcrystal` loads nothing.
@@ -21,10 +21,9 @@ _MODULES = {
         "ribbon_removals",
     ),
     "params": (
-        "IRRATIONAL", "ChargeDifferenceWall", "ChargeValue", "CherednikParams",
-        "HeckeExponents", "KappaDenominatorWall", "KappaValue", "Residue",
-        "charge", "essential_walls", "hecke_exponents", "is_essential_charge_wall",
-        "make_params", "normalize_for_support", "rank_one_verma_hom", "rational_kappa",
+        "ChargeDifferenceWall", "ChargeValue", "CherednikParams", "HeckeExponents",
+        "KappaDenominatorWall", "Residue", "essential_walls", "hecke_exponents",
+        "is_essential_charge_wall", "normalize_for_support", "rank_one_verma_hom",
     ),
     "orders": ("box_leq", "c_lambda", "leq_c", "preceq"),
     "crystal": (

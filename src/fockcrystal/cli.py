@@ -227,7 +227,7 @@ def cmd_fock(args) -> int:
     # gives the clamped row, labelled with the index asked for
     if min(args.n, args.p or 0, args.q or 0) < 0:
         raise InvalidInputError("filtration indices must be >= 0")
-    e = params.kappa.e
+    e = params.e
     ps = range(args.n + 1) if args.p is None else [args.p]
     qs = range(args.n // e + 1 if e is not None else 1) if args.q is None else [args.q]
     runs = {q: filtration_dims(ps[-1], q, args.n, params) for q in qs}

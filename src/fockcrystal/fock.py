@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .linalg import Row, RowSpan, kernel_basis
-from .params import CherednikParams, Residue, make_params, reject_integer_kappa
+from .params import CherednikParams, Residue, reject_integer_kappa
 from .partitions import (
     Box,
     Multipartition,
@@ -285,13 +285,13 @@ def heisenberg_term_map(
     ribbon or as a bead move on the abacus.  Every label takes a B_d
     ribbon (on its first row), so the B_d map has `raising` = d*e."""
     reject_integer_kappa(params)
-    if params.kappa.e is None:
+    if params.e is None:
         raise UnsupportedParameterError(
             "Heisenberg operators need rational kappa (finite quantization e)"
         )
     if d < 1:
         raise InvalidInputError(f"Heisenberg degree must be >= 1, got {d}")
-    length = d * params.kappa.e
+    length = d * params.e
     if model == "ribbon":
         moves, step = (ribbon_removals if remove else ribbon_additions), length
     elif model == "wedge":
@@ -363,7 +363,7 @@ def plethysm_class(mu, e: int) -> FockVector:
         )
     n = mu.size
     truncation = e * n
-    params = make_params(1, Fraction(-1, e), [0])
+    params = CherednikParams(1, Fraction(-1, e), [0])
     vacuum = Multipartition([[]])
     acc = FockVector(1, truncation)
     for rho in enumerate_partitions(n):
@@ -400,7 +400,7 @@ def _singular_subspace_cached(n: int, params: CherednikParams) -> tuple[FockVect
         for z, mu in _box_moves(lam, params, remove=True):
             e_rows.setdefault(z, {}).setdefault(mu, {})[j] = 1
     rows = [row for z in sorted(e_rows) for row in e_rows[z].values()]
-    e = params.kappa.e
+    e = params.e
     if e is not None:
         for d in range(1, n // e + 1):
             term_map = heisenberg_term_map(d, params, "ribbon", remove=True)
@@ -437,7 +437,7 @@ def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int
     if p < 0 or q < 0 or n < 0:
         raise InvalidInputError("filtration indices must be >= 0")
     reject_integer_kappa(params)
-    e = params.kappa.e
+    e = params.e
     # no layer past n adds a vector, no monomial of degree above n // e
     # stays in degree n
     p, q = min(p, n), min(q, n // e) if e is not None else 0

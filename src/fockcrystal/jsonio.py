@@ -24,7 +24,6 @@ from .params import (
     CherednikParams,
     KappaDenominatorWall,
     Residue,
-    make_params,
 )
 from .partitions import Multipartition
 
@@ -65,11 +64,10 @@ def fraction_from_json(x: Any) -> Fraction:
 
 
 def params_to_json(params: CherednikParams) -> dict:
-    if params.kappa.is_rational:
-        k = params.kappa.value
-        kappa: Any = {"num": k.numerator, "den": k.denominator}
+    if params.kappa is None:
+        kappa: Any = "irrational"
     else:
-        kappa = "irrational"
+        kappa = {"num": params.kappa.numerator, "den": params.kappa.denominator}
     return {
         "level": params.level,
         "kappa": kappa,
@@ -117,7 +115,7 @@ def params_from_json(obj: Any) -> CherednikParams:
             charges.append((a, b))
         else:
             charges.append((fraction_from_json(entry), Fraction(0)))
-    return make_params(level, kappa, charges)
+    return CherednikParams(level, kappa, charges)
 
 
 def load_params(path: str) -> CherednikParams:

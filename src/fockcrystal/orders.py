@@ -31,7 +31,7 @@ def c_lambda(lam: Multipartition, params: CherednikParams) -> CKey:
     """The sum of lam's box keys: D*c_lam, or (D*u, D*v) at symbolic kappa."""
     reject_level_mismatch(lam, params)
     keys = [params.c_of_box(b) for b in lam.boxes()]
-    if params.kappa.is_rational:
+    if params.kappa is not None:
         return sum(keys)
     return (sum(u for u, _ in keys), sum(v for _, v in keys))
 
@@ -39,7 +39,7 @@ def c_lambda(lam: Multipartition, params: CherednikParams) -> CKey:
 def _c_difference(k1: CKey, k2: CKey, params: CherednikParams) -> Optional[int]:
     """c1 - c2 for the keys k1, k2 when it is an exact integer, else None."""
     scale = params.c_keys[0]
-    if not params.kappa.is_rational:
+    if params.kappa is None:
         if k1[0] != k2[0]:
             return None
         k1, k2 = k1[1], k2[1]

@@ -1,8 +1,8 @@
 """Exact parameter model for cyclotomic rational Cherednik categories O.
 
 A parameter set for G(l,1,n) is a nonzero kappa together with l charges.
-kappa is either an exact rational r/e in lowest terms (then e is the
-denominator driving all modular arithmetic) or a symbolic irrational
+kappa is a `Fraction` r/e in lowest terms (then e is the denominator
+driving all modular arithmetic) or None, the symbolic irrational
 (e = infinity).  Charges are pairs (a, b) standing for a + b/kappa, kept
 split so membership tests against the lattices Z, (1/kappa)Z and
 Z + (1/kappa)Z stay exact in the symbolic case.
@@ -37,46 +37,6 @@ def _frac(x: RationalLike) -> Fraction:
 # Records are NamedTuples: immutable, hashed and ordered as the tuple of
 # their fields.  A record that checks or normalises its fields does so in
 # the __new__ of a subclass, since a NamedTuple may not define __new__.
-class _KappaValue(NamedTuple):
-    value: Optional[Fraction]
-
-
-class KappaValue(_KappaValue):
-    """Nonzero rational (value set) or symbolic irrational (value None)."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: Optional[RationalLike]):
-        if value is not None:
-            value = _frac(value)
-            if value == 0:
-                raise InvalidInputError("kappa must be nonzero")
-        return tuple.__new__(cls, (value,))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.value is not None
-
-    @property
-    def e(self) -> Optional[int]:
-        """Denominator of kappa in lowest terms; None stands for infinity."""
-        return self.value.denominator if self.value is not None else None
-
-    @property
-    def r_abs(self) -> Optional[int]:
-        return abs(self.value.numerator) if self.value is not None else None
-
-    def __repr__(self) -> str:
-        return f"KappaValue({self.value})" if self.is_rational else "KappaValue(~)"
-
-
-def rational_kappa(num: RationalLike, den: int = 1) -> KappaValue:
-    return KappaValue(Fraction(_frac(num), den))
-
-
-IRRATIONAL = KappaValue(None)
-
-
 class _ChargeValue(NamedTuple):
     a: Fraction
     b: Fraction
@@ -99,19 +59,15 @@ class ChargeValue(_ChargeValue):
     def shift(self, t: RationalLike) -> "ChargeValue":
         return ChargeValue(self.a + _frac(t), self.b)
 
-    def collapse(self, kappa: KappaValue) -> Fraction:
-        if not kappa.is_rational:
+    def collapse(self, kappa: Optional[Fraction]) -> Fraction:
+        if kappa is None:
             raise UnsupportedParameterError("cannot collapse a charge at symbolic kappa")
-        return self.a + self.b / kappa.value
+        return self.a + self.b / kappa
 
     def __repr__(self) -> str:
         if self.b == 0:
             return f"ChargeValue({self.a})"
         return f"ChargeValue({self.a}, {self.b})"
-
-
-def charge(a: RationalLike, b: RationalLike = 0) -> ChargeValue:
-    return ChargeValue(a, b)
 
 
 class Residue(NamedTuple):
@@ -149,7 +105,7 @@ class HeckeExponents(NamedTuple):
 
 class _CherednikParams(NamedTuple):
     level: int
-    kappa: KappaValue
+    kappa: Optional[Fraction]
     s: tuple[ChargeValue, ...]
     classes: tuple[tuple[int, ...], ...]
     bases: tuple[tuple[int, int], ...]
@@ -157,7 +113,11 @@ class _CherednikParams(NamedTuple):
 
 
 class CherednikParams(_CherednikParams):
-    """`classes`, `bases` and `c_keys` are derived, not passed (copy and
+    """The one constructor of a parameter point.  `kappa` is None (symbolic)
+    or anything `Fraction` takes; each charge is a `ChargeValue`, a number
+    or string a, or a pair (a, b) for a + b/kappa.
+
+    `classes`, `bases` and `c_keys` are derived, not passed (copy and
     pickle pass the rest).  `classes`: {0..l-1} split by s_i - s_j in
     Z + (1/kappa)Z, ordered by least member.  `bases[i]`: (class id, base)
     of component i, whose box of content c has residue value (base + c)
@@ -169,10 +129,14 @@ class CherednikParams(_CherednikParams):
 
     __slots__ = ()
 
-    def __new__(cls, level: int, kappa: KappaValue, s: Sequence):
+    def __new__(cls, level: int, kappa: Optional[RationalLike], s: Sequence):
+        if kappa is not None:
+            kappa = _frac(kappa)
+            if kappa == 0:
+                raise InvalidInputError("kappa must be nonzero")
         if level < 1:
             raise InvalidInputError("level must be at least 1")
-        s = tuple(c if isinstance(c, ChargeValue) else charge(c) for c in s)
+        s = tuple(ChargeValue(*c) if isinstance(c, (tuple, list)) else ChargeValue(c) for c in s)
         if len(s) != level:
             raise InvalidInputError(f"expected {level} charges, got {len(s)}")
         classes: list[list[int]] = []
@@ -194,7 +158,8 @@ class CherednikParams(_CherednikParams):
 
     @property
     def e(self) -> Optional[int]:
-        return self.kappa.e
+        """Denominator of kappa in lowest terms; None stands for infinity."""
+        return None if self.kappa is None else self.kappa.denominator
 
     def charged_content(self, b: Box) -> ChargeValue:
         if not 0 <= b.comp < self.level:
@@ -208,7 +173,7 @@ class CherednikParams(_CherednikParams):
             raise InvalidInputError(f"component {b.comp} out of range")
         _, step, c_bases = self.c_keys
         base = c_bases[b.comp]
-        if self.kappa.value is None:
+        if self.kappa is None:
             return (base[0] + step * (b.x - b.y), base[1])
         return base + step * (b.x - b.y)
 
@@ -225,17 +190,18 @@ class CherednikParams(_CherednikParams):
         if not 0 <= b.comp < self.level:
             raise InvalidInputError(f"component {b.comp} out of range")
         cid, base = self.bases[b.comp]
-        e = self.kappa.e
+        e = self.e
         value = base + b.x - b.y
         return Residue(cid, value if e is None else value % e)
 
     def __repr__(self) -> str:
-        return f"CherednikParams(l={self.level}, kappa={self.kappa}, s={list(self.s)})"
+        kappa = "~" if self.kappa is None else self.kappa
+        return f"CherednikParams(l={self.level}, kappa={kappa}, s={list(self.s)})"
 
 
 def reject_integer_kappa(params: CherednikParams) -> None:
     """Reject integer kappa (e = 1); only the `params` diagnostics take it."""
-    if params.kappa.e == 1:
+    if params.e == 1:
         raise UnsupportedParameterError(
             "integer kappa (e = 1) is outside the supported parameter range"
         )
@@ -247,45 +213,28 @@ def reject_level_mismatch(lam, params: CherednikParams) -> None:
         raise InvalidInputError(f"{lam} does not have level {params.level}")
 
 
-def make_params(level: int, kappa, s) -> CherednikParams:
-    """Convenience constructor: kappa may be a KappaValue, Fraction-like,
-    or None for the symbolic irrational; charges may be Fraction-likes or
-    (a, b) pairs."""
-    if not isinstance(kappa, KappaValue):
-        kappa = KappaValue(None if kappa is None else _frac(kappa))
-    out = []
-    for c in s:
-        if isinstance(c, ChargeValue):
-            out.append(c)
-        elif isinstance(c, (tuple, list)):
-            out.append(charge(*c))
-        else:
-            out.append(charge(c))
-    return CherednikParams(level, kappa, tuple(out))
-
-
-def _in_kappa_inv_lattice(d: ChargeValue, kappa: KappaValue) -> bool:
+def _in_kappa_inv_lattice(d: ChargeValue, kappa: Optional[Fraction]) -> bool:
     """d in (1/kappa)Z."""
-    if kappa.is_rational:
-        scaled = kappa.value * d.collapse(kappa)
+    if kappa is not None:
+        scaled = kappa * d.collapse(kappa)
         return scaled.denominator == 1
     return d.a == 0 and d.b.denominator == 1
 
 
-def _in_mixed_lattice(d: ChargeValue, kappa: KappaValue) -> bool:
+def _in_mixed_lattice(d: ChargeValue, kappa: Optional[Fraction]) -> bool:
     """d in Z + (1/kappa)Z."""
-    if kappa.is_rational:
+    if kappa is not None:
         # Z + (e/r)Z = (1/r)Z when gcd(e, r) = 1
-        return (d.collapse(kappa) * kappa.r_abs).denominator == 1
+        return (d.collapse(kappa) * abs(kappa.numerator)).denominator == 1
     return d.a.denominator == 1 and d.b.denominator == 1
 
 
-def _c_keys(level: int, kappa: KappaValue, s: tuple[ChargeValue, ...]) -> tuple:
+def _c_keys(level: int, kappa: Optional[Fraction], s: tuple[ChargeValue, ...]) -> tuple:
     """`CherednikParams.c_keys`.  With s_i = a + b/kappa, the box of
     content c in component i has c_b = u*kappa + v, u = l*(a + c) and
     v = l*b - i; D is the least positive integer making the keys integers."""
-    if kappa.is_rational:
-        step = kappa.value * level
+    if kappa is not None:
+        step = kappa * level
         c_bases = [step * c.a + level * c.b - i for i, c in enumerate(s)]
         scale = math.lcm(step.denominator, *(c.denominator for c in c_bases))
         return scale, int(step * scale), tuple(int(c * scale) for c in c_bases)
@@ -294,13 +243,13 @@ def _c_keys(level: int, kappa: KappaValue, s: tuple[ChargeValue, ...]) -> tuple:
     return scale, scale * level, tuple((int(u * scale), int(v * scale)) for u, v in c_bases)
 
 
-def _residue_base(si: ChargeValue, rep: ChargeValue, kappa: KappaValue) -> int:
+def _residue_base(si: ChargeValue, rep: ChargeValue, kappa: Optional[Fraction]) -> int:
     """The base of a component of charge si whose class representative
     has charge rep.  si - rep lies in Z + (1/kappa)Z, which is (1/r)Z at
     kappa = +-r/e, so r times it is an integer."""
-    if not kappa.is_rational:
+    if kappa is None:
         return int(si.a - rep.a) + math.floor(rep.a)
-    r, e = kappa.r_abs, kappa.e
+    r, e = abs(kappa.numerator), kappa.denominator
     scaled = r * (si - rep).collapse(kappa) + math.floor(r * rep.collapse(kappa))
     return int(scaled) * pow(r, -1, e) % e
 
@@ -321,8 +270,8 @@ def essential_walls(params: CherednikParams, n: int) -> list[WallDescriptor]:
     if n < 1:
         raise InvalidInputError("rank n must be at least 1")
     walls: list[WallDescriptor] = []
-    if params.kappa.is_rational and 2 <= params.kappa.e <= n:
-        walls.append(KappaDenominatorWall(params.kappa.e))
+    if params.e is not None and 2 <= params.e <= n:
+        walls.append(KappaDenominatorWall(params.e))
     for i in range(params.level):
         for j in range(i + 1, params.level):
             for m in range(-(n - 1), n):
@@ -334,9 +283,9 @@ def essential_walls(params: CherednikParams, n: int) -> list[WallDescriptor]:
 def hecke_exponents(params: CherednikParams) -> HeckeExponents:
     """q = exp(2*pi*i*kappa) and Q_i = exp(2*pi*i*(h_i + i/l)) as exact
     exponents mod 1.  Needs rational kappa."""
-    if not params.kappa.is_rational:
+    kv = params.kappa
+    if kv is None:
         raise UnsupportedParameterError("Hecke exponents need rational kappa")
-    kv = params.kappa.value
     q_exp = kv - math.floor(kv)
     Q = []
     for i in range(params.level):
@@ -357,6 +306,8 @@ def rank_one_verma_hom(
     integer congruent to j - k mod l (the degree-n coefficient
     n + l*h_{j-n} - l*h_j vanishes precisely then).
     """
+    if level < 1:
+        raise InvalidInputError("level must be at least 1")
     if not 0 <= k < level or not 0 <= j < level:
         raise InvalidInputError("component indices out of range")
     hs = [_frac(x) for x in h]
@@ -375,11 +326,11 @@ def normalize_for_support(
     chambers are set up there: positive rational kappa maps to (-kappa, -s)
     with a transpose flag for the labels.  Symbolic kappa carries no sign
     and is returned unchanged.  The crystal depth needs no reduction."""
-    if not params.kappa.is_rational or params.kappa.value < 0:
+    if params.kappa is None or params.kappa < 0:
         return params, False
     flipped = CherednikParams(
         params.level,
-        KappaValue(-params.kappa.value),
+        -params.kappa,
         tuple(ChargeValue(-c.a, -c.b) for c in params.s),
     )
     return flipped, True

@@ -56,7 +56,7 @@ from .fock import (
     wedge_f_op,
 )
 from .orders import leq_c, preceq
-from .params import ChargeDifferenceWall, Residue, make_params, rank_one_verma_hom
+from .params import ChargeDifferenceWall, CherednikParams, Residue, rank_one_verma_hom
 from .partitions import (
     Multipartition,
     Partition,
@@ -68,9 +68,9 @@ from .partitions import (
 from .supports import WallCrossStep, heis_q, support, wall_cross
 from .supports import _two_slot_move, _two_slot_raise
 
-E2 = make_params(1, Fraction(-1, 2), [0])
-E3 = make_params(1, Fraction(-1, 3), [0])
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
+E2 = CherednikParams(1, Fraction(-1, 2), [0])
+E3 = CherednikParams(1, Fraction(-1, 3), [0])
+GOLDEN = CherednikParams(2, Fraction(-1, 2), [0, -1])
 
 # The shared parameter grid of the grid checks (`_on_grid`).  `quick`
 # uses the first five points; level 3 comes last and is checked two sizes
@@ -79,15 +79,15 @@ GRID = [
     E2,
     E3,
     GOLDEN,
-    make_params(2, Fraction(-1, 3), [0, 1]),
-    make_params(2, None, [(0, 0), (1, 1)]),
-    make_params(1, Fraction(-1, 3), [1]),
-    make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
-    make_params(2, None, [0, -1]),
-    make_params(3, Fraction(-1, 2), [0, 1, -1]),
-    make_params(3, Fraction(-1, 3), [0, 1, -1]),
-    make_params(3, Fraction(-2, 3), [0, Fraction(1, 2), -1]),
-    make_params(3, None, [0, -1, (1, 1)]),
+    CherednikParams(2, Fraction(-1, 3), [0, 1]),
+    CherednikParams(2, None, [(0, 0), (1, 1)]),
+    CherednikParams(1, Fraction(-1, 3), [1]),
+    CherednikParams(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
+    CherednikParams(2, None, [0, -1]),
+    CherednikParams(3, Fraction(-1, 2), [0, 1, -1]),
+    CherednikParams(3, Fraction(-1, 3), [0, 1, -1]),
+    CherednikParams(3, Fraction(-2, 3), [0, Fraction(1, 2), -1]),
+    CherednikParams(3, None, [0, -1, (1, 1)]),
 ]
 
 
@@ -96,7 +96,7 @@ def _grid(full: bool, rational: bool = False, max_level: int = 3):
     return [
         p
         for p in points
-        if p.level <= max_level and (p.kappa.is_rational or not rational)
+        if p.level <= max_level and (p.kappa is not None or not rational)
     ]
 
 
@@ -328,7 +328,7 @@ def plethysm_derivative(mu: Partition, e: int) -> None:
     the Heisenberg monomials on the vacuum as d*e*d/dp_d.  The right side
     differentiates s_mu = sum_rho chi^mu(rho)/z_rho p_rho term by term:
     d/dp_d p_rho = m_d(rho) p_rest for rho = rest + (d)."""
-    params = make_params(1, Fraction(-1, e), [0])
+    params = CherednikParams(1, Fraction(-1, e), [0])
     n = mu.size
     vec = plethysm_class(mu, e)
     vacuum = basis_vector(Multipartition([[]]), e * n)
@@ -413,7 +413,7 @@ def transport_crystal(m: int, upper: bool, labels) -> None:
     the generic-kappa pairs with slot charges (0, m) below the wall, or
     (0, m + 1/kappa) above it: every e~ and f~ agrees, and the transport
     walk raises by the first residue whose e~ acts."""
-    params = make_params(2, None, [(0, 0), (m, 1 if upper else 0)])
+    params = CherednikParams(2, None, [(0, 0), (m, 1 if upper else 0)])
     for lam in labels:
         raises = []
         for z in relevant_residues(lam, params):
@@ -447,7 +447,7 @@ def matrix_columns(params, bound: int) -> None:
     public operator applied to that label's basis vector: f_z and e_z at
     every box residue, and B_{+-d} in both models, in degrees <= bound."""
     zs = sorted({params.residue(b) for lam in _labels(params, bound + 1) for b in lam.boxes()})
-    e = params.kappa.e
+    e = params.e
     cases = [  # (public op, its argument and options, term map, degree step)
         (op, z, (), box_term_map(params, z, op is e_z_op), 1)
         for z in zs for op in (f_z_op, e_z_op)
@@ -487,17 +487,17 @@ WALLS = [
     (
         GOLDEN,
         WallCrossStep(ChargeDifferenceWall(0, 1, 1), "up"),
-        make_params(2, Fraction(-1, 2), [0, -3]),
+        CherednikParams(2, Fraction(-1, 2), [0, -3]),
     ),
     (
-        make_params(2, None, [(0, 0), (0, 0)]),
+        CherednikParams(2, None, [(0, 0), (0, 0)]),
         WallCrossStep(ChargeDifferenceWall(0, 1, 0), "up"),
-        make_params(2, None, [(0, 0), (0, 1)]),
+        CherednikParams(2, None, [(0, 0), (0, 1)]),
     ),
     (
-        make_params(3, Fraction(-1, 3), [0, 10, -10]),
+        CherednikParams(3, Fraction(-1, 3), [0, 10, -10]),
         WallCrossStep(ChargeDifferenceWall(0, 2, 10), "up"),
-        make_params(3, Fraction(-1, 3), [0, 10, -13]),
+        CherednikParams(3, Fraction(-1, 3), [0, 10, -13]),
     ),
 ]
 
@@ -510,8 +510,8 @@ def check_wall_crossing(full: bool) -> None:
 def check_heis_q_lowering(full: bool) -> None:
     for params in (
         GOLDEN,
-        make_params(2, Fraction(-1, 2), [0, 0]),
-        make_params(3, Fraction(-1, 3), [0, 1, -1]),
+        CherednikParams(2, Fraction(-1, 2), [0, 0]),
+        CherednikParams(3, Fraction(-1, 3), [0, 1, -1]),
     ):
         heis_q_lowering_choice(params, 4 if full else 2)
 
@@ -524,8 +524,8 @@ def check_transpose_reduction(full: bool) -> None:
         (2, Fraction(2, 3), [0, Fraction(1, 2)]),
         (3, Fraction(1, 3), [0, 1, -1]),
     ):
-        pos = make_params(level, kappa, charges)
-        neg = make_params(level, -kappa, [-c for c in charges])
+        pos = CherednikParams(level, kappa, charges)
+        neg = CherednikParams(level, -kappa, [-c for c in charges])
         transpose_reduction(pos, neg, (4 if level == 3 else 6) if full else 2)
 
 
@@ -538,11 +538,11 @@ def check_rank_one(full: bool) -> None:
     points; at l = 1 rank one is degenerate (support works on C^0)."""
     extra = [(2, "-1/2", [0, 0]), (2, "1/2", [0, 0]), (2, "1/2", [0, -1]),
              (2, "2/3", [0, "1/2"]), (3, "1/3", [0, 1, -1])]
-    for params in [p for p in GRID if p.level >= 2 and p.kappa.is_rational] + [
-        make_params(*point) for point in extra
+    for params in [p for p in GRID if p.level >= 2 and p.kappa is not None] + [
+        CherednikParams(*point) for point in extra
     ]:
         l, kappa = params.level, params.kappa
-        h = [Fraction(i, l) - kappa.value * s.collapse(kappa) for i, s in enumerate(params.s)]
+        h = [Fraction(i, l) - kappa * s.collapse(kappa) for i, s in enumerate(params.s)]
         for j in range(l):
             lam = Multipartition([[1] if i == j else [] for i in range(l)])
             # a witness degree is None (no map) or n >= 0; only n >= 1 counts
@@ -553,7 +553,7 @@ def check_rank_one(full: bool) -> None:
 def check_filtration_counts(full: bool) -> None:
     """The grid, then one level-4 point up to size 3."""
     _on_grid(filtration_counts, 2, 5, rational=True)(full)
-    filtration_counts(make_params(4, Fraction(-1, 2), [0, 1, -1, 2]), 3)
+    filtration_counts(CherednikParams(4, Fraction(-1, 2), [0, 1, -1, 2]), 3)
 
 
 def check_fock_matrix(full: bool) -> None:

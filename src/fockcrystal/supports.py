@@ -59,10 +59,10 @@ class WallCrossStep(NamedTuple):
 
 
 def _require_rational(params: CherednikParams, what: str) -> int:
-    if not params.kappa.is_rational:
+    if params.kappa is None:
         raise UnsupportedParameterError(f"{what} needs rational kappa")
     reject_integer_kappa(params)
-    return params.kappa.e
+    return params.e
 
 
 def _check_asymptotic(lam: Multipartition, j: int, params: CherednikParams) -> None:
@@ -279,7 +279,7 @@ def _class_q(
     for i, m in walls:
         pi, pj = level2_transport((cur[i], cur[j]), -m, "up")
         cur = cur.replace_component(i, pi).replace_component(j, pj)
-    quot, _ = divide_with_remainder(cur[j], params.kappa.e)
+    quot, _ = divide_with_remainder(cur[j], params.e)
     return quot.size
 
 
@@ -297,7 +297,7 @@ def heis_q(
     reject_level_mismatch(lam, params)
     normalized, flip = normalize_for_support(params)
     lam = lam.transpose() if flip else lam
-    if not normalized.kappa.is_rational:
+    if normalized.kappa is None:
         return 0
     reject_integer_kappa(normalized)
     total = 0
@@ -311,7 +311,7 @@ def support(lam: Multipartition, params: CherednikParams) -> SupportDescriptor:
     """Full support descriptor of the simple labelled by lam, of rank |lam|."""
     q = heis_q(lam, params)
     p = km_depth(lam, params)
-    e = params.kappa.e
+    e = params.e
     residual = lam.size - p - (e * q if e is not None else 0)
     if residual < 0:
         raise InternalInvariantError(

@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 
 from fockcrystal import (
+    CherednikParams,
     Multipartition,
     Residue,
     e_tilde,
     e_z_op,
     enumerate_partitions,
     f_tilde,
-    make_params,
     plethysm_class,
     reduce_signature,
     z_signature,
@@ -126,7 +126,7 @@ def test_criterion_06_plethysm_singular_class():
     with reported(6, "plethysm class: e_z kills it, B_-d differentiates it"):
         failures = []
         for e in (2, 3):
-            params = make_params(1, Fraction(-1, e), [0])
+            params = CherednikParams(1, Fraction(-1, e), [0])
             for size in range(1, 4):
                 for mu in enumerate_partitions(size):
                     vec = plethysm_class(mu, e)

@@ -582,6 +582,14 @@ def test_integer_kappa_rejected(capsys, tmp_path, command):
     assert err == "error: integer kappa (e = 1) is outside the supported parameter range\n"
 
 
+@pytest.mark.parametrize("kappa", [0, "0/3", {"num": 0}], ids=["number", "string", "object"])
+def test_zero_kappa_rejected(capsys, tmp_path, kappa):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"level": 1, "kappa": kappa, "s": [0]}))
+    code, out, err = run(capsys, ["params", "--params", str(path), "--n", "1"])
+    assert (code, out, err) == (2, "", "error: kappa must be nonzero\n")
+
+
 def test_params_accepts_integer_kappa(capsys, tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(INTEGER_KAPPA_DOC))
@@ -746,6 +754,10 @@ class TestRank1Command:
             capsys, ["rank1", "--level", "2", "--h", "0,1/2", "--k", "1", "--j", "0"]
         )
         assert doc == {"dim": 0, "n": None}
+
+    def test_level_zero_names_the_level(self, capsys):
+        code, out, err = run(capsys, ["rank1", "--level", "0", "--h", "0", "--k", "0", "--j", "0"])
+        assert (code, out, err) == (2, "", "error: level must be at least 1\n")
 
     def test_bad_h_list(self, capsys):
         code, _, _ = run(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fockcrystal import (
     Box,
+    CherednikParams,
     InvalidInputError,
     Multipartition,
     Residue,
@@ -24,7 +25,6 @@ from fockcrystal import (
     graph_depths,
     is_singular,
     km_depth,
-    make_params,
     reduce_signature,
     relevant_residues,
     z_signature,
@@ -74,7 +74,7 @@ class TestSignatures:
     def test_signature_keys_off_the_grid(self, level, kappa, charges, bound):
         """Positive kappa, charges with a 1/kappa part and level 4, which
         the selftest grid does not sample."""
-        selftest.signature_keys(make_params(level, kappa, charges), bound)
+        selftest.signature_keys(CherednikParams(level, kappa, charges), bound)
 
 
 def reference_signature(lam, z, params):
@@ -112,7 +112,7 @@ def params_and_label(draw):
     )
     a0 = draw(fractions)
     parts = st.one_of(st.integers(-3, 3), fractions)
-    p = make_params(level, kappa, [(a0 + draw(parts), draw(parts)) for _ in range(level)])
+    p = CherednikParams(level, kappa, [(a0 + draw(parts), draw(parts)) for _ in range(level)])
     return p, Multipartition([draw(partitions) for _ in range(level)])
 
 
@@ -148,10 +148,10 @@ class TestGoldenChain:
 
 class TestCrystalAxioms:
     SAMPLES = [
-        make_params(1, Fraction(-1, 2), [0]),
-        make_params(2, Fraction(-1, 2), [0, -1]),
-        make_params(2, Fraction(-1, 3), [0, 1]),
-        make_params(2, None, [0, -1]),
+        CherednikParams(1, Fraction(-1, 2), [0]),
+        CherednikParams(2, Fraction(-1, 2), [0, -1]),
+        CherednikParams(2, Fraction(-1, 3), [0, 1]),
+        CherednikParams(2, None, [0, -1]),
     ]
 
     @pytest.mark.parametrize("params", SAMPLES)
@@ -175,7 +175,7 @@ class TestCrystalAxioms:
                 assert len(images) == len(set(images))
 
     def test_integer_kappa_unsupported(self):
-        p = make_params(1, -1, [0])
+        p = CherednikParams(1, -1, [0])
         lam = Multipartition([[1]])
         with pytest.raises(UnsupportedParameterError):
             z_signature(lam, Residue(0, 0), p)
@@ -188,25 +188,25 @@ class TestCrystalAxioms:
 class TestLevelOneClassifications:
     @pytest.mark.parametrize("e", [2, 3])
     def test_singular_iff_all_parts_divisible(self, e):
-        selftest.level1_singular(make_params(1, Fraction(-1, e), [0]), 8)
+        selftest.level1_singular(CherednikParams(1, Fraction(-1, e), [0]), 8)
 
     @pytest.mark.parametrize("e", [2, 3])
     def test_empty_component_is_restricted(self, e):
-        selftest.restricted_component(make_params(1, Fraction(-1, e), [0]), 8)
+        selftest.restricted_component(CherednikParams(1, Fraction(-1, e), [0]), 8)
 
     @pytest.mark.parametrize("e", [2, 3])
     @pytest.mark.parametrize("mu_shape", [(1,), (2,), (1, 1)])
     def test_component_isomorphism(self, e, mu_shape):
         """Rowwise addition of a singular partition maps the component of
         the empty partition onto the component of mu, preserving residues."""
-        params = make_params(1, Fraction(-1, e), [0])
+        params = CherednikParams(1, Fraction(-1, e), [0])
         selftest.component_isomorphism(params, 8)
 
 
 class TestSymbolicSingularFamilies:
     def test_rectangles_in_second_component(self):
         for M in (-1, 0, 1, 2):
-            p = make_params(2, None, [0, M])
+            p = CherednikParams(2, None, [0, M])
             for k in (1, 2, 3):
                 if k + M <= 0:
                     continue
@@ -215,7 +215,7 @@ class TestSymbolicSingularFamilies:
 
     def test_rectangles_in_first_component(self):
         for M in (-1, 0, 1, 2):
-            p = make_params(2, None, [0, (M, 1)])
+            p = CherednikParams(2, None, [0, (M, 1)])
             for k in (1, 2, 3):
                 if k + M <= 0:
                     continue
@@ -224,24 +224,24 @@ class TestSymbolicSingularFamilies:
 
     def test_shape_must_match_charge_gap(self):
         assert not is_singular(
-            Multipartition([[], [3, 3]]), make_params(2, None, [0, 1])
+            Multipartition([[], [3, 3]]), CherednikParams(2, None, [0, 1])
         )
         assert is_singular(
-            Multipartition([[], [3, 3]]), make_params(2, None, [0, -1])
+            Multipartition([[], [3, 3]]), CherednikParams(2, None, [0, -1])
         )
         assert is_singular(
-            Multipartition([[], [2, 2, 2]]), make_params(2, None, [0, 1])
+            Multipartition([[], [2, 2, 2]]), CherednikParams(2, None, [0, 1])
         )
 
 
 class TestDepth:
     def test_empty_is_highest_weight(self):
-        p = make_params(1, Fraction(-1, 2), [0])
+        p = CherednikParams(1, Fraction(-1, 2), [0])
         assert km_depth(Multipartition([[]]), p) == 0
         assert is_singular(Multipartition([[]]), p)
 
     def test_column_fixture(self):
-        p = make_params(1, Fraction(-1, 2), [0])
+        p = CherednikParams(1, Fraction(-1, 2), [0])
         assert km_depth(Multipartition([[1, 1]]), p) == 2
 
     def test_lowering_increases_depth(self):
@@ -262,13 +262,13 @@ class TestDepth:
 
 class TestShiftInvariance:
     def test_common_integer_shift(self):
-        shifted = make_params(2, Fraction(-1, 2), [7, 6])
+        shifted = CherednikParams(2, Fraction(-1, 2), [7, 6])
         for lam in enumerate_multipartitions(2, 4):
             assert is_singular(lam, GOLDEN) == is_singular(lam, shifted)
             assert km_depth(lam, GOLDEN) == km_depth(lam, shifted)
 
     def test_residue_labels_shift_with_charges(self):
-        shifted = make_params(2, Fraction(-1, 2), [7, 6])
+        shifted = CherednikParams(2, Fraction(-1, 2), [7, 6])
         for lam in enumerate_multipartitions(2, 3):
             for z in relevant_residues(lam, GOLDEN):
                 zs = Residue(0, (z.value + 7) % 2)
@@ -309,9 +309,9 @@ class TestGraphs:
     @pytest.mark.parametrize(
         "params",
         [
-            make_params(1, Fraction(-1, 2), [0]),
+            CherednikParams(1, Fraction(-1, 2), [0]),
             GOLDEN,
-            make_params(3, Fraction(-1, 3), [0, 1, -1]),
+            CherednikParams(3, Fraction(-1, 3), [0, 1, -1]),
         ],
         ids=["l1", "l2", "l3"],
     )
@@ -322,7 +322,7 @@ class TestGraphs:
         }
 
     def test_edges_only_below_bound(self):
-        g = crystal_graph(3, make_params(1, Fraction(-1, 2), [0]))
+        g = crystal_graph(3, CherednikParams(1, Fraction(-1, 2), [0]))
         assert all(src.size < 3 for src, _, _ in g.edges)
         assert all(dst.size == src.size + 1 for src, _, dst in g.edges)
 
@@ -331,9 +331,9 @@ class TestGraphs:
         [
             (GOLDEN, GOLDEN_LAM, 11),
             (GOLDEN, Multipartition([[], [1, 1]]), 6),
-            (make_params(2, None, [0, -1]), Multipartition([[], [3, 3]]), 8),
-            (make_params(3, Fraction(-1, 3), [0, 1, -1]), Multipartition([[], [], []]), 5),
-            (make_params(1, Fraction(-1, 3), [0]), Multipartition([[3, 1]]), 8),
+            (CherednikParams(2, None, [0, -1]), Multipartition([[], [3, 3]]), 8),
+            (CherednikParams(3, Fraction(-1, 3), [0, 1, -1]), Multipartition([[], [], []]), 5),
+            (CherednikParams(1, Fraction(-1, 3), [0]), Multipartition([[3, 1]]), 8),
         ],
     )
     def test_component_depths_off_the_edges(self, params, lam, bound):
@@ -349,4 +349,4 @@ class TestGraphs:
 
     def test_strict_ties_graph_clean(self):
         selftest.signature_keys(GOLDEN, 3)
-        selftest.signature_keys(make_params(2, None, [0, -1]), 3)
+        selftest.signature_keys(CherednikParams(2, None, [0, -1]), 3)

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from fockcrystal import (
     ChargeDifferenceWall,
+    CherednikParams,
     InvalidInputError,
     KappaDenominatorWall,
     Multipartition,
     Residue,
-    make_params,
 )
 from fockcrystal.jsonio import (
     canonical_dumps,
@@ -54,7 +54,7 @@ class TestFractions:
 
 class TestParamsCodec:
     def test_roundtrip_rational(self):
-        p = make_params(2, Fraction(-1, 2), [0, -1])
+        p = CherednikParams(2, Fraction(-1, 2), [0, -1])
         doc = params_to_json(p)
         assert doc == {
             "level": 2,
@@ -64,7 +64,7 @@ class TestParamsCodec:
         assert params_from_json(doc) == p
 
     def test_roundtrip_irrational_with_pairs(self):
-        p = make_params(2, None, [0, (1, 1)])
+        p = CherednikParams(2, None, [0, (1, 1)])
         doc = params_to_json(p)
         assert doc["kappa"] == "irrational"
         assert params_from_json(doc) == p
@@ -72,10 +72,10 @@ class TestParamsCodec:
     def test_shorthand_forms(self):
         assert params_from_json(
             {"level": 1, "kappa": "-1/2", "s": [0]}
-        ) == make_params(1, Fraction(-1, 2), [0])
+        ) == CherednikParams(1, Fraction(-1, 2), [0])
         assert params_from_json(
             {"level": 1, "kappa": -2, "s": [[3]]}
-        ) == make_params(1, -2, [3])
+        ) == CherednikParams(1, -2, [3])
 
     @pytest.mark.parametrize(
         "bad",
@@ -209,7 +209,7 @@ def parameter_points(draw):
     level = draw(st.integers(1, 4))
     kappa = draw(st.one_of(st.none(), nonzero))
     charges = draw(st.lists(st.tuples(fractions, fractions), min_size=level, max_size=level))
-    return make_params(level, kappa, charges)
+    return CherednikParams(level, kappa, charges)
 
 
 residues = st.builds(Residue, st.integers(0, 9), st.integers(-99, 99))

@@ -9,12 +9,12 @@ import pytest
 
 from fockcrystal import (
     Box,
+    CherednikParams,
     Multipartition,
     box_leq,
     c_lambda,
     enumerate_multipartitions,
     leq_c,
-    make_params,
     preceq,
 )
 from fockcrystal import selftest
@@ -43,16 +43,16 @@ class TestCLambda:
         assert c_lambda(lam, GOLDEN) == 3
 
     def test_level_one_fixture(self):
-        p = make_params(1, Fraction(-1, 2), [0])
+        p = CherednikParams(1, Fraction(-1, 2), [0])
         assert Fraction(c_lambda(make_lam([[2]]), p), p.c_keys[0]) == Fraction(-1, 2)
         # c = (-2*kappa - 1) + (0*kappa - 1) at symbolic kappa, with D = 1
-        q = make_params(2, None, [0, -1])
+        q = CherednikParams(2, None, [0, -1])
         assert c_lambda(make_lam([[], [2]]), q) == (-2, -2)
 
     def test_additive_over_boxes(self):
         lam = make_lam([[2, 1], [1]])
         assert c_lambda(lam, GOLDEN) == sum(GOLDEN.c_of_box(b) for b in lam.boxes())
-        p = make_params(2, None, [0, -1])
+        p = CherednikParams(2, None, [0, -1])
         keys = [p.c_of_box(b) for b in lam.boxes()]
         assert c_lambda(lam, p) == tuple(map(sum, zip(*keys)))
 
@@ -73,7 +73,7 @@ class TestLeqC:
         assert not leq_c(other, row, GOLDEN)
 
     def test_irrational_needs_matching_kappa_part(self):
-        p = make_params(2, None, [0, -1])
+        p = CherednikParams(2, None, [0, -1])
         assert not leq_c(make_lam([[1], []]), make_lam([[], [1]]), p)
         assert not leq_c(make_lam([[], [1]]), make_lam([[1], []]), p)
 
@@ -145,7 +145,7 @@ class TestPreceq:
                     assert preceq(lam, mu, GOLDEN) == brute_preceq(lam, mu, GOLDEN)
 
     def test_matches_permutation_oracle_level_one(self):
-        p = make_params(1, Fraction(-1, 3), [0])
+        p = CherednikParams(1, Fraction(-1, 3), [0])
         for n in range(6):
             nodes = enumerate_multipartitions(1, n)
             for lam in nodes:
@@ -155,8 +155,8 @@ class TestPreceq:
     @pytest.mark.parametrize(
         "params",
         [
-            make_params(3, Fraction(-1, 3), [0, 1, -1]),
-            make_params(2, None, [0, -1]),
+            CherednikParams(3, Fraction(-1, 3), [0, 1, -1]),
+            CherednikParams(2, None, [0, -1]),
         ],
         ids=["level3", "irrational"],
     )
@@ -170,9 +170,9 @@ class TestPreceq:
     def test_refines_c_order(self):
         samples = [
             GOLDEN,
-            make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
-            make_params(1, Fraction(-1, 2), [0]),
-            make_params(2, None, [0, -1]),
+            CherednikParams(2, Fraction(-2, 3), [0, Fraction(1, 2)]),
+            CherednikParams(1, Fraction(-1, 2), [0]),
+            CherednikParams(2, None, [0, -1]),
         ]
         for params in samples:
             selftest.order_refinement(params, 4)

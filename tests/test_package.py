@@ -18,14 +18,12 @@ from fockcrystal.params import (
     CherednikParams,
     HeckeExponents,
     KappaDenominatorWall,
-    KappaValue,
     Residue,
-    make_params,
 )
 from fockcrystal.partitions import Multipartition, Partition
 from fockcrystal.supports import WallCrossStep, support
 
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
+GOLDEN = CherednikParams(2, Fraction(-1, 2), [0, -1])
 GOLDEN_LAM = Multipartition([[2, 2], [3, 1, 1, 1]])
 
 
@@ -55,17 +53,17 @@ def test_no_public_call_takes_level_and_params():
 
 
 def test_unknown_name_is_an_attribute_error():
-    """Also every public name removed in 0.3.0, so none comes back by accident."""
+    """Also every public name removed in 0.3.0 and 0.6.0, so none comes back
+    by accident."""
     for name in ("no_such_name", "CValue", "c_sort_key", "cvalue_integer_difference",
-                 "equivalence_classes"):
+                 "equivalence_classes", "KappaValue", "IRRATIONAL", "rational_kappa",
+                 "make_params", "charge"):
         assert name not in fockcrystal.__all__
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(fockcrystal, name)
 
 
 RECORDS = [
-    KappaValue(Fraction(-1, 2)),
-    KappaValue(None),
     ChargeValue(1, "1/2"),
     Residue(0, 1),
     KappaDenominatorWall(3),
@@ -80,7 +78,7 @@ RECORDS = [
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r in RECORDS}) == 11
+    assert len({type(r) for r in RECORDS}) == 10
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -120,12 +118,10 @@ REPRS = [
         Signature(Residue(0, 0), ()),
         "Signature(residue=Residue(class_id=0, value=0), entries=())",
     ),
-    (KappaValue(Fraction(-1, 2)), "KappaValue(-1/2)"),
-    (KappaValue(None), "KappaValue(~)"),
     (ChargeValue(1, "1/2"), "ChargeValue(1, 1/2)"),
     (
         GOLDEN,
-        "CherednikParams(l=2, kappa=KappaValue(-1/2), s=[ChargeValue(0), ChargeValue(-1)])",
+        "CherednikParams(l=2, kappa=-1/2, s=[ChargeValue(0), ChargeValue(-1)])",
     ),
 ]
 
@@ -135,6 +131,28 @@ def test_record_repr(record, text):
     assert repr(record) == text
 
 
+def test_params_repr_at_symbolic_kappa():
+    assert repr(CherednikParams(2, None, [0, (1, 1)])) == (
+        "CherednikParams(l=2, kappa=~, s=[ChargeValue(0), ChargeValue(1, 1)])"
+    )
+
+
+PARAMS = {"rational": GOLDEN, "symbolic": CherednikParams(3, None, [0, (0, "1/6"), (1, 1)])}
+
+
+@pytest.mark.parametrize("kind", PARAMS)
+def test_params_survive_pickle_and_copy(kind):
+    """Copies rebuild from (level, kappa, s) and keep the derived fields."""
+    params = PARAMS[kind]
+    copies = [pickle.loads(pickle.dumps(params, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(params), copy.deepcopy(params)]
+    for other in copies:
+        assert type(other) is CherednikParams and other == params
+        assert hash(other) == hash(params) and other.c_keys == params.c_keys
+        assert other.kappa is None if params.kappa is None else type(other.kappa) is Fraction
+
+
 def test_residues_sort_by_class_then_value():
     residues = [Residue(1, 0), Residue(0, 2), Residue(0, 1)]
     assert sorted(residues) == [Residue(0, 1), Residue(0, 2), Residue(1, 0)]
@@ -142,11 +160,9 @@ def test_residues_sort_by_class_then_value():
 
 
 def test_validated_records_normalise_their_fields():
-    assert KappaValue("2/3").value == Fraction(2, 3)
-    for record in (KappaValue(-2), ChargeValue(1, "-1/2")):
-        assert all(type(x) is Fraction for x in record), record
+    assert all(type(x) is Fraction for x in ChargeValue(1, "-1/2"))
     assert ChargeValue(1).b == 0
-    params = CherednikParams(1, KappaValue(Fraction(-1, 3)), (0,))
+    params = CherednikParams(1, Fraction(-1, 3), (0,))
     assert params.s == (ChargeValue(0),) and isinstance(params.s[0], ChargeValue)
 
 

@@ -3,6 +3,7 @@ against Fraction c-values, box residues, component equivalence classes,
 essential walls, Hecke exponents, and the rank-one Hom criterion."""
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -12,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockcrystal import (
-    IRRATIONAL,
     Box,
     ChargeValue,
     CherednikParams,
     InvalidInputError,
-    KappaValue,
     ChargeDifferenceWall,
     KappaDenominatorWall,
     Multipartition,
@@ -29,7 +28,6 @@ from fockcrystal import (
     basis_vector,
     box_leq,
     c_lambda,
-    charge,
     crystal_component,
     crystal_graph,
     e_tilde,
@@ -46,11 +44,9 @@ from fockcrystal import (
     is_singular,
     km_depth,
     leq_c,
-    make_params,
     normalize_for_support,
     preceq,
     rank_one_verma_hom,
-    rational_kappa,
     relevant_residues,
     singular_subspace,
     support,
@@ -60,54 +56,72 @@ from fockcrystal import (
 from fockcrystal import orders, selftest
 from fockcrystal.orders import _c_difference
 
-GOLDEN = make_params(2, Fraction(-1, 2), [0, -1])
+GOLDEN = CherednikParams(2, Fraction(-1, 2), [0, -1])
 
 
-class TestKappaValue:
-    def test_rational_accessors(self):
-        k = rational_kappa(-2, 3)
-        assert k.is_rational
-        assert k.value == Fraction(-2, 3)
-        assert k.e == 3
-        assert k.r_abs == 2
+# one parameter point written in every form the constructor accepts
+KAPPA_FORMS = {
+    "rational": (Fraction(-2, 3), ["-2/3", Fraction(-4, 6)]),
+    "integer": (Fraction(-1), [-1, "-1", Fraction(-1)]),
+    "symbolic": (None, [None]),
+}
+PAIR_CHARGE_FORMS = [ChargeValue(3, Fraction(1, 2)), (3, "1/2"), [Fraction(3), "1/2"]]
+HALF_CHARGE_FORMS = [ChargeValue(Fraction(-1, 2)), Fraction(-1, 2), "-1/2"]
+INT_CHARGE_FORMS = [ChargeValue(2), 2, "2", Fraction(2), [2]]
 
-    def test_irrational_accessors(self):
-        assert not IRRATIONAL.is_rational
-        assert IRRATIONAL.e is None
-        assert IRRATIONAL.r_abs is None
 
-    def test_zero_rejected(self):
-        with pytest.raises(InvalidInputError, match="kappa must be nonzero"):
-            KappaValue(0)
+class TestConstructor:
+    @pytest.mark.parametrize("kind", KAPPA_FORMS)
+    def test_every_accepted_form_gives_equal_records(self, kind):
+        kappa, forms = KAPPA_FORMS[kind]
+        want = CherednikParams(3, kappa, (ChargeValue(3, Fraction(1, 2)),
+                                          ChargeValue(Fraction(-1, 2)), ChargeValue(2)))
+        for k in forms:
+            for s in itertools.product(PAIR_CHARGE_FORMS, HALF_CHARGE_FORMS, INT_CHARGE_FORMS):
+                p = CherednikParams(3, k, s)
+                assert p == want and hash(p) == hash(want), (k, s)
+                assert p.kappa is None if kappa is None else type(p.kappa) is Fraction
+                assert all(type(c) is ChargeValue for c in p.s)
+                assert all(type(x) is Fraction for c in p.s for x in c), s
+
+    def test_e_is_the_denominator_of_kappa(self):
+        assert CherednikParams(1, "-2/3", [0]).e == 3
+        assert CherednikParams(1, -2, [0]).e == 1
+        assert CherednikParams(1, None, [0]).e is None
+
+    @pytest.mark.parametrize("zero", [0, "0", Fraction(0)], ids=repr)
+    def test_zero_kappa_rejected(self, zero):
+        with pytest.raises(InvalidInputError, match="^kappa must be nonzero$"):
+            CherednikParams(1, zero, [0])
 
 
 class TestChargeAndCValues:
     def test_charge_collapse(self):
         # a + b/kappa at kappa = -1/2
-        assert charge(3, 1).collapse(rational_kappa(-1, 2)) == 1
+        assert ChargeValue(3, 1).collapse(Fraction(-1, 2)) == 1
         with pytest.raises(UnsupportedParameterError):
-            charge(3, 1).collapse(IRRATIONAL)
+            ChargeValue(3, 1).collapse(None)
 
     def test_charge_arithmetic(self):
-        assert charge(1, 2) + charge(3, -1) == charge(4, 1)
-        assert charge(1, 2) - charge(3, -1) == charge(-2, 3)
-        assert charge(1, 2).shift(Fraction(1, 2)) == charge(Fraction(3, 2), 2)
+        assert ChargeValue(1, 2) + ChargeValue(3, -1) == ChargeValue(4, 1)
+        assert ChargeValue(1, 2) - ChargeValue(3, -1) == ChargeValue(-2, 3)
+        assert ChargeValue(1, 2).shift(Fraction(1, 2)) == ChargeValue(Fraction(3, 2), 2)
 
     def test_cvalue_collapse(self):
         # kappa*l = -4/3 and c at content 0 is -5/3 in component 1, so D = 3
-        p = make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)])
+        p = CherednikParams(2, Fraction(-2, 3), [0, Fraction(1, 2)])
         assert p.c_keys == (3, -4, (0, -5))
         # c = kappa*l*(1/2 + 1) - 1 = -3
         assert p.c_of_box(Box(2, 1, 1)) == 3 * -3
 
     def test_cvalue_integer_difference(self):
-        p = make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)])
+        p = CherednikParams(2, Fraction(-2, 3), [0, Fraction(1, 2)])
         c = [p.c_of_box(b) for b in (Box(1, 1, 0), Box(2, 1, 1), Box(2, 1, 0))]
         # c-values 0, -3 and -4/3
         assert _c_difference(c[0], c[1], p) == 3
         assert _c_difference(c[1], c[0], p) == -3
         assert _c_difference(c[0], c[2], p) is None
-        q = make_params(3, None, [0, (0, Fraction(1, 6)), (0, 1)])
+        q = CherednikParams(3, None, [0, (0, Fraction(1, 6)), (0, 1)])
         assert q.c_keys == (2, 6, ((0, 0), (0, -1), (0, 2)))
         # c-values 0, 3*kappa, -1/2 and 1
         c = [q.c_of_box(b) for b in (Box(1, 1, 0), Box(2, 1, 0), Box(1, 1, 1), Box(1, 1, 2))]
@@ -116,25 +130,25 @@ class TestChargeAndCValues:
         assert _c_difference(c[3], c[0], q) == 1
 
     def test_c_sort_key_irrational_is_lexicographic(self):
-        p = make_params(2, None, [0, -1])
+        p = CherednikParams(2, None, [0, -1])
         a, b = p.c_of_box(Box(1, 1, 0)), p.c_of_box(Box(2, 1, 0))
         assert (a, b) == ((0, 0), (2, 0))
         # c-values 0 and 2*kappa: the kappa part decides, whatever the rest
         assert a < b and p.c_of_box(Box(1, 1, 1)) < a
         # numerically at kappa = -1/2 the comparison flips
-        q = make_params(2, Fraction(-1, 2), [0, -1])
+        q = CherednikParams(2, Fraction(-1, 2), [0, -1])
         assert q.c_of_box(Box(1, 1, 0)) > q.c_of_box(Box(2, 1, 0))
 
 
 class TestParams:
-    def test_make_params_validates_charge_count(self):
+    def test_constructor_validates_charge_count(self):
         with pytest.raises(InvalidInputError, match="expected 2 charges, got 1"):
-            make_params(2, Fraction(-1, 2), [0])
+            CherednikParams(2, Fraction(-1, 2), [0])
         with pytest.raises(InvalidInputError, match="level must be at least 1"):
-            make_params(0, Fraction(-1, 2), [])
+            CherednikParams(0, Fraction(-1, 2), [])
 
     def test_charge_pairs(self):
-        p = make_params(2, None, [0, (0, 1)])
+        p = CherednikParams(2, None, [0, (0, 1)])
         assert p.s[1] == ChargeValue(Fraction(0), Fraction(1))
 
     def test_h_values_at_golden(self):
@@ -142,8 +156,8 @@ class TestParams:
         assert GOLDEN.c_of_box(Box(1, 1, 0)) == GOLDEN.c_of_box(Box(1, 1, 1)) == 0
 
     def test_charged_content(self):
-        assert GOLDEN.charged_content(Box(1, 4, 1)) == charge(-4)
-        assert GOLDEN.charged_content(Box(2, 2, 0)) == charge(0)
+        assert GOLDEN.charged_content(Box(1, 4, 1)) == ChargeValue(-4)
+        assert GOLDEN.charged_content(Box(2, 2, 0)) == ChargeValue(0)
         with pytest.raises(InvalidInputError):
             GOLDEN.charged_content(Box(1, 1, 2))
 
@@ -168,21 +182,21 @@ class TestEquivalenceClasses:
         assert GOLDEN.class_of_component(1) == 0
 
     def test_split_classes(self):
-        p = make_params(2, Fraction(-1, 2), [0, Fraction(1, 2)])
+        p = CherednikParams(2, Fraction(-1, 2), [0, Fraction(1, 2)])
         assert p.classes == ((0,), (1,))
 
     def test_larger_numerator_merges(self):
         # Z + (e/r)Z = (1/2)Z at kappa = -2/3 absorbs the half charge
-        p = make_params(2, Fraction(-2, 3), [0, Fraction(1, 2)])
+        p = CherednikParams(2, Fraction(-2, 3), [0, Fraction(1, 2)])
         assert p.classes == ((0, 1),)
 
     def test_irrational_classes(self):
-        p = make_params(3, None, [0, (0, 1), (Fraction(1, 2), 0)])
+        p = CherednikParams(3, None, [0, (0, 1), (Fraction(1, 2), 0)])
         assert p.classes == ((0, 1), (2,))
 
     def test_classes_are_a_field(self):
         assert CherednikParams._fields == ("level", "kappa", "s", "classes", "bases", "c_keys")
-        p = make_params(3, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(3, 2)])
+        p = CherednikParams(3, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(3, 2)])
         assert p.classes == ((0, 2), (1,))
         assert p.bases == ((0, 0), (1, 0), (0, 1))
         # kappa*l = -3/2; c at content 0 is -3/4, -1 and -17/4
@@ -205,7 +219,7 @@ class TestEquivalenceClasses:
         assert e_tilde(lam, z, GOLDEN) == Multipartition([[2, 2], [3, 1, 1]])
         assert f_tilde(lam, z, GOLDEN) == Multipartition([[3, 2], [3, 1, 1, 1]])
         assert len(crystal_graph(4, GOLDEN).edges) == 26
-        assert len(crystal_graph(3, make_params(3, None, [0, -1, (1, 1)])).edges) == 36
+        assert len(crystal_graph(3, CherednikParams(3, None, [0, -1, (1, 1)])).edges) == 36
 
 
 class TestResidues:
@@ -221,19 +235,19 @@ class TestResidues:
         """For integral level-one charges the residue reduces to the
         charged content mod e, whatever the numerator of kappa."""
         e = 3
-        p = make_params(1, Fraction(num, e), [0])
+        p = CherednikParams(1, Fraction(num, e), [0])
         for x in range(1, 6):
             for y in range(1, 6):
                 assert p.residue(Box(x, y, 0)) == Residue(0, (x - y) % e)
 
     def test_split_class_residues_use_own_representative(self):
-        p = make_params(2, Fraction(-1, 2), [0, Fraction(1, 2)])
+        p = CherednikParams(2, Fraction(-1, 2), [0, Fraction(1, 2)])
         assert p.residue(Box(1, 1, 0)) == Residue(0, 0)
         assert p.residue(Box(1, 1, 1)) == Residue(1, 0)
         assert p.residue(Box(2, 1, 1)) == Residue(1, 1)
 
     def test_irrational_residues_are_plain_integers(self):
-        p = make_params(2, None, [0, -1])
+        p = CherednikParams(2, None, [0, -1])
         assert p.residue(Box(1, 1, 1)) == Residue(0, -1)
         assert p.residue(Box(3, 1, 0)) == Residue(0, 2)
 
@@ -250,9 +264,9 @@ def reference_residue(p, b):
     cid = next(cid for cid, members in enumerate(p.classes) if b.comp in members)
     rep = p.classes[cid][0]
     cont = p.charged_content(b)
-    if p.kappa.is_rational:
-        r = p.kappa.r_abs
-        e = p.kappa.e
+    if p.kappa is not None:
+        r = abs(p.kappa.numerator)
+        e = p.e
         sigma = p.s[rep].collapse(p.kappa)
         offset = sigma - Fraction(math.floor(sigma * r), r)
         scaled = (cont.collapse(p.kappa) - offset) * r
@@ -287,7 +301,7 @@ def params_and_boxes(draw):
         (a0 + draw(charge_parts), draw(charge_parts))
         for _ in range(level)
     ]
-    p = make_params(level, draw(kappas), s)
+    p = CherednikParams(level, draw(kappas), s)
     boxes = [draw(st.builds(Box, coords, coords, st.just(i))) for i in range(level)]
     boxes += draw(st.lists(st.builds(Box, coords, coords, st.integers(0, level - 1)), max_size=6))
     return p, boxes
@@ -325,8 +339,8 @@ def reference_c(p, b):
     """c_b = kappa*l*(s_i + x - y) - i worked out with Fractions, or the
     pair (u, v) of c_b = u*kappa + v at symbolic kappa."""
     cont = p.charged_content(b)
-    if p.kappa.is_rational:
-        return p.kappa.value * p.level * cont.collapse(p.kappa) - b.comp
+    if p.kappa is not None:
+        return p.kappa * p.level * cont.collapse(p.kappa) - b.comp
     return (p.level * cont.a, p.level * cont.b - b.comp)
 
 
@@ -344,7 +358,7 @@ def reference_difference(c1, c2):
 # check, and the off-grid points of the signature-keys test in
 # test_crystal.py (levels 2-4, half-integer charges, symbolic kappa).
 C_KEY_POINTS = selftest.GRID + [
-    make_params(level, kappa, charges)
+    CherednikParams(level, kappa, charges)
     for level, kappa, charges in (
         (1, Fraction(1, 2), [0]),
         (1, Fraction(2, 3), [Fraction(1, 2)]),
@@ -424,12 +438,12 @@ class TestWalls:
         assert not is_essential_charge_wall(GOLDEN, 0, 1, 2)
 
     def test_denominator_wall_needs_reachable_rank(self):
-        p = make_params(1, Fraction(-1, 3), [0])
+        p = CherednikParams(1, Fraction(-1, 3), [0])
         assert essential_walls(p, 2) == []
         assert essential_walls(p, 3) == [KappaDenominatorWall(3)]
 
     def test_irrational_has_integer_charge_walls_only(self):
-        p = make_params(2, None, [0, -1])
+        p = CherednikParams(2, None, [0, -1])
         assert KappaDenominatorWall not in {type(w) for w in essential_walls(p, 4)}
         assert ChargeDifferenceWall(0, 1, 1) in essential_walls(p, 4)
 
@@ -440,7 +454,7 @@ class TestWalls:
 
 class TestIntegerKappa:
     def test_every_computation_rejects_integer_kappa(self):
-        p = make_params(2, -1, [0, 0])
+        p = CherednikParams(2, -1, [0, 0])
         lam = Multipartition([[1], []])
         v = basis_vector(lam, 2)
         z = Residue(0, 0)
@@ -461,7 +475,7 @@ class TestIntegerKappa:
                 call()
 
     def test_diagnostics_accept_integer_kappa(self):
-        p = make_params(2, -1, [0, 0])
+        p = CherednikParams(2, -1, [0, 0])
         assert p.classes == ((0, 1),)
         assert hecke_exponents(p).q_exp == 0
 
@@ -482,8 +496,8 @@ class TestLevelMismatch:
             lambda: support(lam, GOLDEN),
             lambda: heis_q(lam, GOLDEN),
             lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 1)), GOLDEN),
-            lambda: asymptotic_q(lam, 1, make_params(2, Fraction(-1, 2), [0, -9])),
-            lambda: heis_e_asymptotic(lam, 1, 0, make_params(2, Fraction(-1, 2), [0, -9])),
+            lambda: asymptotic_q(lam, 1, CherednikParams(2, Fraction(-1, 2), [0, -9])),
+            lambda: heis_e_asymptotic(lam, 1, 0, CherednikParams(2, Fraction(-1, 2), [0, -9])),
             lambda: c_lambda(lam, GOLDEN),
             lambda: leq_c(lam, lam, GOLDEN),
             lambda: leq_c(ok, lam, GOLDEN),
@@ -503,12 +517,12 @@ class TestHecke:
         assert h.Q_exp == (Fraction(0), Fraction(1, 2))
 
     def test_exponents_reduced_mod_one(self):
-        p = make_params(1, Fraction(-1, 3), [0])
+        p = CherednikParams(1, Fraction(-1, 3), [0])
         assert hecke_exponents(p).q_exp == Fraction(2, 3)
 
     def test_irrational_unsupported(self):
         with pytest.raises(UnsupportedParameterError):
-            hecke_exponents(make_params(1, None, [0]))
+            hecke_exponents(CherednikParams(1, None, [0]))
 
 
 class TestRankOne:
@@ -539,12 +553,12 @@ class TestNormalizeForSupport:
         assert not transposed
 
     def test_positive_kappa_negated(self):
-        p = make_params(2, Fraction(1, 2), [0, -1])
+        p = CherednikParams(2, Fraction(1, 2), [0, -1])
         flipped, transposed = normalize_for_support(p)
         assert transposed
-        assert flipped.kappa.value == Fraction(-1, 2)
+        assert flipped.kappa == Fraction(-1, 2)
         assert [c.a for c in flipped.s] == [0, 1]
 
     def test_irrational_unchanged(self):
-        p = make_params(2, None, [0, -1])
+        p = CherednikParams(2, None, [0, -1])
         assert normalize_for_support(p) == (p, False)

@@ -37,7 +37,7 @@ from .jsonio import (
     fraction_from_json,
     fraction_to_json,
     load_params,
-    matrix_to_json,
+    matrix_dumps,
     multipartition_label,
     multipartition_to_json,
     params_to_json,
@@ -202,8 +202,7 @@ def cmd_fock(args) -> int:
         rows, cols, entries = operator_matrix(
             _matrix_term_map(args, params), args.degree_from, args.degree_to
         )
-        doc = matrix_to_json(rows, cols, entries, args.degree_from, args.degree_to)
-        _emit(canonical_dumps(doc), args)
+        _emit(matrix_dumps(rows, cols, entries, args.degree_from, args.degree_to), args)
         return 0
     if args.n is None:
         raise InvalidInputError(f"fock {args.subop} needs --n")

@@ -163,9 +163,11 @@ def inner_product(u: FockVector, v: FockVector) -> Fraction:
 class TermMap(NamedTuple):
     """An operator termwise, as a sum over components: `component_moves(i, p)`
     lists the (partition, integer coefficient) terms that replace component i
-    of a label of `params.level` when it is p.  When every label has a term,
-    each of degree `raising` above it, a label that would overflow a truncation
-    is rejected before any term is built; `raising` is 0 otherwise."""
+    of a label of `params.level` when it is p.  The maps built here compute
+    each list once and hand the same list out again, so callers only read it.
+    When every label has a term, each of degree `raising` above it, a label
+    that would overflow a truncation is rejected before any term is built;
+    `raising` is 0 otherwise."""
 
     params: CherednikParams
     component_moves: Callable[[int, Partition], Iterable[tuple[Partition, int]]]
@@ -216,9 +218,11 @@ def box_term_map(params: CherednikParams, z: Residue, remove: bool) -> TermMap:
         raise InvalidInputError(f"no box has residue {z}: class ids 0..{len(params.classes) - 1}")
     if params.e is not None and z.value not in range(params.e):
         raise InvalidInputError(f"no box has residue {z}: values 0..{params.e - 1}")
-    return TermMap(
-        params, lambda i, p: [(mu, 1) for r, mu in _cell_moves(params, i, p, remove) if r == z]
+    # a residue depends on the component, so the terms are read once per (i, p)
+    terms = lru_cache(maxsize=None)(
+        lambda i, p: [(mu, 1) for r, mu in _cell_moves(params, i, p, remove) if r == z]
     )
+    return TermMap(params, terms)
 
 
 def f_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
@@ -299,8 +303,9 @@ def heisenberg_term_map(
     else:
         raise InvalidInputError(f"unknown Heisenberg model {model!r}")
 
-    raising = 0 if remove else length
-    return TermMap(params, lambda i, p: [(mv.result, mv.sign) for mv in moves(p, step)], raising)
+    # ribbons and bead moves do not depend on the component: one list per partition
+    terms = lru_cache(maxsize=None)(lambda p: [(mv.result, mv.sign) for mv in moves(p, step)])
+    return TermMap(params, lambda i, p: terms(p), 0 if remove else length)
 
 
 def b_plus_op(
@@ -604,15 +609,11 @@ def operator_matrix(
     row_index = {lam: r for r, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
     _check_truncation(degree_from + term_map.raising, truncation)
-    component_terms: dict[tuple, list] = {}  # (i, partition) -> its terms, read once per call
     entries: dict[tuple[int, int], int] = {}
     for j, lam in enumerate(cols):
         for i, comp in enumerate(lam):
-            terms = component_terms.get((i, comp))
-            if terms is None:
-                terms = component_terms[i, comp] = list(term_map.component_moves(i, comp))
             head, tail = lam[:i], lam[i + 1 :]
-            for mu, w in terms:
+            for mu, w in term_map.component_moves(i, comp):
                 r = row_index.get(head + (mu,) + tail)
                 if r is None:  # every label of degree_to is a row
                     size = lam.size - comp.size + mu.size

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Sequence, Union
 
 from .errors import InvalidInputError
@@ -175,23 +176,37 @@ def support_table_to_json(
     ]
 
 
-def matrix_to_json(
+def matrix_dumps(
     row_basis: Sequence[Multipartition],
     col_basis: Sequence[Multipartition],
     entries: dict[tuple[int, int], Union[int, Fraction]],
     degree_from: int,
     degree_to: int,
-) -> dict:
-    return {
-        "degree_from": degree_from,
-        "degree_to": degree_to,
-        "rows": [multipartition_label(lam) for lam in row_basis],
-        "cols": [multipartition_label(lam) for lam in col_basis],
-        "entries": [
-            [r, c, f"{entries[(r, c)].numerator}/{entries[(r, c)].denominator}"]
-            for r, c in sorted(entries)
-        ],
-    }
+) -> str:
+    """canonical_dumps of the `fock matrix` document: "rows" and "cols" are
+    the compact labels of the bases, "entries" the [row, col, "num/den"]
+    triples in (row, col) order.  Written in one pass: the text of each
+    component partition and of each weight is built once, and every label
+    joins its components' texts."""
+    shapes = {p for lam in (*row_basis, *col_basis) for p in lam}
+    text = {p: "[" + ",".join(map(str, p)) + "]" for p in shapes}
+    weights = {w: f'"{w.numerator}/{w.denominator}"' for w in set(entries.values())}
+
+    def block(items: list[str]) -> str:
+        return "[" + ",".join(items) + "\n  ]" if items else "[]"
+
+    def labels(basis: Sequence[Multipartition]) -> str:
+        return block(['\n    "[' + ",".join(map(text.__getitem__, lam)) + ']"' for lam in basis])
+
+    triples = block([
+        f"\n    [\n      {r},\n      {c},\n      {weights[w]}\n    ]"
+        for (r, c), w in sorted(entries.items(), key=itemgetter(0))
+    ])
+    return (
+        f'{{\n  "cols": {labels(col_basis)},\n  "degree_from": {degree_from},\n'
+        f'  "degree_to": {degree_to},\n  "entries": {triples},\n'
+        f'  "rows": {labels(row_basis)}\n}}\n'
+    )
 
 
 def canonical_dumps(obj: Any) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedParameterError
@@ -31,7 +32,16 @@ CKey = Union[int, tuple[int, int]]
 
 
 def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction.  A float or bool is refused: Fraction would take a
+    float's binary value, so 0.1 would give e = 2**55."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise InvalidInputError(f"expected an exact rational number, got {x!r}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"cannot parse rational {x!r}") from exc
 
 
 # Records are NamedTuples: immutable, hashed and ordered as the tuple of
@@ -328,9 +338,13 @@ def normalize_for_support(
     and is returned unchanged.  The crystal depth needs no reduction."""
     if params.kappa is None or params.kappa < 0:
         return params, False
-    flipped = CherednikParams(
-        params.level,
-        -params.kappa,
-        tuple(ChargeValue(-c.a, -c.b) for c in params.s),
+    return _flipped(params), True
+
+
+@lru_cache
+def _flipped(params: CherednikParams) -> CherednikParams:
+    """(-kappa, -s), built once per params record: a support table asks
+    for it once per label."""
+    return CherednikParams(
+        params.level, -params.kappa, tuple(ChargeValue(-c.a, -c.b) for c in params.s)
     )
-    return flipped, True

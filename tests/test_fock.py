@@ -756,22 +756,44 @@ def test_operator_matrix_reads_the_residues_of_each_component():
 
 
 @pytest.mark.parametrize("kind", TERM_MAPS)
-def test_operator_matrix_reads_each_component_partition_once(kind):
-    """Within one call the moves of a (component, partition) pair are
-    computed once, however many labels hold that partition there."""
-    build, params, step, _ = TERM_MAPS[kind]
-    term_map = build()
-    calls = Counter()
+def test_operator_matrix_reads_each_component_partition_once(monkeypatch, kind):
+    """One call builds the moves of each component partition once, at
+    levels 2 and 3: a Heisenberg map once per partition, whichever
+    components hold it, and a box map once per (component, partition),
+    since its residues depend on the component."""
+    from fockcrystal import fock
 
-    def counted(i, p):
-        calls[i, p] += 1
-        return term_map.component_moves(i, p)
+    heisenberg = kind not in ("f", "e")
+    if heisenberg:
+        builders = ("ribbon_additions", "ribbon_removals", "_wedge_moves")
+    else:
+        builders = ("_cell_moves",)
+    builds = Counter()
 
-    ends = (8, 8 + step) if step < 0 else (8 - step, 8)
-    want = operator_matrix(term_map, *ends)
-    assert operator_matrix(term_map._replace(component_moves=counted), *ends) == want
-    assert set(calls.values()) == {1}
-    assert set(calls) == {(i, c) for lam in want[1] for i, c in enumerate(lam)}
+    def counted(build):
+        def run(*args):
+            # (p, step) for a Heisenberg builder, (params, i, p, remove) for _cell_moves
+            builds[args[0] if heisenberg else args[1:3]] += 1
+            return build(*args)
+
+        return run
+
+    for name in builders:  # before the maps are built, since a map holds its builder
+        monkeypatch.setattr(fock, name, counted(getattr(fock, name)))
+    top, shared = 7, 0
+    for params in (GOLDEN, L3):
+        maps = kind_term_maps(kind, params, top)
+        assert maps
+        for term_map, step in maps:
+            builds.clear()
+            ends = (top, top + step) if step < 0 else (top - step, top)
+            cols = operator_matrix(term_map, *ends)[1]
+            pairs = {(i, c) for lam in cols for i, c in enumerate(lam)}
+            want = {c for _, c in pairs} if heisenberg else pairs
+            assert builds == Counter(dict.fromkeys(want, 1)), (params, ends)
+            shared += len(pairs) - len(want)
+    if heisenberg:  # the memo saves work: some partition sits in two components
+        assert shared > 0
 
 
 def test_operator_matrix_names_the_degree_a_term_lands_in():

@@ -15,12 +15,16 @@ from fockcrystal import (
     KappaDenominatorWall,
     Multipartition,
     Residue,
+    box_term_map,
+    heisenberg_term_map,
+    operator_matrix,
 )
 from fockcrystal.jsonio import (
     canonical_dumps,
     fraction_from_json,
     fraction_to_json,
     load_params,
+    matrix_dumps,
     multipartition_label,
     multipartition_to_json,
     params_from_json,
@@ -195,6 +199,79 @@ def test_canonical_dumps_is_the_indented_sorted_json_text(doc):
     text for every document of the types commands emit, empty and nested
     containers, big integers and escaped text included."""
     assert canonical_dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_matrix_doc(rows, cols, entries, degree_from, degree_to):
+    """The `fock matrix` document as the dict that canonical_dumps wrote
+    before matrix_dumps: labels through multipartition_label, entries as
+    [row, col, "num/den"] in (row, col) order."""
+    return {
+        "degree_from": degree_from,
+        "degree_to": degree_to,
+        "rows": [multipartition_label(lam) for lam in rows],
+        "cols": [multipartition_label(lam) for lam in cols],
+        "entries": [
+            [r, c, f"{entries[(r, c)].numerator}/{entries[(r, c)].denominator}"]
+            for r, c in sorted(entries)
+        ],
+    }
+
+
+def assert_matrix_text(rows, cols, entries, degree_from, degree_to):
+    doc = reference_matrix_doc(rows, cols, entries, degree_from, degree_to)
+    got = matrix_dumps(rows, cols, entries, degree_from, degree_to)
+    assert got == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+MATRIX_PARAMS = [
+    CherednikParams(1, Fraction(-1, 2), [0]),
+    CherednikParams(1, Fraction(-2, 3), [0]),
+    CherednikParams(2, Fraction(-1, 2), [0, 1]),
+    CherednikParams(2, Fraction(-1, 3), [0, Fraction(1, 2)]),
+    CherednikParams(2, None, [0, 1]),
+    CherednikParams(3, Fraction(-1, 3), [0, 1, -1]),
+]
+
+
+@st.composite
+def matrix_cases(draw):
+    """(rows, cols, entries, degree_from, degree_to) of a box or Heisenberg
+    term map at levels 1-3, in degrees <= 6, its weights possibly scaled."""
+    params = draw(st.sampled_from(MATRIX_PARAMS))
+    remove = draw(st.booleans())
+    if params.e is None or draw(st.booleans()):
+        cid = draw(st.integers(0, len(params.classes) - 1))
+        z = Residue(cid, draw(st.integers(0, (params.e or 4) - 1)))
+        term_map, step = box_term_map(params, z, remove), 1
+    else:
+        d = draw(st.integers(1, 6 // params.e))
+        model = draw(st.sampled_from(["ribbon", "wedge"]))
+        term_map, step = heisenberg_term_map(d, params, model, remove), d * params.e
+    low = draw(st.integers(0, 6 - step))
+    ends = (low + step, low) if remove else (low, low + step)
+    rows, cols, entries = operator_matrix(term_map, *ends)
+    scale = draw(st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-3, 7)]))
+    return rows, cols, {key: w * scale for key, w in entries.items()}, *ends
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases())
+def test_matrix_dumps_is_the_generic_text_of_the_matrix_document(case):
+    """The one-pass matrix writer gives the text that json.dumps gives for
+    the document built the old way, with and without entries."""
+    rows, cols, entries, degree_from, degree_to = case
+    assert_matrix_text(rows, cols, entries, degree_from, degree_to)
+    assert_matrix_text(rows, cols, {}, degree_from, degree_to)
+
+
+def test_matrix_dumps_writes_signed_weights_and_empty_entries():
+    """B_1 at e = 2 from the vacuum: a -1/1 entry; and the "entries": [] form."""
+    e2 = CherednikParams(1, Fraction(-1, 2), [0])
+    rows, cols, entries = operator_matrix(heisenberg_term_map(1, e2, "ribbon", False), 0, 2)
+    assert entries == {(0, 0): 1, (1, 0): -1}
+    assert_matrix_text(rows, cols, entries, 0, 2)
+    assert matrix_dumps(rows, cols, entries, 0, 2).count('"-1/1"') == 1
+    assert '"entries": [],' in matrix_dumps(rows, cols, {}, 0, 2)
 
 
 # -- fuzzed round trips ------------------------------------------------

@@ -94,6 +94,30 @@ class TestConstructor:
         with pytest.raises(InvalidInputError, match="^kappa must be nonzero$"):
             CherednikParams(1, zero, [0])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.1, "^expected an exact rational number, got 0.1$"),
+            (-0.5, "^expected an exact rational number, got -0.5$"),
+            (True, "^expected an exact rational number, got True$"),
+            ("abc", "^cannot parse rational 'abc'$"),
+            ("1/0", "^cannot parse rational '1/0'$"),
+        ],
+        ids=["float", "half-float", "bool", "text", "zero-denominator"],
+    )
+    def test_inexact_or_malformed_numbers_rejected(self, bad, message):
+        """Fraction would take a float's binary value (0.1 gives e = 2**55)
+        and a bool as 0 or 1, and raises ValueError or ZeroDivisionError on
+        bad text; the constructor refuses them all, for kappa and for each
+        charge field, with InvalidInputError."""
+        with pytest.raises(InvalidInputError, match=message):
+            CherednikParams(1, bad, [0])
+        for charge in (bad, (0, bad), [bad, 0]):
+            with pytest.raises(InvalidInputError, match=message):
+                CherednikParams(2, Fraction(-1, 2), [0, charge])
+        with pytest.raises(InvalidInputError, match=message):
+            ChargeValue(bad)
+
 
 class TestChargeAndCValues:
     def test_charge_collapse(self):
@@ -562,3 +586,12 @@ class TestNormalizeForSupport:
     def test_irrational_unchanged(self):
         p = CherednikParams(2, None, [0, -1])
         assert normalize_for_support(p) == (p, False)
+
+    def test_flipped_record_is_built_once(self):
+        """A support table asks once per label: each call with one
+        positive-kappa record returns the same flipped record."""
+        p = CherednikParams(2, Fraction(3, 7), [0, (1, Fraction(1, 2))])
+        first, _ = normalize_for_support(p)
+        again, transposed = normalize_for_support(p)
+        assert again is first and transposed
+        assert normalize_for_support(CherednikParams(2, Fraction(3, 7), p.s))[0] is first

@@ -36,11 +36,14 @@ _MODULES = {
         "heis_e_asymptotic", "heis_q", "level2_transport", "support",
         "wall_cross",
     ),
-    "fock": (
-        "ChargedWord", "FockVector", "b_minus_op", "b_plus_op", "basis_vector", "box_term_map",
-        "charged_to_multipartition", "e_z_op", "embed_to_charged", "f_z_op", "filtration_dim",
-        "heisenberg_term_map", "inner_product", "operator_matrix", "plethysm_class",
-        "singular_subspace", "wedge_e_op", "wedge_f_op",
+    "fock": ("box_term_map", "heisenberg_term_map", "operator_matrix"),
+    "fockspace": (
+        "FockVector", "b_minus_op", "b_plus_op", "basis_vector", "e_z_op", "f_z_op",
+        "filtration_dim", "inner_product", "plethysm_class", "singular_subspace",
+    ),
+    "charged": (
+        "ChargedWord", "charged_to_multipartition", "embed_to_charged", "wedge_e_op",
+        "wedge_f_op",
     ),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

@@ -13,9 +13,9 @@ an integer too long to convert, an `--out` that cannot be written (missing
 directory, or a directory), and a number written with an exponent, which
 is refused before it is expanded.
 
-The modules only some commands run (crystal, supports, fock, selftest)
-are imported inside those commands, so a call loads only the code its
-subcommand needs.
+The modules only some commands run (crystal, supports, fock, fockspace,
+selftest) are imported inside those commands, so a call loads only the
+code its subcommand needs.
 """
 
 from __future__ import annotations
@@ -192,11 +192,11 @@ def _matrix_term_map(args, params):
 
 
 def cmd_fock(args) -> int:
-    from .fock import filtration_dims, operator_matrix, singular_subspace
-
     _require_json_format(args)
     params = _require_params(args)
     if args.subop == "matrix":
+        from .fock import operator_matrix
+
         if args.degree_from is None or args.degree_to is None:
             raise InvalidInputError("fock matrix needs --degree-from and --degree-to")
         rows, cols, entries = operator_matrix(
@@ -204,6 +204,8 @@ def cmd_fock(args) -> int:
         )
         _emit(matrix_dumps(rows, cols, entries, args.degree_from, args.degree_to), args)
         return 0
+    from .fockspace import filtration_dims, singular_subspace
+
     if args.n is None:
         raise InvalidInputError(f"fock {args.subop} needs --n")
     if args.subop == "singular":

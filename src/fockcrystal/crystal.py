@@ -148,11 +148,11 @@ class CrystalGraph(NamedTuple):
 
 
 def _assemble_graph(
-    params: CherednikParams, node_set: set[Multipartition], size_bound: int
+    params: CherednikParams, nodes: list[Multipartition], size_bound: int
 ) -> CrystalGraph:
-    """The f~ edges among node_set, in the order of their source and then
-    of their residue."""
-    nodes = sorted(node_set, key=Multipartition.sort_key)
+    """The graph on nodes, given in the canonical order, with the f~ edges
+    among them in the order of their source and then of their residue."""
+    node_set = set(nodes)
     edges = []
     for lam in nodes:
         if lam.size >= size_bound:
@@ -197,15 +197,11 @@ def crystal_component(
             if nxt is not None and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return _assemble_graph(params, seen, size_bound)
+    return _assemble_graph(params, sorted(seen, key=Multipartition.sort_key), size_bound)
 
 
 def crystal_graph(n_max: int, params: CherednikParams) -> CrystalGraph:
     """Full crystal on all multipartitions of the level up to size n_max."""
     reject_integer_kappa(params)
-    node_set = {
-        lam
-        for n in range(n_max + 1)
-        for lam in enumerate_multipartitions(params.level, n)
-    }
-    return _assemble_graph(params, node_set, n_max)
+    nodes = [lam for n in range(n_max + 1) for lam in enumerate_multipartitions(params.level, n)]
+    return _assemble_graph(params, nodes, n_max)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Sequence, Union
 
 from .errors import InvalidInputError
@@ -199,8 +198,8 @@ def matrix_dumps(
         return block(['\n    "[' + ",".join(map(text.__getitem__, lam)) + ']"' for lam in basis])
 
     triples = block([
-        f"\n    [\n      {r},\n      {c},\n      {weights[w]}\n    ]"
-        for (r, c), w in sorted(entries.items(), key=itemgetter(0))
+        f"\n    [\n      {r},\n      {c},\n      {weights[entries[r, c]]}\n    ]"
+        for r, c in sorted(entries)
     ])
     return (
         f'{{\n  "cols": {labels(col_basis)},\n  "degree_from": {degree_from},\n'

@@ -35,25 +35,20 @@ from .crystal import (
     relevant_residues,
     z_signature,
 )
-from .fock import (
+from .charged import charged_to_multipartition, embed_to_charged, wedge_e_op, wedge_f_op
+from .fock import box_term_map, heisenberg_term_map, operator_matrix
+from .fockspace import (
     FockVector,
     _mn_character,
     _z_rho,
     b_minus_op,
     b_plus_op,
     basis_vector,
-    box_term_map,
-    charged_to_multipartition,
     e_z_op,
-    embed_to_charged,
     f_z_op,
     filtration_dims,
-    heisenberg_term_map,
-    operator_matrix,
     plethysm_class,
     singular_subspace,
-    wedge_e_op,
-    wedge_f_op,
 )
 from .orders import leq_c, preceq
 from .params import ChargeDifferenceWall, CherednikParams, Residue, rank_one_verma_hom

@@ -445,7 +445,7 @@ def test_filtration_output_pinned(capsys, tmp_path, doc, args, digest):
 def test_filtration_clamps_q_before_enumerating(capsys, monkeypatch, tmp_path):
     """A Heisenberg index past n // e gives the n // e row, and no
     monomial of degree above n // e is ever listed."""
-    from fockcrystal import fock
+    from fockcrystal import fockspace as fock
 
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, 1]}))
@@ -879,13 +879,18 @@ NEVER_LOADED = {"dataclasses", "fockcrystal.orders", "fockcrystal.selftest"}
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (["params", "--n", "2"], {"fock", "linalg", "crystal", "supports"}),
-        (["support", "--n", "2"], {"fock", "linalg"}),
-        (["fock", "singular", "--n", "2"], {"crystal", "supports"}),
-        (["crystal", "--n-max", "2"], {"fock", "linalg", "supports"}),
-        (["wallcross", "--m", "1", "--n", "2"], {"fock", "linalg"}),
+        (["params", "--n", "2"], {"fock", "linalg", "crystal", "supports", "charged"}),
+        (["support", "--n", "2"], {"fock", "linalg", "charged"}),
+        (["fock", "singular", "--n", "2"], {"crystal", "supports", "charged"}),
+        (["fock", "filtration", "--n", "2"], {"crystal", "supports", "charged"}),
+        (
+            ["fock", "matrix", "--op", "f", "--z", "0:0", "--degree-from", "2", "--degree-to", "3"],
+            {"linalg", "fockspace", "charged", "crystal", "supports"},
+        ),
+        (["crystal", "--n-max", "2"], {"fock", "linalg", "supports", "charged"}),
+        (["wallcross", "--m", "1", "--n", "2"], {"fock", "linalg", "charged"}),
     ],
-    ids=["params", "support", "fock-singular", "crystal", "wallcross"],
+    ids=["params", "support", "fock-singular", "fock-filtration", "fock-matrix", "crystal", "wallcross"],
 )
 def test_cold_start_loads_only_what_the_subcommand_runs(tmp_path, golden, argv, unused):
     probe = (

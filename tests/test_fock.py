@@ -47,7 +47,8 @@ from fockcrystal import (
     wedge_f_op,
 )
 from fockcrystal import cli, selftest
-from fockcrystal.fock import _mn_character
+from fockcrystal.fock import _cell_moves
+from fockcrystal.fockspace import _mn_character
 from fockcrystal.jsonio import params_to_json
 from fockcrystal.selftest import E2, E3, GOLDEN
 
@@ -745,6 +746,31 @@ def test_operator_matrix_equals_the_build_from_moves(kind, point):
             ends = (low + abs(step), low) if step < 0 else (low, low + step)
             rows, cols, entries = operator_matrix(term_map, *ends)
             assert entries == matrix_from_moves(term_map, *ends), (kind, ends)
+
+
+# rational kappa of both signs per level; L2_TWO_CLASSES and the second
+# level-3 point have two charge classes
+RESIDUE_POINTS = {
+    1: [E2, E3, CherednikParams(1, Fraction(1, 3), [1])],
+    2: [GOLDEN, L2_TWO_CLASSES, CherednikParams(2, Fraction(2, 3), [0, 1])],
+    3: [L3, CherednikParams(3, Fraction(-1, 3), [0, Fraction(1, 2), -1]),
+        CherednikParams(3, Fraction(1, 2), [0, 1, -1])],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_term_map_moves_the_cells_of_its_residue(data):
+    """A box map's terms for (i, p) are the one-box moves of p in component
+    i whose residue is z, in the order the unfiltered cell moves list them."""
+    level = data.draw(st.integers(1, 3), label="level")
+    params = data.draw(st.sampled_from(RESIDUE_POINTS[level]), label="params")
+    remove = data.draw(st.booleans(), label="remove")
+    p = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, 8)))), label="p")
+    for i in range(level):
+        for z in (Residue(c, v) for c in range(len(params.classes)) for v in range(params.e)):
+            want = [(mu, 1) for r, mu in _cell_moves(params, i, p, remove) if r == z]
+            assert box_term_map(params, z, remove).component_moves(i, p) == want, (i, z)
 
 
 def test_operator_matrix_reads_the_residues_of_each_component():

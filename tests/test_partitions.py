@@ -330,7 +330,7 @@ class TestEnumeration:
 
     def test_enumeration_matches_sort_key(self):
         for level in (1, 2, 3):
-            for n in range(5):
+            for n in range(8):
                 out = enumerate_multipartitions(level, n)
                 assert out == sorted(out, key=lambda lam: lam.sort_key())
                 assert len(set(out)) == len(out)

@@ -15,15 +15,14 @@ _MODULES = {
         "InvalidMoveError", "TruncationOverflowError", "UnsupportedParameterError",
     ),
     "partitions": (
-        "Box", "Multipartition", "Partition", "RibbonMove",
-        "divide_with_remainder", "divide_with_remainder_search",
+        "Box", "Multipartition", "Partition", "RibbonMove", "divide_with_remainder",
         "enumerate_multipartitions", "enumerate_partitions", "ribbon_additions",
         "ribbon_removals",
     ),
-    "params": (
-        "ChargeDifferenceWall", "ChargeValue", "CherednikParams", "HeckeExponents",
-        "KappaDenominatorWall", "Residue", "essential_walls", "hecke_exponents",
-        "is_essential_charge_wall", "normalize_for_support", "rank_one_verma_hom",
+    "params": ("ChargeValue", "CherednikParams", "Residue"),
+    "walls": (
+        "ChargeDifferenceWall", "HeckeExponents", "KappaDenominatorWall", "essential_walls",
+        "hecke_exponents", "is_essential_charge_wall", "rank_one_verma_hom",
     ),
     "orders": ("box_leq", "c_lambda", "leq_c", "preceq"),
     "crystal": (
@@ -33,18 +32,20 @@ _MODULES = {
     ),
     "supports": (
         "SupportDescriptor", "WallCrossStep", "asymptotic_q",
-        "heis_e_asymptotic", "heis_q", "level2_transport", "support",
-        "wall_cross",
+        "heis_e_asymptotic", "heis_q", "level2_transport", "normalize_for_support",
+        "support", "wall_cross",
     ),
     "fock": ("box_term_map", "heisenberg_term_map", "operator_matrix"),
-    "fockspace": (
-        "FockVector", "b_minus_op", "b_plus_op", "basis_vector", "e_z_op", "f_z_op",
-        "filtration_dim", "inner_product", "plethysm_class", "singular_subspace",
+    "fockspace": ("FockVector", "filtration_dim", "singular_subspace"),
+    "fockvectors": (
+        "b_minus_op", "b_plus_op", "basis_vector", "e_z_op", "f_z_op", "inner_product",
+        "plethysm_class",
     ),
     "charged": (
         "ChargedWord", "charged_to_multipartition", "embed_to_charged", "wedge_e_op",
         "wedge_f_op",
     ),
+    "selftest": ("divide_with_remainder_search",),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 

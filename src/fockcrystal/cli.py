@@ -13,9 +13,11 @@ an integer too long to convert, an `--out` that cannot be written (missing
 directory, or a directory), and a number written with an exponent, which
 is refused before it is expanded.
 
-The modules only some commands run (crystal, supports, fock, fockspace,
-selftest) are imported inside those commands, so a call loads only the
-code its subcommand needs.
+A call loads only the code its command runs.  The parser is built from
+one argument table, and only for the command that argv[0] names; the
+modules only some commands run (crystal, supports, walls, fock,
+fockspace, selftest) are imported inside those commands.  Without a
+bytecode cache, every module a call imports is compiled on that call.
 """
 
 from __future__ import annotations
@@ -45,70 +47,90 @@ from .jsonio import (
     support_table_to_json,
     wall_to_json,
 )
-from .params import (
-    ChargeDifferenceWall,
-    essential_walls,
-    hecke_exponents,
-    rank_one_verma_hom,
-)
 from .partitions import enumerate_multipartitions
+
+# The argument table: command -> (its help line, its own arguments).
+# Every command takes the common arguments first.
+_COMMON = (
+    ("--params", dict(metavar="FILE", help="parameter JSON file")),
+    ("--out", dict(metavar="FILE", help="write output to FILE")),
+    ("--format", dict(choices=("json", "dot"), default="json", help="output format")),
+)
+_LEVEL = ("--level", dict(type=int, help="cross-check against the parameter file"))
+_COMMANDS = {
+    "crystal": ("crystal graph up to a size bound", (
+        _LEVEL,
+        ("--n-max", dict(type=int, required=True, help="largest multipartition size")),
+    )),
+    "support": ("support table for all labels of one size", (
+        _LEVEL,
+        ("--n", dict(type=int, required=True, help="multipartition size")),
+    )),
+    "fock": ("Fock-space computations", (
+        ("subop", dict(choices=("matrix", "singular", "filtration"))),
+        ("--op", dict(choices=("bplus", "bminus", "e", "f"), help="operator for matrix")),
+        ("--d", dict(type=int, help="Heisenberg degree for bplus/bminus")),
+        ("--z", dict(metavar="CLASS:VALUE", help="residue for e/f")),
+        ("--model", dict(choices=("ribbon", "wedge"), default="ribbon")),
+        ("--degree-from", dict(type=int, help="source degree for matrix")),
+        ("--degree-to", dict(type=int, help="target degree for matrix")),
+        ("--n", dict(type=int, help="degree for singular/filtration")),
+        ("--p", dict(type=int, help="fix the raising index of the filtration")),
+        ("--q", dict(type=int, help="fix the Heisenberg index of the filtration")),
+    )),
+    "params": ("walls, classes and Hecke exponents", (
+        ("--n", dict(type=int, required=True, help="rank bound for essential walls")),
+    )),
+    "wallcross": ("wall-crossing bijection table", (
+        ("--i", dict(type=int, default=0, help="first component index of the wall")),
+        ("--j", dict(type=int, default=1, help="second component index of the wall")),
+        ("--m", dict(type=int, required=True, help="integer offset of the charge wall")),
+        ("--direction", dict(choices=("up", "down"), default="up")),
+        ("--n", dict(type=int, required=True, help="multipartition size")),
+    )),
+    "rank1": ("rank-one morphism space dimension", (
+        ("--level", dict(type=int, required=True)),
+        ("--h", dict(required=True, metavar="H0,H1,...", help="comma-separated rationals")),
+        ("--k", dict(type=int, required=True, help="source component index")),
+        ("--j", dict(type=int, required=True, help="target component index")),
+    )),
+    "selftest": ("run the invariant suites", (
+        ("depth", dict(nargs="?", choices=("quick", "full"), default="quick")),
+    )),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for name, options in _COMMON + _COMMANDS[command][1]:
+        parser.add_argument(name, **options)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--params", metavar="FILE", help="parameter JSON file")
-    common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument(
-        "--format", choices=("json", "dot"), default="json", help="output format"
-    )
-
+    """The parser of every command, which `fockcrystal --help` prints."""
     parser = argparse.ArgumentParser(
         prog="fockcrystal",
         description="Exact combinatorics of crystals, supports and Fock-space "
         "operators on multipartitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("crystal", parents=[common], help="crystal graph up to a size bound")
-    p.add_argument("--level", type=int, help="cross-check against the parameter file")
-    p.add_argument("--n-max", type=int, required=True, help="largest multipartition size")
-
-    p = sub.add_parser("support", parents=[common], help="support table for all labels of one size")
-    p.add_argument("--level", type=int, help="cross-check against the parameter file")
-    p.add_argument("--n", type=int, required=True, help="multipartition size")
-
-    p = sub.add_parser("fock", parents=[common], help="Fock-space computations")
-    p.add_argument("subop", choices=("matrix", "singular", "filtration"))
-    p.add_argument("--op", choices=("bplus", "bminus", "e", "f"), help="operator for matrix")
-    p.add_argument("--d", type=int, help="Heisenberg degree for bplus/bminus")
-    p.add_argument("--z", metavar="CLASS:VALUE", help="residue for e/f")
-    p.add_argument("--model", choices=("ribbon", "wedge"), default="ribbon")
-    p.add_argument("--degree-from", type=int, help="source degree for matrix")
-    p.add_argument("--degree-to", type=int, help="target degree for matrix")
-    p.add_argument("--n", type=int, help="degree for singular/filtration")
-    p.add_argument("--p", type=int, help="fix the raising index of the filtration")
-    p.add_argument("--q", type=int, help="fix the Heisenberg index of the filtration")
-
-    p = sub.add_parser("params", parents=[common], help="walls, classes and Hecke exponents")
-    p.add_argument("--n", type=int, required=True, help="rank bound for essential walls")
-
-    p = sub.add_parser("wallcross", parents=[common], help="wall-crossing bijection table")
-    p.add_argument("--i", type=int, default=0, help="first component index of the wall")
-    p.add_argument("--j", type=int, default=1, help="second component index of the wall")
-    p.add_argument("--m", type=int, required=True, help="integer offset of the charge wall")
-    p.add_argument("--direction", choices=("up", "down"), default="up")
-    p.add_argument("--n", type=int, required=True, help="multipartition size")
-
-    p = sub.add_parser("rank1", parents=[common], help="rank-one morphism space dimension")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--h", required=True, metavar="H0,H1,...", help="comma-separated rationals")
-    p.add_argument("--k", type=int, required=True, help="source component index")
-    p.add_argument("--j", type=int, required=True, help="target component index")
-
-    p = sub.add_parser("selftest", parents=[common], help="run the invariant suites")
-    p.add_argument("depth", nargs="?", choices=("quick", "full"), default="quick")
-
+    for command, (help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_line), command)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as the full parser parses it, which hands all after a command
+    to that command's parser.  So only that parser is built, unless argv
+    names no command or leaves arguments over: the full parser reports those."""
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"fockcrystal {command}"), command)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = command
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _require_params(args):
@@ -240,6 +262,8 @@ def cmd_fock(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from .walls import essential_walls, hecke_exponents
+
     _require_json_format(args)
     params = _require_params(args)
     if args.n < 1:
@@ -263,6 +287,7 @@ def cmd_params(args) -> int:
 
 def cmd_wallcross(args) -> int:
     from .supports import WallCrossStep, wall_cross
+    from .walls import ChargeDifferenceWall
 
     _require_json_format(args)
     params = _require_params(args)
@@ -283,6 +308,8 @@ def cmd_wallcross(args) -> int:
 
 
 def cmd_rank1(args) -> int:
+    from .walls import rank_one_verma_hom
+
     _require_json_format(args)
     try:
         h = tuple(fraction_from_json(part) for part in args.h.split(","))
@@ -315,8 +342,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _DISPATCH[args.command](args)
     except TruncationOverflowError as exc:

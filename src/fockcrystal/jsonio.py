@@ -19,19 +19,13 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Sequence, Union
 
 from .errors import InvalidInputError
-from .params import (
-    ChargeDifferenceWall,
-    CherednikParams,
-    KappaDenominatorWall,
-    Residue,
-)
+from .params import CherednikParams, Residue
 from .partitions import Multipartition
 
 if TYPE_CHECKING:
     from .crystal import CrystalGraph
     from .supports import SupportDescriptor
-
-Wall = Union[KappaDenominatorWall, ChargeDifferenceWall]
+    from .walls import WallDescriptor
 
 
 def fraction_to_json(f: Fraction) -> Union[int, str]:
@@ -152,7 +146,9 @@ def residue_from_json(text: str) -> Residue:
         raise InvalidInputError(f"cannot parse residue {text!r}") from exc
 
 
-def wall_to_json(wall: Wall) -> dict:
+def wall_to_json(wall: WallDescriptor) -> dict:
+    from .walls import ChargeDifferenceWall, KappaDenominatorWall
+
     if isinstance(wall, KappaDenominatorWall):
         return {"type": "kappa_denominator", "d": wall.d}
     if isinstance(wall, ChargeDifferenceWall):

@@ -10,17 +10,18 @@ Z + (1/kappa)Z stay exact in the symbolic case.
 Derived scalars:
   h_i  = kappa*s_i - i/l
   c_b  = kappa*l*(x - y) + l*h_i = kappa*l*cont(b) - i   (cont charged)
-h_i is the c-function weight that `c_keys` and `hecke_exponents` use;
-`rank_one_verma_hom` takes the rank-one lowest weight, which is -h_i.
-Residues and c-values are compiled to integers per component when a
-`CherednikParams` is built, so no box builds a Fraction.
+h_i is the c-function weight that `c_keys` and `walls.hecke_exponents`
+use; `walls.rank_one_verma_hom` takes the rank-one lowest weight, which
+is -h_i.  Residues and c-values are compiled to integers per component
+when a `CherednikParams` is built, so no box builds a Fraction.  Every
+command loads this module; the diagnostics on walls and Hecke parameters
+live in `walls`, and the reduction to kappa < 0 in `supports`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError, UnsupportedParameterError
@@ -90,27 +91,6 @@ class Residue(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.class_id}:{self.value}"
-
-
-class KappaDenominatorWall(NamedTuple):
-    d: int
-
-
-class ChargeDifferenceWall(NamedTuple):
-    i: int
-    j: int
-    m: int
-
-
-WallDescriptor = Union[KappaDenominatorWall, ChargeDifferenceWall]
-
-
-class HeckeExponents(NamedTuple):
-    """Multiplicative Hecke parameters as exponents: parameter =
-    exp(2*pi*sqrt(-1)*t) with each t reduced mod 1."""
-
-    q_exp: Fraction
-    Q_exp: tuple[Fraction, ...]
 
 
 class _CherednikParams(NamedTuple):
@@ -262,89 +242,3 @@ def _residue_base(si: ChargeValue, rep: ChargeValue, kappa: Optional[Fraction]) 
     r, e = abs(kappa.numerator), kappa.denominator
     scaled = r * (si - rep).collapse(kappa) + math.floor(r * rep.collapse(kappa))
     return int(scaled) * pow(r, -1, e) % e
-
-
-def is_essential_charge_wall(
-    params: CherednikParams, i: int, j: int, m: int
-) -> bool:
-    """Whether s_i - s_j = m defines an essential wall, i.e. the parameter
-    point can reach the wall inside its own (1/kappa)Z charge lattice."""
-    d = (params.s[i] - params.s[j]).shift(-m)
-    return _in_kappa_inv_lattice(d, params.kappa)
-
-
-def essential_walls(params: CherednikParams, n: int) -> list[WallDescriptor]:
-    """Parameter hyperplanes relevant for rank n: the kappa-denominator
-    wall when 2 <= e <= n, and each charge wall s_i - s_j = m with i < j,
-    |m| < n, whose defining difference lies in (1/kappa)Z."""
-    if n < 1:
-        raise InvalidInputError("rank n must be at least 1")
-    walls: list[WallDescriptor] = []
-    if params.e is not None and 2 <= params.e <= n:
-        walls.append(KappaDenominatorWall(params.e))
-    for i in range(params.level):
-        for j in range(i + 1, params.level):
-            for m in range(-(n - 1), n):
-                if is_essential_charge_wall(params, i, j, m):
-                    walls.append(ChargeDifferenceWall(i, j, m))
-    return walls
-
-
-def hecke_exponents(params: CherednikParams) -> HeckeExponents:
-    """q = exp(2*pi*i*kappa) and Q_i = exp(2*pi*i*(h_i + i/l)) as exact
-    exponents mod 1.  Needs rational kappa."""
-    kv = params.kappa
-    if kv is None:
-        raise UnsupportedParameterError("Hecke exponents need rational kappa")
-    q_exp = kv - math.floor(kv)
-    Q = []
-    for i in range(params.level):
-        t = kv * params.s[i].collapse(params.kappa)
-        Q.append(t - math.floor(t))
-    return HeckeExponents(q_exp, tuple(Q))
-
-
-def rank_one_verma_hom(
-    level: int, h: Sequence[RationalLike], k: int, j: int
-) -> tuple[int, Optional[int]]:
-    """Dimension of the Hom space between rank-one standard modules with
-    lowest h-weights h_k, h_j, together with the witness degree.  This h
-    is the rank-one lowest weight h_i = i/l - kappa*s_i, the negative of
-    the c-function weight of the module docstring (selftest `rank-one`).
-
-    A nonzero map exists exactly when n := l*(h_j - h_k) is a nonnegative
-    integer congruent to j - k mod l (the degree-n coefficient
-    n + l*h_{j-n} - l*h_j vanishes precisely then).
-    """
-    if level < 1:
-        raise InvalidInputError("level must be at least 1")
-    if not 0 <= k < level or not 0 <= j < level:
-        raise InvalidInputError("component indices out of range")
-    hs = [_frac(x) for x in h]
-    if len(hs) != level:
-        raise InvalidInputError(f"expected {level} h-values")
-    n = level * (hs[j] - hs[k])
-    if n.denominator != 1 or n < 0 or (int(n) - (j - k)) % level != 0:
-        return (0, None)
-    return (1, int(n))
-
-
-def normalize_for_support(
-    params: CherednikParams,
-) -> tuple[CherednikParams, bool]:
-    """Reduce to kappa < 0 for the Heisenberg depth, whose asymptotic
-    chambers are set up there: positive rational kappa maps to (-kappa, -s)
-    with a transpose flag for the labels.  Symbolic kappa carries no sign
-    and is returned unchanged.  The crystal depth needs no reduction."""
-    if params.kappa is None or params.kappa < 0:
-        return params, False
-    return _flipped(params), True
-
-
-@lru_cache
-def _flipped(params: CherednikParams) -> CherednikParams:
-    """(-kappa, -s), built once per params record: a support table asks
-    for it once per label."""
-    return CherednikParams(
-        params.level, -params.kappa, tuple(ChargeValue(-c.a, -c.b) for c in params.s)
-    )

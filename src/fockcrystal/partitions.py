@@ -267,39 +267,3 @@ def divide_with_remainder(nu: Partition, e: int) -> tuple[Partition, Partition]:
     rem = Partition(rem_rows)
     quot = Partition((p - r) // e for p, r in zip(nu, rem_rows))
     return quot, rem
-
-
-def division_candidates(nu: Partition, e: int) -> Iterator[tuple[Partition, Partition]]:
-    """Every (quot, rem) with nu = e*quot + rem row by row and rem a
-    partition whose consecutive row differences are below e, found by
-    direct search over all candidate quotients, smallest quotients first.
-    Exponential; for cross-checks only."""
-    if e < 1:
-        raise InvalidInputError("modulus must be a positive integer")
-    for qsize in range(nu.size // e + 1):
-        for quot in enumerate_partitions(qsize):
-            if len(quot) > len(nu):
-                continue
-            qrows = quot + (0,) * (len(nu) - len(quot))
-            rem_rows = [p - e * q for p, q in zip(nu, qrows)]
-            if any(r < 0 for r in rem_rows):
-                continue
-            if any(
-                rem_rows[i] < rem_rows[i + 1] for i in range(len(rem_rows) - 1)
-            ):
-                continue
-            diffs = [
-                rem_rows[i] - (rem_rows[i + 1] if i + 1 < len(rem_rows) else 0)
-                for i in range(len(rem_rows))
-            ]
-            if any(d >= e for d in diffs):
-                continue
-            yield quot, Partition(rem_rows)
-
-
-def divide_with_remainder_search(nu: Partition, e: int) -> tuple[Partition, Partition]:
-    """Reference implementation of divide_with_remainder: the first
-    (largest-remainder) candidate of division_candidates."""
-    for found in division_candidates(nu, e):
-        return found
-    raise AssertionError("remainder search must at least reach quot = nu div e")

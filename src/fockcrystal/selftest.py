@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import traceback
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .crystal import (
     crystal_component,
@@ -36,9 +36,10 @@ from .crystal import (
     z_signature,
 )
 from .charged import charged_to_multipartition, embed_to_charged, wedge_e_op, wedge_f_op
+from .errors import InvalidInputError
 from .fock import box_term_map, heisenberg_term_map, operator_matrix
-from .fockspace import (
-    FockVector,
+from .fockspace import FockVector, filtration_dims, singular_subspace
+from .fockvectors import (
     _mn_character,
     _z_rho,
     b_minus_op,
@@ -46,22 +47,20 @@ from .fockspace import (
     basis_vector,
     e_z_op,
     f_z_op,
-    filtration_dims,
     plethysm_class,
-    singular_subspace,
 )
 from .orders import leq_c, preceq
-from .params import ChargeDifferenceWall, CherednikParams, Residue, rank_one_verma_hom
+from .params import ChargeValue, CherednikParams, Residue
 from .partitions import (
     Multipartition,
     Partition,
-    division_candidates,
     divide_with_remainder,
     enumerate_multipartitions,
     enumerate_partitions,
 )
 from .supports import WallCrossStep, heis_q, support, wall_cross
 from .supports import _two_slot_move, _two_slot_raise
+from .walls import ChargeDifferenceWall, rank_one_verma_hom
 
 E2 = CherednikParams(1, Fraction(-1, 2), [0])
 E3 = CherednikParams(1, Fraction(-1, 3), [0])
@@ -195,6 +194,31 @@ def component_isomorphism(params, bound: int) -> None:
         assert {shifted(v) for v in base.nodes} == set(image.nodes), mu
         edges = {(shifted(a), z, shifted(b)) for a, z, b in base.edges}
         assert edges == set(image.edges), mu
+
+
+def division_candidates(nu: Partition, e: int) -> Iterator[tuple[Partition, Partition]]:
+    """Every (quot, rem) with nu = e*quot + rem row by row and rem a
+    partition whose consecutive row differences are below e, found by
+    direct search over all candidate quotients, smallest quotients first.
+    Exponential; for cross-checks only."""
+    if e < 1:
+        raise InvalidInputError("modulus must be a positive integer")
+    for qsize in range(nu.size // e + 1):
+        for quot in enumerate_partitions(qsize):
+            if len(quot) > len(nu):
+                continue
+            # the rows of rem and a zero row below them
+            rows = [p - e * q for p, q in zip(nu, quot + (0,) * len(nu))] + [0]
+            if all(0 <= a - b < e for a, b in zip(rows, rows[1:])):
+                yield quot, Partition(rows[:-1])
+
+
+def divide_with_remainder_search(nu: Partition, e: int) -> tuple[Partition, Partition]:
+    """Reference implementation of divide_with_remainder: the first
+    (largest-remainder) candidate of division_candidates."""
+    for found in division_candidates(nu, e):
+        return found
+    raise AssertionError("remainder search must at least reach quot = nu div e")
 
 
 def division(bound: int) -> None:
@@ -518,10 +542,12 @@ def check_transpose_reduction(full: bool) -> None:
         (2, Fraction(1, 2), [0, -1]),
         (2, Fraction(2, 3), [0, Fraction(1, 2)]),
         (3, Fraction(1, 3), [0, 1, -1]),
+        (2, Fraction(3, 2), [(-2, -1), Fraction(2, 3)]),
     ):
         pos = CherednikParams(level, kappa, charges)
-        neg = CherednikParams(level, -kappa, [-c for c in charges])
-        transpose_reduction(pos, neg, (4 if level == 3 else 6) if full else 2)
+        # a + b/kappa negated is -a + b/(-kappa)
+        neg = CherednikParams(level, -kappa, [ChargeValue(-c.a, c.b) for c in pos.s])
+        transpose_reduction(pos, neg, (4 if level == 3 else 6) if full else 3)
 
 
 def check_rank_one(full: bool) -> None:
@@ -532,7 +558,7 @@ def check_rank_one(full: bool) -> None:
     >= 2, at s = (0, 0) for kappa = -+1/2 and at transpose-reduction's
     points; at l = 1 rank one is degenerate (support works on C^0)."""
     extra = [(2, "-1/2", [0, 0]), (2, "1/2", [0, 0]), (2, "1/2", [0, -1]),
-             (2, "2/3", [0, "1/2"]), (3, "1/3", [0, 1, -1])]
+             (2, "2/3", [0, "1/2"]), (3, "1/3", [0, 1, -1]), (2, "3/2", [(-2, -1), "2/3"])]
     for params in [p for p in GRID if p.level >= 2 and p.kappa is not None] + [
         CherednikParams(*point) for point in extra
     ]:

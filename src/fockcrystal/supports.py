@@ -25,15 +25,9 @@ from typing import NamedTuple, Optional
 
 from .crystal import km_depth
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedParameterError
-from .params import (
-    CherednikParams,
-    ChargeDifferenceWall,
-    is_essential_charge_wall,
-    normalize_for_support,
-    reject_integer_kappa,
-    reject_level_mismatch,
-)
+from .params import ChargeValue, CherednikParams, reject_integer_kappa, reject_level_mismatch
 from .partitions import Multipartition, Partition, divide_with_remainder
+from .walls import ChargeDifferenceWall, is_essential_charge_wall
 
 PartitionPair = tuple[Partition, Partition]
 
@@ -281,6 +275,28 @@ def _class_q(
         cur = cur.replace_component(i, pi).replace_component(j, pj)
     quot, _ = divide_with_remainder(cur[j], params.e)
     return quot.size
+
+
+def normalize_for_support(
+    params: CherednikParams,
+) -> tuple[CherednikParams, bool]:
+    """Reduce to kappa < 0 for the Heisenberg depth, whose asymptotic
+    chambers are set up there: positive rational kappa maps to (-kappa, -s)
+    with a transpose flag for the labels.  Symbolic kappa carries no sign
+    and is returned unchanged.  The crystal depth needs no reduction."""
+    if params.kappa is None or params.kappa < 0:
+        return params, False
+    return _flipped(params), True
+
+
+@lru_cache
+def _flipped(params: CherednikParams) -> CherednikParams:
+    """(-kappa, -s), built once per params record: a support table asks
+    for it once per label.  The charge a + b/kappa negated is
+    -a + b/(-kappa), so at -kappa it is the pair (-a, b)."""
+    return CherednikParams(
+        params.level, -params.kappa, tuple(ChargeValue(-c.a, c.b) for c in params.s)
+    )
 
 
 def heis_q(

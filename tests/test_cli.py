@@ -871,9 +871,12 @@ class TestIOContract:
         assert "checks passed" not in proc.stdout
 
 
-# Loaded by no subcommand below: the order checks, the self-test suite and
-# `dataclasses` (which pulls in `inspect`).
-NEVER_LOADED = {"dataclasses", "fockcrystal.orders", "fockcrystal.selftest"}
+# Loaded by no subcommand below: the order checks, the self-test suite,
+# the operators on Fock vectors and `dataclasses` (which pulls in
+# `inspect`).
+NEVER_LOADED = {
+    "dataclasses", "fockcrystal.orders", "fockcrystal.selftest", "fockcrystal.fockvectors",
+}
 
 
 @pytest.mark.parametrize(
@@ -881,13 +884,13 @@ NEVER_LOADED = {"dataclasses", "fockcrystal.orders", "fockcrystal.selftest"}
     [
         (["params", "--n", "2"], {"fock", "linalg", "crystal", "supports", "charged"}),
         (["support", "--n", "2"], {"fock", "linalg", "charged"}),
-        (["fock", "singular", "--n", "2"], {"crystal", "supports", "charged"}),
-        (["fock", "filtration", "--n", "2"], {"crystal", "supports", "charged"}),
+        (["fock", "singular", "--n", "2"], {"crystal", "supports", "charged", "walls"}),
+        (["fock", "filtration", "--n", "2"], {"crystal", "supports", "charged", "walls"}),
         (
             ["fock", "matrix", "--op", "f", "--z", "0:0", "--degree-from", "2", "--degree-to", "3"],
-            {"linalg", "fockspace", "charged", "crystal", "supports"},
+            {"linalg", "fockspace", "charged", "crystal", "supports", "walls"},
         ),
-        (["crystal", "--n-max", "2"], {"fock", "linalg", "supports", "charged"}),
+        (["crystal", "--n-max", "2"], {"fock", "linalg", "supports", "charged", "walls"}),
         (["wallcross", "--m", "1", "--n", "2"], {"fock", "linalg", "charged"}),
     ],
     ids=["params", "support", "fock-singular", "fock-filtration", "fock-matrix", "crystal", "wallcross"],
@@ -906,3 +909,74 @@ def test_cold_start_loads_only_what_the_subcommand_runs(tmp_path, golden, argv, 
     loaded = set(proc.stdout.split())
     assert "fockcrystal.cli" in loaded
     assert not loaded & (NEVER_LOADED | {f"fockcrystal.{name}" for name in unused})
+    assert ("fockcrystal.walls" in loaded) == (argv[0] in ("params", "support", "wallcross"))
+
+
+# Command lines argparse accepts or refuses: every command with valid
+# flags, `--flag=value`, an abbreviation, an unknown flag, a stray
+# argument, a missing required flag, a bad int, a bad choice, help, no
+# command, an unknown command and `--` before and after the command.
+PARSE_ARGVS = [
+    ["crystal", "--n-max", "3", "--level", "2", "--params", "p.json"],
+    ["support", "--n", "2", "--out", "o.json", "--format", "dot"],
+    ["fock", "matrix", "--op", "bplus", "--d", "1", "--model", "wedge",
+     "--degree-from", "0", "--degree-to", "2"],
+    ["fock", "matrix", "--op", "e", "--z", "0:1", "--degree-from", "2", "--degree-to", "1"],
+    ["fock", "singular", "--n", "3"],
+    ["fock", "filtration", "--n", "4", "--p", "1", "--q", "0"],
+    ["params", "--n", "2", "--params", "p.json"],
+    ["wallcross", "--m", "1", "--n", "3", "--i", "1", "--j", "0", "--direction", "down"],
+    ["rank1", "--level", "2", "--h", "0,1/2", "--k", "0", "--j", "1"],
+    ["selftest"],
+    ["selftest", "full", "--out", "o.txt"],
+    ["crystal", "--n-max=3", "--params=p.json"],
+    ["crystal", "--n-m", "3"],
+    ["crystal", "--n-max", "3", "--bogus"],
+    ["support", "--n", "2", "extra"],
+    ["crystal"],
+    ["rank1", "--level", "2", "--h", "0,1/2", "--k", "0"],
+    ["crystal", "--n-max", "x"],
+    ["fock", "nope", "--n", "2"],
+    ["crystal", "--n-max", "3", "--format", "xml"],
+    ["-h"],
+    ["--help"],
+    ["crystal", "-h"],
+    ["fock", "--help"],
+    ["selftest", "-h"],
+    [],
+    ["bogus"],
+    ["--", "crystal", "--n-max", "3"],
+    ["crystal", "--", "--n-max", "3"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    """(the Namespace, None) when parse accepts argv, else (None, the exit
+    code), each with what parse printed."""
+    try:
+        result = parse(argv), None
+    except SystemExit as exc:
+        result = None, exc.code
+    captured = capsys.readouterr()
+    return (*result, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    """main builds only the parser of the command argv[0] names, yet gives
+    the full parser's Namespace, or its exit code, usage and error text."""
+    seen = []
+    for name in cli._DISPATCH:
+        monkeypatch.setitem(cli._DISPATCH, name, lambda args: seen.append(args) or 0)
+    full = cli._build_parser
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or full())
+
+    def parse_in_main(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    got = _outcome(parse_in_main, argv, capsys)
+    if argv[:1] and argv[0] in cli._DISPATCH and got[0] is not None:
+        assert not built, "an accepted command line built the full parser"
+    assert got == _outcome(full().parse_args, argv, capsys)

@@ -8,7 +8,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockcrystal.cli import main
@@ -144,6 +144,9 @@ def params_file(tmp_path_factory):
 
 @settings(max_examples=500, deadline=None)
 @given(argvs, params_texts())
+# a positive kappa with a charge a + b/kappa, b != 0: support once read q
+# at the wrong negated point and exited 5
+@example(["support", "--n=3"], b'{"level": 2, "kappa": {"num": 1, "den": 2}, "s": [-1, [1, 1]]}')
 def test_parameter_commands_keep_the_exit_contract(params_file, argv, text):
     params_file.write_bytes(text)
     code, _, err = run_main(argv + ["--params", str(params_file)])

@@ -48,7 +48,7 @@ from fockcrystal import (
 )
 from fockcrystal import cli, selftest
 from fockcrystal.fock import _cell_moves
-from fockcrystal.fockspace import _mn_character
+from fockcrystal.fockvectors import _mn_character
 from fockcrystal.jsonio import params_to_json
 from fockcrystal.selftest import E2, E3, GOLDEN
 

@@ -12,16 +12,10 @@ import pytest
 
 import fockcrystal
 from fockcrystal.crystal import Signature, crystal_graph, z_signature
-from fockcrystal.params import (
-    ChargeDifferenceWall,
-    ChargeValue,
-    CherednikParams,
-    HeckeExponents,
-    KappaDenominatorWall,
-    Residue,
-)
+from fockcrystal.params import ChargeValue, CherednikParams, Residue
 from fockcrystal.partitions import Multipartition, Partition
 from fockcrystal.supports import WallCrossStep, support
+from fockcrystal.walls import ChargeDifferenceWall, HeckeExponents, KappaDenominatorWall
 
 GOLDEN = CherednikParams(2, Fraction(-1, 2), [0, -1])
 GOLDEN_LAM = Multipartition([[2, 2], [3, 1, 1, 1]])

@@ -18,11 +18,17 @@ one argument table, and only for the command that argv[0] names; the
 modules only some commands run (crystal, supports, walls, fock,
 fockspace, selftest) are imported inside those commands.  Without a
 bytecode cache, every module a call imports is compiled on that call.
+
+`run` is the process entry (`python -m fockcrystal` and the `fockcrystal`
+script): it returns `main`'s exit code after freezing the heap, so the
+interpreter's exit skips its final collection.  `main(argv)` is the
+in-process API and never touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Optional
 
@@ -359,5 +365,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 5
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry: `main` on the process's argv."""
+    code = main()
+    # The process only exits now, and CPython's shutdown would run a full
+    # collection over every live object; frozen objects sit in the
+    # permanent generation, which no collection visits.
+    gc.freeze()
+    return code

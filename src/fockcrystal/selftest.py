@@ -299,10 +299,11 @@ def _supports(params, n: int):
 def filtration_counts(params, bound: int) -> None:
     """dim F^{p,q}_n counts the labels of size n with support <= (p, q),
     every p of one q read from a single run as the CLI table does, and
-    F^{n, n//e}_n is the whole degree-n space."""
+    F^{n, n//e}_n is the whole degree-n space.  At symbolic kappa
+    (e = infinity) only q = 0 exists."""
     for n in range(bound + 1):
         rows = _supports(params, n)
-        for q in range(n // params.e + 1):
+        for q in range(n // params.e + 1 if params.e is not None else 1):
             dims = filtration_dims(n, q, n, params)
             for p in range(n + 1):
                 count = sum(1 for s in rows if s.p <= p and s.q <= q)
@@ -572,8 +573,9 @@ def check_rank_one(full: bool) -> None:
 
 
 def check_filtration_counts(full: bool) -> None:
-    """The grid, then one level-4 point up to size 3."""
-    _on_grid(filtration_counts, 2, 5, rational=True)(full)
+    """The grid, symbolic kappa included, then one level-4 point up to
+    size 3."""
+    _on_grid(filtration_counts, 2, 5)(full)
     filtration_counts(CherednikParams(4, Fraction(-1, 2), [0, 1, -1, 2]), 3)
 
 

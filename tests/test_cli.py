@@ -1,6 +1,7 @@
 """Command line behavior: output documents, canonical byte stability,
 file output, and the exit code contract."""
 
+import gc
 import hashlib
 import json
 import os
@@ -869,6 +870,66 @@ class TestIOContract:
         assert proc.returncode == 1
         assert proc.stdout.startswith("FAIL assertions are disabled")
         assert "checks passed" not in proc.stdout
+
+
+# Command lines for the process entry: exit 0 (one per output kind), exit
+# 2 from a command (a bad --z, a parameter file that is not JSON), from
+# argparse (an unknown flag) and --help, which exit before `run` freezes
+# the heap, and --out.  "P" stands for the golden parameter file, "BAD"
+# for one holding "{", "OUT" for a file in the test's directory.
+ENTRY_ARGVS = [
+    ["params", "--n", "1", "--params", "P"],
+    ["support", "--n", "3", "--params", "P"],
+    ["fock", "matrix", "--op", "bplus", "--d", "1", "--degree-from", "1", "--degree-to", "3",
+     "--params", "P"],
+    ["crystal", "--n-max", "3", "--format", "dot", "--params", "P"],
+    ["fock", "matrix", "--op", "f", "--z", "0:7", "--degree-from", "1", "--degree-to", "2",
+     "--params", "P"],
+    ["support", "--n", "2", "--params", "BAD"],
+    ["support", "--n", "2", "--bogus", "--params", "P"],
+    ["crystal", "--help"],
+    ["crystal", "--n-max", "3", "--params", "P", "--out", "OUT"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_ARGVS, ids=" ".join)
+def test_process_entry_matches_main(capsys, monkeypatch, tmp_path, golden, argv):
+    """`python -m fockcrystal` gives the stdout, stderr, exit code and
+    --out file of in-process `main(argv)`, and `main` leaves the
+    collector's frozen generation as it found it."""
+    monkeypatch.setenv("COLUMNS", "80")  # one help layout in and out of process
+    bad, out = tmp_path / "bad.json", tmp_path / "out.txt"
+    bad.write_text("{")
+    argv = [{"P": golden, "BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]
+
+    frozen = gc.get_freeze_count()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert gc.get_freeze_count() == frozen
+    captured = capsys.readouterr()
+    written = out.read_bytes() if "--out" in argv else None
+    out.unlink(missing_ok=True)
+
+    proc = run_module("-m", "fockcrystal", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code in (0, 2) and (code == 0) == (captured.err == "")
+    if written is not None:
+        assert written and out.read_bytes() == written
+
+
+def test_script_entry_is_the_module_entry():
+    """The `fockcrystal` script of pyproject.toml calls the function that
+    `python -m fockcrystal` passes to `sys.exit`."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert list(scripts) == ["fockcrystal"]
+    module, _, name = scripts["fockcrystal"].partition(":")
+    assert module == "fockcrystal.cli" and callable(getattr(cli, name, None))
+    main_py = Path(cli.__file__).with_name("__main__.py").read_text(encoding="utf-8")
+    assert f"from .cli import {name}\n" in main_py and f"sys.exit({name}())" in main_py
 
 
 # Loaded by no subcommand below: the order checks, the self-test suite,

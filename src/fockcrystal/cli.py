@@ -8,13 +8,16 @@ canonically so identical invocations produce identical bytes.
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
 4 truncation overflow, 5 internal error (a violated internal invariant
 or any other exception, reported as "internal error: <Type>: <message>").
-3 is unused.  Exit 2 also covers a parameter file that is not UTF-8 or holds
-an integer too long to convert, an `--out` that cannot be written (missing
-directory, or a directory), and a number written with an exponent, which
-is refused before it is expanded.
+3 is unused.  Exit 2 also covers a parameter file that is not UTF-8, holds
+an integer too long to convert or nests arrays or objects past the
+recursion limit; an `--out` (missing directory, or a directory) or a
+stdout (a full device, a closed pipe) that cannot be written; and a
+number written with an exponent, which is refused before it is expanded.
 
-A call loads only the code its command runs.  The parser is built from
-one argument table, and only for the command that argv[0] names; the
+A call loads only the code its command runs.  A well-formed command line
+is read straight off one argument table, without `argparse`; any other
+(help, an abbreviation, an error) goes to the `argparse` parser built
+from the same table, so help, usage and error messages are its own.  The
 modules only some commands run (crystal, supports, walls, fock,
 fockspace, selftest) are imported inside those commands.  Without a
 bytecode cache, every module a call imports is compiled on that call.
@@ -27,10 +30,11 @@ in-process API and never touches the collector.
 
 from __future__ import annotations
 
-import argparse
 import gc
+import os
 import sys
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     FockcrystalError,
@@ -54,6 +58,9 @@ from .jsonio import (
     wall_to_json,
 )
 from .partitions import enumerate_multipartitions
+
+if TYPE_CHECKING:
+    import argparse
 
 # The argument table: command -> (its help line, its own arguments).
 # Every command takes the common arguments first.
@@ -106,35 +113,86 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for name, options in _COMMON + _COMMANDS[command][1]:
-        parser.add_argument(name, **options)
-    return parser
+# The option keys `_read_table` implements; a spec with any other key is
+# left to the full parser.
+_READ_KEYS = {"type", "choices", "default", "required", "metavar", "help", "nargs"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, which `fockcrystal --help` prints."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fockcrystal",
         description="Exact combinatorics of crystals, supports and Fock-space "
         "operators on multipartitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, _) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(command, help=help_line), command)
+    for command, (help_line, specs) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for name, options in _COMMON + specs:
+            command_parser.add_argument(name, **options)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv as the full parser parses it, which hands all after a command
-    to that command's parser.  So only that parser is built, unless argv
-    names no command or leaves arguments over: the full parser reports those."""
+def _read_table(command: str, tokens: list[str]) -> Optional[SimpleNamespace]:
+    r"""The arguments after `command` as the full parser reads them, when
+    they are the command's positionals followed by exact flags, each given
+    once as `--flag value` or `--flag=value`; None for anything else.
+
+    A separate value may start with "-" only as a negative integer, which
+    is the full parser's `^-\d+$` rule (`str.isdecimal` is `\d`)."""
+    specs = _COMMON + _COMMANDS[command][1]
+    flags, given, i = set(), {}, 0
+    for name, options in specs:
+        if not options.keys() <= _READ_KEYS:
+            return None
+        if name.startswith("-"):
+            flags.add(name)
+        elif i < len(tokens) and not tokens[i].startswith("-"):
+            given[name] = tokens[i]
+            i += 1
+        elif options.get("nargs") != "?":
+            return None
+    while i < len(tokens):
+        name, eq, value = tokens[i].partition("=")
+        if name not in flags or name in given:
+            return None
+        if not eq:
+            i += 1
+            if i == len(tokens):
+                return None
+            value = tokens[i]
+            if value.startswith("-") and not value[1:].isdecimal():
+                return None
+        elif value == "--":
+            return None  # argparse 3.11 reads `--flag=--` as an empty list
+        given[name] = value
+        i += 1
+    args = SimpleNamespace(command=command)
+    for name, options in specs:
+        value = given.get(name, options.get("default"))
+        if name in given:
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        elif options.get("required"):
+            return None
+        setattr(args, name.lstrip("-").replace("-", "_"), value)
+    return args
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """argv as the full parser parses it.  A well-formed command line is
+    read off the argument table; anything else builds the full parser, so
+    help, usage and error messages, and their exit codes, are its own."""
     if argv and argv[0] in _COMMANDS:
-        command = argv[0]
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"fockcrystal {command}"), command)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = command
+        args = _read_table(argv[0], argv[1:])
+        if args is not None:
             return args
     return _build_parser().parse_args(argv)
 
@@ -160,7 +218,18 @@ def _emit(text: str, args) -> None:
         except OSError as exc:
             raise InvalidInputError(f"cannot write output file {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What stdout failed to write stays in its buffer, and the flush
+            # at the interpreter's exit would fail on it again, adding a
+            # second report and exit code 120: send those bytes to the null
+            # device.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InvalidInputError(f"cannot write to stdout: {exc}") from exc
 
 
 def _require_json_format(args) -> None:

@@ -118,9 +118,9 @@ def load_params(path: str) -> CherednikParams:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read parameter file {path}: {exc}") from exc
-    except ValueError as exc:
-        # malformed JSON, bytes that are not UTF-8, or an integer too long
-        # to convert
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an integer too long to
+        # convert, or arrays or objects nested past the recursion limit
         raise InvalidInputError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_json(doc)
 

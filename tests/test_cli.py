@@ -1,8 +1,10 @@
 """Command line behavior: output documents, canonical byte stability,
 file output, and the exit code contract."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockcrystal import cli, supports
 from fockcrystal.cli import main
@@ -821,6 +825,31 @@ class TestIOContract:
         assert err.startswith(f"error: cannot write output file {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank1", "--level", "2", "--h", "0,1/2", "--k", "0", "--j", "1"],
+         ["crystal", "--n-max", "8", "--params", "P"]],
+        ids=["short", "past-the-buffer"],
+    )
+    def test_unwritable_stdout(self, golden, unbuffered, argv):
+        """A stdout that cannot be written exits 2 with one error line, as
+        an unwritable --out does, and the interpreter's exit adds nothing:
+        buffered, the failed bytes would stay for its final flush."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [golden if a == "P" else a for a in argv]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fockcrystal", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
     @pytest.mark.parametrize("where", ["h", "params"])
     def test_exponent_is_rejected_before_it_is_expanded(self, tmp_path, where):
         """Fraction would expand "1e99999999" into an exact integer, which
@@ -932,6 +961,12 @@ def test_script_entry_is_the_module_entry():
     assert f"from .cli import {name}\n" in main_py and f"sys.exit({name}())" in main_py
 
 
+@pytest.fixture(scope="module")
+def startup_modules():
+    """The modules a bare interpreter has loaded before it runs any code."""
+    return set(run_module("-c", "import sys; print(' '.join(sys.modules))").stdout.split())
+
+
 # Loaded by no subcommand below: the order checks, the self-test suite,
 # the operators on Fock vectors and `dataclasses` (which pulls in
 # `inspect`).
@@ -956,7 +991,12 @@ NEVER_LOADED = {
     ],
     ids=["params", "support", "fock-singular", "fock-filtration", "fock-matrix", "crystal", "wallcross"],
 )
-def test_cold_start_loads_only_what_the_subcommand_runs(tmp_path, golden, argv, unused):
+def test_cold_start_loads_only_what_the_subcommand_runs(
+    tmp_path, golden, startup_modules, argv, unused
+):
+    """A well-formed call loads only the modules its command runs, and
+    neither `argparse` nor `gettext`, beyond what the interpreter's own
+    start-up loaded (`site` may load `locale`, for one)."""
     probe = (
         "import sys\n"
         "from fockcrystal.cli import main\n"
@@ -969,6 +1009,7 @@ def test_cold_start_loads_only_what_the_subcommand_runs(tmp_path, golden, argv, 
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "fockcrystal.cli" in loaded
+    assert not (loaded - startup_modules) & {"argparse", "gettext"}
     assert not loaded & (NEVER_LOADED | {f"fockcrystal.{name}" for name in unused})
     assert ("fockcrystal.walls" in loaded) == (argv[0] in ("params", "support", "wallcross"))
 
@@ -1011,21 +1052,29 @@ PARSE_ARGVS = [
 ]
 
 
-def _outcome(parse, argv, capsys):
-    """(the Namespace, None) when parse accepts argv, else (None, the exit
-    code), each with what parse printed."""
-    try:
-        result = parse(argv), None
-    except SystemExit as exc:
-        result = None, exc.code
-    captured = capsys.readouterr()
-    return (*result, captured.out, captured.err)
+def _outcome(parse, argv):
+    """(vars of what parse returns, None) when parse accepts argv, else
+    (None, the exit code), each with what parse printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv)), None
+        except SystemExit as exc:
+            result = None, exc.code
+    return (*result, out.getvalue(), err.getvalue())
+
+
+def _declined(argv):
+    """Whether main leaves argv to the full parser."""
+    return not argv or argv[0] not in cli._COMMANDS or cli._read_table(argv[0], argv[1:]) is None
 
 
 @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
-def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
-    """main builds only the parser of the command argv[0] names, yet gives
-    the full parser's Namespace, or its exit code, usage and error text."""
+def test_main_parses_as_the_full_parser(monkeypatch, argv):
+    """main reads a well-formed command line off the argument table and
+    builds the full parser only for the lines the table reader declines
+    (an abbreviation, help, an error, `--`), yet gives the full parser's
+    arguments, or its exit code, usage and error text."""
     seen = []
     for name in cli._DISPATCH:
         monkeypatch.setitem(cli._DISPATCH, name, lambda args: seen.append(args) or 0)
@@ -1037,7 +1086,115 @@ def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
         assert main(argv) == 0
         return seen.pop()
 
-    got = _outcome(parse_in_main, argv, capsys)
-    if argv[:1] and argv[0] in cli._DISPATCH and got[0] is not None:
-        assert not built, "an accepted command line built the full parser"
-    assert got == _outcome(full().parse_args, argv, capsys)
+    got = _outcome(parse_in_main, argv)
+    assert bool(built) == _declined(argv)
+    assert got == _outcome(full().parse_args, argv)
+
+
+def test_table_reader_takes_every_exact_command_line():
+    """Every PARSE_ARGVS line the full parser accepts and that names only
+    exact flags is read off the table, so real traffic skips argparse."""
+    taken = 0
+    for argv in PARSE_ARGVS:
+        if not argv or argv[0] not in cli._COMMANDS:
+            continue
+        flags = {name for name, _ in cli._COMMON + cli._COMMANDS[argv[0]][1]}
+        exact = all(tok.partition("=")[0] in flags for tok in argv[1:] if tok.startswith("-"))
+        if exact and _outcome(cli._build_parser().parse_args, argv)[0] is not None:
+            assert not _declined(argv), argv
+            taken += 1
+    assert taken == 12
+
+
+# Values for the property test beyond a flag's own: integers, negative
+# integers (one in Arabic-Indic digits, which argparse's \d and int() both
+# take; a superscript two is a digit that neither takes), a float and a
+# bare "-" (argparse reads both as values), the empty string, a bad
+# choice, option-like words and junk.
+_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(
+        ["-0.5", "-", "", "-\u0663", "\u0663", "-\u00b2", "p.json", "0:1", "xml", "x", "1e3", " 2",
+         "-1:0", "--1", "--", "-h", "--n", "quick"]
+    ),
+)
+
+
+def _good_values(options):
+    """Values of the kind a table entry takes."""
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if options.get("type") is int:
+        return st.integers(-3, 12).map(str) | st.just("-\u0663")
+    return st.sampled_from(["p.json", "0:1", "0,1/2", "-1", ""])
+
+
+@st.composite
+def _argvs(draw):
+    """A command line of one command: maybe its positional, then its
+    table's flags, each maybe given, with its own kind of value or any,
+    written exact, in `=` form, abbreviated, without a value or twice with
+    two values, in any order; and maybe `-h`, `--help`, `--` or a stray token somewhere."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    specs = cli._COMMON + cli._COMMANDS[command][1]
+    argv, words = [command], []
+    for name, options in specs:
+        required = options.get("required") or not (name.startswith("-") or "nargs" in options)
+        if draw(st.integers(0, 9)) >= (9 if required else 4):
+            continue
+        value = draw(_good_values(options) if draw(st.integers(0, 5)) else _VALUES)
+        if not name.startswith("-"):
+            argv.append(value)
+            continue
+        form = draw(st.sampled_from(["exact"] * 6 + ["equals"] * 3 + ["short", "bare", "twice"]))
+        if form == "short" and len(name) > 3:
+            name = name[: draw(st.integers(3, len(name) - 1))]
+        word = [f"{name}={value}"] if form == "equals" else [name] if form == "bare" else [name, value]
+        if form == "twice":
+            word += [name, draw(_good_values(options))]
+        words.append(word)
+    argv += [tok for word in draw(st.permutations(words)) for tok in word]
+    extra = draw(st.sampled_from([None] * 8 + ["-h", "--help", "--", "stray"]))
+    if extra:
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+# neither is a negative number to argparse, which reads each as a flag
+@example(["support", "--n", "1", "--params", "--1"])
+@example(["support", "--n", "1", "--params", "-\u00b2"])
+@example(["support", "--n", "1", "--params=--"])  # argparse drops the "--", leaving params == []
+def test_table_reader_agrees_with_the_full_parser(argv):
+    """Whatever the table reader accepts, the full parser reads to the same
+    arguments; and main's parse prints and exits as the full parser does."""
+    full = _outcome(cli._build_parser().parse_args, argv)
+    read = cli._read_table(argv[0], argv[1:])
+    if read is not None:
+        assert full == (vars(read), None, "", "")
+    assert _outcome(cli._parse_args, argv) == full
+
+
+# The option keys `_read_table` reads; a table entry that needs any other
+# (say `action=` or `nargs="+"`) must first be taught to the reader.
+READ_KEYS = {"type", "choices", "default", "required", "metavar", "help", "nargs"}
+
+
+def test_argument_table_is_readable():
+    assert cli._READ_KEYS == READ_KEYS
+    for _, specs in cli._COMMANDS.values():
+        for name, options in cli._COMMON + specs:
+            assert options.keys() <= READ_KEYS, name
+            assert options.get("type", int) is int, name
+            assert options.get("nargs", "?") == "?", name
+            assert "nargs" not in options or not name.startswith("-"), name
+            # argparse converts a string default through `type`; the reader does not
+            assert not ("type" in options and isinstance(options.get("default"), str)), name
+
+
+def test_table_reader_declines_an_unknown_option_key(monkeypatch):
+    monkeypatch.setitem(
+        cli._COMMANDS, "params", ("", (("--n", dict(type=int, action="store")),))
+    )
+    assert cli._read_table("params", ["--n", "2"]) is None

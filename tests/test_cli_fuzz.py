@@ -31,9 +31,13 @@ FAULTS = {
     "kappa": [-1, 2, {"num": 1, "den": 0}, {"den": 2}, "abc", True, 0.5],
     "s": [None, [["x"]], [[0, 1, 2]], ["1/0"], [0.5]],
 }
-# whole files: malformed JSON, no object, bytes that are not UTF-8, and
-# an integer longer than Python converts
-TEXT_FAULTS = [b"{", b"[]", b"null", b'{"level": \xff}', b'{"level": 1' + b"0" * 5000 + b"}"]
+# whole files: malformed JSON, no object, bytes that are not UTF-8, an
+# integer longer than Python converts, and arrays nested past the
+# recursion limit
+DEEP = b"[" * 100_000 + b"]" * 100_000
+TEXT_FAULTS = [
+    b"{", b"[]", b"null", b'{"level": \xff}', b'{"level": 1' + b"0" * 5000 + b"}", DEEP
+]
 
 
 @st.composite
@@ -147,6 +151,8 @@ def params_file(tmp_path_factory):
 # a positive kappa with a charge a + b/kappa, b != 0: support once read q
 # at the wrong negated point and exited 5
 @example(["support", "--n=3"], b'{"level": 2, "kappa": {"num": 1, "den": 2}, "s": [-1, [1, 1]]}')
+# json.load raised RecursionError, which exited 5
+@example(["support", "--n=1"], DEEP)
 def test_parameter_commands_keep_the_exit_contract(params_file, argv, text):
     params_file.write_bytes(text)
     code, _, err = run_main(argv + ["--params", str(params_file)])

@@ -1,26 +1,27 @@
 """Command line interface.
 
-Subcommands: crystal, support, fock, params, wallcross, rank1, selftest.
-Every command reads parameters from a JSON file (--params), writes JSON
-(or DOT, for graphs) to stdout or --out, and orders its output
-canonically so identical invocations produce identical bytes.
+Commands: crystal, support, fock matrix|singular|filtration, params,
+wallcross, rank1, selftest, each taking only the flags it reads.  All but
+rank1 and selftest read a parameter JSON file (--params); each writes
+JSON (or DOT, for graphs) to stdout or --out, ordered canonically so
+identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 selftest failure, 2 invalid input or move,
 4 truncation overflow, 5 internal error (a violated internal invariant
 or any other exception, reported as "internal error: <Type>: <message>").
-3 is unused.  Exit 2 also covers a parameter file that is not UTF-8, holds
-an integer too long to convert or nests arrays or objects past the
-recursion limit; an `--out` (missing directory, or a directory) or a
-stdout (a full device, a closed pipe) that cannot be written; and a
-number written with an exponent, which is refused before it is expanded.
+3 is unused.  Exit 2 also covers a usage error, raised from `main` as
+`SystemExit`; a parameter file that is not UTF-8, holds an integer too
+long to convert or nests arrays or objects past the recursion limit; an
+`--out` or a stdout (help included) that cannot be written; and a number
+written with an exponent, which is refused before it is expanded.
 
 A call loads only the code its command runs.  A well-formed command line
 is read straight off one argument table, without `argparse`; any other
-(help, an abbreviation, an error) goes to the `argparse` parser built
-from the same table, so help, usage and error messages are its own.  The
-modules only some commands run (crystal, supports, walls, fock,
-fockspace, selftest) are imported inside those commands.  Without a
-bytecode cache, every module a call imports is compiled on that call.
+(help, an error) goes to the `argparse` parser built from the same table,
+so help, usage and error messages are its own.  The modules only some
+commands run (crystal, supports, walls, fock, fockspace, selftest) are
+imported inside those commands.  Without a bytecode cache, every module
+a call imports is compiled on that call.
 
 `run` is the process entry (`python -m fockcrystal` and the `fockcrystal`
 script): it returns `main`'s exit code after freezing the heap, so the
@@ -63,38 +64,49 @@ if TYPE_CHECKING:
     import argparse
 
 # The argument table: command -> (its help line, its own arguments).
-# Every command takes the common arguments first.
-_COMMON = (
-    ("--params", dict(metavar="FILE", help="parameter JSON file")),
-    ("--out", dict(metavar="FILE", help="write output to FILE")),
-    ("--format", dict(choices=("json", "dot"), default="json", help="output format")),
-)
+# Every command also takes the common arguments, first.  A two-word key is
+# a command under the group its first word names.
+_COMMON = (("--out", dict(metavar="FILE", help="write output to FILE")),)
+_PARAMS = ("--params", dict(metavar="FILE", required=True, help="parameter JSON file"))
 _LEVEL = ("--level", dict(type=int, help="cross-check against the parameter file"))
+_GROUPS = {"fock": "Fock-space computations"}
 _COMMANDS = {
     "crystal": ("crystal graph up to a size bound", (
+        _PARAMS,
+        ("--format", dict(choices=("json", "dot"), default="json", help="output format")),
         _LEVEL,
         ("--n-max", dict(type=int, required=True, help="largest multipartition size")),
     )),
     "support": ("support table for all labels of one size", (
+        _PARAMS,
         _LEVEL,
         ("--n", dict(type=int, required=True, help="multipartition size")),
     )),
-    "fock": ("Fock-space computations", (
-        ("subop", dict(choices=("matrix", "singular", "filtration"))),
-        ("--op", dict(choices=("bplus", "bminus", "e", "f"), help="operator for matrix")),
+    "fock matrix": ("operator matrix between two degrees", (
+        _PARAMS,
+        ("--op", dict(choices=("bplus", "bminus", "e", "f"), required=True, help="operator")),
         ("--d", dict(type=int, help="Heisenberg degree for bplus/bminus")),
         ("--z", dict(metavar="CLASS:VALUE", help="residue for e/f")),
         ("--model", dict(choices=("ribbon", "wedge"), default="ribbon")),
-        ("--degree-from", dict(type=int, help="source degree for matrix")),
-        ("--degree-to", dict(type=int, help="target degree for matrix")),
-        ("--n", dict(type=int, help="degree for singular/filtration")),
-        ("--p", dict(type=int, help="fix the raising index of the filtration")),
-        ("--q", dict(type=int, help="fix the Heisenberg index of the filtration")),
+        ("--degree-from", dict(type=int, required=True, help="source degree")),
+        ("--degree-to", dict(type=int, required=True, help="target degree")),
+    )),
+    "fock singular": ("singular subspace of one degree", (
+        _PARAMS,
+        ("--n", dict(type=int, required=True, help="degree")),
+    )),
+    "fock filtration": ("filtration dimensions of one degree", (
+        _PARAMS,
+        ("--n", dict(type=int, required=True, help="degree")),
+        ("--p", dict(type=int, help="fix the raising index")),
+        ("--q", dict(type=int, help="fix the Heisenberg index")),
     )),
     "params": ("walls, classes and Hecke exponents", (
+        _PARAMS,
         ("--n", dict(type=int, required=True, help="rank bound for essential walls")),
     )),
     "wallcross": ("wall-crossing bijection table", (
+        _PARAMS,
         ("--i", dict(type=int, default=0, help="first component index of the wall")),
         ("--j", dict(type=int, default=1, help="second component index of the wall")),
         ("--m", dict(type=int, required=True, help="integer offset of the charge wall")),
@@ -122,23 +134,40 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, which `fockcrystal --help` prints."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse drops an OSError here; help is output like any other
+            if file is None:
+                _write_stdout(self.format_help())
+            else:
+                super().print_help(file)
+
+    parser = Parser(
         prog="fockcrystal",
         description="Exact combinatorics of crystals, supports and Fock-space "
         "operators on multipartitions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the subcommands of the whole parser ("") and of each group
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
     for command, (help_line, specs) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=help_line)
-        for name, options in _COMMON + specs:
-            command_parser.add_argument(name, **options)
+        group, _, name = command.rpartition(" ")
+        if group not in subs:
+            group_parser = subs[""].add_parser(group, help=_GROUPS[group])
+            subs[group] = group_parser.add_subparsers(dest="command", required=True)
+        # a flag is taken only as written in full: as a prefix of --params,
+        # `fock singular --p 1` would name the parameter file "1"
+        command_parser = subs[group].add_parser(name, help=help_line, allow_abbrev=False)
+        # a group's subparsers name only the last word; the whole key wins
+        command_parser.set_defaults(command=command)
+        for flag, options in _COMMON + specs:
+            command_parser.add_argument(flag, **options)
     return parser
 
 
 def _read_table(command: str, tokens: list[str]) -> Optional[SimpleNamespace]:
-    r"""The arguments after `command` as the full parser reads them, when
-    they are the command's positionals followed by exact flags, each given
-    once as `--flag value` or `--flag=value`; None for anything else.
+    r"""The arguments after `command`'s words as the full parser reads them,
+    when they are its positionals followed by exact flags, each given once
+    as `--flag value` or `--flag=value`; None for anything else.
 
     A separate value may start with "-" only as a negative integer, which
     is the full parser's `^-\d+$` rule (`str.isdecimal` is `\d`)."""
@@ -166,7 +195,7 @@ def _read_table(command: str, tokens: list[str]) -> Optional[SimpleNamespace]:
             if value.startswith("-") and not value[1:].isdecimal():
                 return None
         elif value == "--":
-            return None  # argparse 3.11 reads `--flag=--` as an empty list
+            return None  # refused by `_parse_args`
         given[name] = value
         i += 1
     args = SimpleNamespace(command=command)
@@ -189,25 +218,48 @@ def _read_table(command: str, tokens: list[str]) -> Optional[SimpleNamespace]:
 def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
     """argv as the full parser parses it.  A well-formed command line is
     read off the argument table; anything else builds the full parser, so
-    help, usage and error messages, and their exit codes, are its own."""
-    if argv and argv[0] in _COMMANDS:
-        args = _read_table(argv[0], argv[1:])
-        if args is not None:
-            return args
-    return _build_parser().parse_args(argv)
+    help, usage and error messages, and their exit codes, are its own.
+    `--flag=--`, which argparse 3.11 reads as an empty list, is a usage
+    error."""
+    for command in _COMMANDS:
+        words = command.split()
+        if argv[: len(words)] == words:
+            args = _read_table(command, argv[len(words):])
+            if args is not None:
+                return args
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return args
 
 
-def _require_params(args):
-    if not args.params:
-        raise InvalidInputError("this command needs --params FILE")
-    return load_params(args.params)
-
-
-def _check_level(args, params) -> None:
-    if getattr(args, "level", None) is not None and args.level != params.level:
+def _load_params(args):
+    """The --params file, which a --level, where the command takes one,
+    must agree with."""
+    params = load_params(args.params)
+    level = getattr(args, "level", None)
+    if level is not None and level != params.level:
         raise InvalidInputError(
-            f"--level {args.level} contradicts the parameter file level {params.level}"
+            f"--level {level} contradicts the parameter file level {params.level}"
         )
+    return params
+
+
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What stdout failed to write stays in its buffer, and the flush
+        # at the interpreter's exit would fail on it again, adding a
+        # second report and exit code 120: send those bytes to the null
+        # device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InvalidInputError(f"cannot write to stdout: {exc}") from exc
 
 
 def _emit(text: str, args) -> None:
@@ -218,30 +270,13 @@ def _emit(text: str, args) -> None:
         except OSError as exc:
             raise InvalidInputError(f"cannot write output file {args.out}: {exc}") from exc
     else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            # What stdout failed to write stays in its buffer, and the flush
-            # at the interpreter's exit would fail on it again, adding a
-            # second report and exit code 120: send those bytes to the null
-            # device.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise InvalidInputError(f"cannot write to stdout: {exc}") from exc
-
-
-def _require_json_format(args) -> None:
-    if args.format != "json":
-        raise InvalidInputError("this command only supports --format json")
+        _write_stdout(text)
 
 
 def cmd_crystal(args) -> int:
     from .crystal import crystal_graph
 
-    params = _require_params(args)
-    _check_level(args, params)
+    params = _load_params(args)
     if args.n_max < 0:
         raise InvalidInputError("--n-max must be >= 0")
     graph = crystal_graph(args.n_max, params)
@@ -255,9 +290,7 @@ def cmd_crystal(args) -> int:
 def cmd_support(args) -> int:
     from .supports import support
 
-    _require_json_format(args)
-    params = _require_params(args)
-    _check_level(args, params)
+    params = _load_params(args)
     if args.n < 0:
         raise InvalidInputError("--n must be >= 0")
     rows = [
@@ -269,12 +302,10 @@ def cmd_support(args) -> int:
 
 
 def _matrix_term_map(args, params):
-    """The term map of `fock matrix --op`.  Flag errors come first, then
-    negative degrees, then the map's own parameter checks."""
+    """The term map of `fock matrix --op`.  A missing --d or --z comes
+    first, then negative degrees, then the map's own parameter checks."""
     from .fock import box_term_map, heisenberg_term_map
 
-    if args.op is None:
-        raise InvalidInputError("fock matrix needs --op")
     heisenberg = args.op in ("bplus", "bminus")
     if heisenberg and args.d is None:
         raise InvalidInputError(f"--op {args.op} needs --d")
@@ -288,41 +319,43 @@ def _matrix_term_map(args, params):
     return box_term_map(params, z, remove=args.op == "e")
 
 
-def cmd_fock(args) -> int:
-    _require_json_format(args)
-    params = _require_params(args)
-    if args.subop == "matrix":
-        from .fock import operator_matrix
+def cmd_fock_matrix(args) -> int:
+    from .fock import operator_matrix
 
-        if args.degree_from is None or args.degree_to is None:
-            raise InvalidInputError("fock matrix needs --degree-from and --degree-to")
-        rows, cols, entries = operator_matrix(
-            _matrix_term_map(args, params), args.degree_from, args.degree_to
-        )
-        _emit(matrix_dumps(rows, cols, entries, args.degree_from, args.degree_to), args)
-        return 0
-    from .fockspace import filtration_dims, singular_subspace
+    params = _load_params(args)
+    rows, cols, entries = operator_matrix(
+        _matrix_term_map(args, params), args.degree_from, args.degree_to
+    )
+    _emit(matrix_dumps(rows, cols, entries, args.degree_from, args.degree_to), args)
+    return 0
 
-    if args.n is None:
-        raise InvalidInputError(f"fock {args.subop} needs --n")
-    if args.subop == "singular":
-        basis = singular_subspace(args.n, params)
-        doc = {
-            "degree": args.n,
-            "dimension": len(basis),
-            "basis": [
-                [
-                    [multipartition_label(lam), f"{c.numerator}/{c.denominator}"]
-                    for lam, c in vec.items()
-                ]
-                for vec in basis
-            ],
-        }
-        _emit(canonical_dumps(doc), args)
-        return 0
-    # filtration: one row per (p, q), every p of one q read from a single
-    # run of raising layers; an index past its range (p > n, q > n // e)
-    # gives the clamped row, labelled with the index asked for
+
+def cmd_fock_singular(args) -> int:
+    from .fockspace import singular_subspace
+
+    basis = singular_subspace(args.n, _load_params(args))
+    doc = {
+        "degree": args.n,
+        "dimension": len(basis),
+        "basis": [
+            [
+                [multipartition_label(lam), f"{c.numerator}/{c.denominator}"]
+                for lam, c in vec.items()
+            ]
+            for vec in basis
+        ],
+    }
+    _emit(canonical_dumps(doc), args)
+    return 0
+
+
+def cmd_fock_filtration(args) -> int:
+    """One row per (p, q), every p of one q read from a single run of
+    raising layers; an index past its range (p > n, q > n // e) gives the
+    clamped row, labelled with the index asked for."""
+    from .fockspace import filtration_dims
+
+    params = _load_params(args)
     if min(args.n, args.p or 0, args.q or 0) < 0:
         raise InvalidInputError("filtration indices must be >= 0")
     e = params.e
@@ -339,8 +372,7 @@ def cmd_fock(args) -> int:
 def cmd_params(args) -> int:
     from .walls import essential_walls, hecke_exponents
 
-    _require_json_format(args)
-    params = _require_params(args)
+    params = _load_params(args)
     if args.n < 1:
         raise InvalidInputError("--n must be >= 1")
     doc = {
@@ -364,8 +396,7 @@ def cmd_wallcross(args) -> int:
     from .supports import WallCrossStep, wall_cross
     from .walls import ChargeDifferenceWall
 
-    _require_json_format(args)
-    params = _require_params(args)
+    params = _load_params(args)
     if args.n < 0:
         raise InvalidInputError("--n must be >= 0")
     step = WallCrossStep(ChargeDifferenceWall(args.i, args.j, args.m), args.direction)
@@ -385,7 +416,6 @@ def cmd_wallcross(args) -> int:
 def cmd_rank1(args) -> int:
     from .walls import rank_one_verma_hom
 
-    _require_json_format(args)
     try:
         h = tuple(fraction_from_json(part) for part in args.h.split(","))
     except FockcrystalError as exc:
@@ -408,7 +438,9 @@ def cmd_selftest(args) -> int:
 _DISPATCH = {
     "crystal": cmd_crystal,
     "support": cmd_support,
-    "fock": cmd_fock,
+    "fock matrix": cmd_fock_matrix,
+    "fock singular": cmd_fock_singular,
+    "fock filtration": cmd_fock_filtration,
     "params": cmd_params,
     "wallcross": cmd_wallcross,
     "rank1": cmd_rank1,
@@ -417,8 +449,8 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         return _DISPATCH[args.command](args)
     except TruncationOverflowError as exc:
         print(f"truncation overflow: {exc}", file=sys.stderr)

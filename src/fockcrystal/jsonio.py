@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Sequence, Union
 
 from .errors import InvalidInputError
-from .params import CherednikParams, Residue
+from .params import CherednikParams, Residue, _frac
 from .partitions import Multipartition
 
 if TYPE_CHECKING:
@@ -46,14 +46,7 @@ def fraction_from_json(x: Any) -> Fraction:
             )
         return Fraction(int(x))
     if isinstance(x, str):
-        # Fraction would expand an exponent such as "1e99999999" into an
-        # exact integer, which takes time exponential in its length
-        if "e" in x or "E" in x:
-            raise InvalidInputError(f"cannot parse rational {x!r}: exponents are not accepted")
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot parse rational {x!r}") from exc
+        return _frac(x)
     raise InvalidInputError(f"expected a rational number, got {x!r}")
 
 
@@ -80,6 +73,8 @@ def params_from_json(obj: Any) -> CherednikParams:
         raw_s = obj["s"]
     except KeyError as exc:
         raise InvalidInputError(f"parameter document missing key {exc}") from exc
+    # `CherednikParams` checks the level too, but a file's level is
+    # reported before its kappa and charges are parsed
     if not isinstance(level, int) or isinstance(level, bool):
         raise InvalidInputError(f"level must be an integer, got {level!r}")
 

@@ -34,11 +34,15 @@ CKey = Union[int, tuple[int, int]]
 
 def _frac(x: RationalLike) -> Fraction:
     """x as a Fraction.  A float or bool is refused: Fraction would take a
-    float's binary value, so 0.1 would give e = 2**55."""
+    float's binary value, so 0.1 would give e = 2**55.  So is a string with
+    an exponent: Fraction would expand "1e99999999" into an exact integer,
+    which takes time exponential in the exponent's length."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, bool)):
         raise InvalidInputError(f"expected an exact rational number, got {x!r}")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise InvalidInputError(f"cannot parse rational {x!r}: exponents are not accepted")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
@@ -120,13 +124,15 @@ class CherednikParams(_CherednikParams):
     __slots__ = ()
 
     def __new__(cls, level: int, kappa: Optional[RationalLike], s: Sequence):
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise InvalidInputError(f"level must be an integer, got {level!r}")
         if kappa is not None:
             kappa = _frac(kappa)
             if kappa == 0:
                 raise InvalidInputError("kappa must be nonzero")
         if level < 1:
             raise InvalidInputError("level must be at least 1")
-        s = tuple(ChargeValue(*c) if isinstance(c, (tuple, list)) else ChargeValue(c) for c in s)
+        s = tuple(_charge(c) for c in s)
         if len(s) != level:
             raise InvalidInputError(f"expected {level} charges, got {len(s)}")
         classes: list[list[int]] = []
@@ -187,6 +193,16 @@ class CherednikParams(_CherednikParams):
     def __repr__(self) -> str:
         kappa = "~" if self.kappa is None else self.kappa
         return f"CherednikParams(l={self.level}, kappa={kappa}, s={list(self.s)})"
+
+
+def _charge(c) -> ChargeValue:
+    """A charge as `CherednikParams` takes it: a ChargeValue, a number or
+    string a, or a pair (a, b) for a + b/kappa."""
+    if not isinstance(c, (tuple, list)):
+        return ChargeValue(c)
+    if len(c) not in (1, 2):
+        raise InvalidInputError(f"charge {c!r} must be [a] or [a, b]")
+    return ChargeValue(*c)
 
 
 def reject_integer_kappa(params: CherednikParams) -> None:

@@ -58,6 +58,16 @@ def run_module(*argv, timeout=None):
     )
 
 
+def usage_error(capsys, argv):
+    """The exit code and stderr of a command line main refuses as a usage
+    error, which exits from inside main and writes nothing to stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return exc.value.code, err
+
+
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
@@ -112,10 +122,10 @@ class TestSupportCommand:
         assert out1 == out2
 
     def test_dot_format_rejected(self, capsys, golden):
-        code, _, err = run(
-            capsys, ["support", "--params", golden, "--n", "2", "--format", "dot"]
-        )
-        assert code == 2
+        """Only `crystal` takes --format."""
+        argv = ["support", "--params", golden, "--n", "2", "--format", "dot"]
+        code, err = usage_error(capsys, argv)
+        assert code == 2 and "unrecognized arguments: --format dot" in err
 
     def test_level_cross_check(self, capsys, golden):
         """support(lam, params) reads the level from the parameters, so
@@ -313,31 +323,21 @@ class TestFockCommand:
         assert json.loads(wedge.stdout)["entries"] == []
 
     def test_matrix_needs_operator_flags(self, capsys, e2):
-        code, _, _ = run(
+        """--op and both degrees are required flags; --d or --z is needed
+        by the value of --op."""
+        code, err = usage_error(
             capsys,
             ["fock", "matrix", "--params", e2, "--degree-from", "0", "--degree-to", "2"],
         )
-        assert code == 2
-        code, _, _ = run(
-            capsys,
-            [
-                "fock",
-                "matrix",
-                "--params",
-                e2,
-                "--op",
-                "e",
-                "--degree-from",
-                "2",
-                "--degree-to",
-                "1",
-            ],
-        )
-        assert code == 2
-        code, _, _ = run(
+        assert code == 2 and "the following arguments are required: --op" in err
+        argv = ["fock", "matrix", "--params", e2, "--degree-from", "2", "--degree-to", "1"]
+        assert run(capsys, argv + ["--op", "e"]) == (2, "", "error: --op e needs --z CLASS:VALUE\n")
+        assert run(capsys, argv + ["--op", "bminus"]) == (2, "", "error: --op bminus needs --d\n")
+        code, err = usage_error(
             capsys, ["fock", "matrix", "--params", e2, "--op", "bplus", "--d", "1"]
         )
         assert code == 2
+        assert "the following arguments are required: --degree-from, --degree-to" in err
 
     def test_singular_dimension(self, capsys, golden):
         doc = run_json(
@@ -369,8 +369,9 @@ class TestFockCommand:
         assert doc == [{"p": 2, "q": 1, "n": 2, "dim": 2}]
 
     def test_needs_degree(self, capsys, golden):
-        code, _, _ = run(capsys, ["fock", "singular", "--params", golden])
-        assert code == 2
+        for subop in ("singular", "filtration"):
+            code, err = usage_error(capsys, ["fock", subop, "--params", golden])
+            assert code == 2 and "the following arguments are required: --n" in err
 
 
 # sha256 of the stdout of `fock singular` / `fock filtration --n N`
@@ -788,6 +789,32 @@ class TestSelftestCommand:
         assert "FAIL" not in out
 
 
+# A valid command line of each command ("P" is the golden parameter file),
+# and the 27 (command, flag) pairs the argument table once accepted for a
+# command that ignored the flag or refused all of its values but one.
+VALID_LINES = {
+    "support": "support --n 2 --params P",
+    "fock matrix": "fock matrix --op f --z 0:0 --degree-from 0 --degree-to 1 --params P",
+    "fock singular": "fock singular --n 2 --params P",
+    "fock filtration": "fock filtration --n 2 --params P",
+    "params": "params --n 2 --params P",
+    "wallcross": "wallcross --m 1 --n 2 --params P",
+    "rank1": "rank1 --level 2 --h 0,1/2 --k 0 --j 1",
+    "selftest": "selftest quick",
+}
+FORMERLY_IGNORED = (
+    [(command, "--format json") for command in VALID_LINES]
+    + [("rank1", "--params P"), ("selftest", "--params P")]
+    + [("fock matrix", flag) for flag in ("--n 2", "--p 1", "--q 1")]
+    + [
+        (f"fock {subop}", flag)
+        for subop, extra in (("singular", ["--p 1", "--q 1"]), ("filtration", []))
+        for flag in ["--op e", "--d 1", "--z 0:0", "--model ribbon", "--degree-from 1",
+                     "--degree-to 2"] + extra
+    ]
+)
+
+
 class TestIOContract:
     def test_out_flag_writes_file(self, capsys, tmp_path, golden):
         target = tmp_path / "out.json"
@@ -800,9 +827,15 @@ class TestIOContract:
         assert len(json.loads(target.read_text())) == 5
 
     def test_missing_params_flag(self, capsys):
-        code, _, err = run(capsys, ["support", "--n", "2"])
-        assert code == 2
-        assert "--params" in err
+        """Every command that loads a parameter file requires --params."""
+        for command, line in VALID_LINES.items():
+            argv = line.split()
+            if "P" in argv:
+                code, err = usage_error(capsys, argv[:-2])
+                assert code == 2, command
+                assert "the following arguments are required: --params" in err, command
+        code, err = usage_error(capsys, ["crystal", "--n-max", "2"])
+        assert code == 2 and "the following arguments are required: --params" in err
 
     def test_unreadable_params_file(self, capsys, tmp_path):
         code, _, _ = run(
@@ -830,13 +863,16 @@ class TestIOContract:
     @pytest.mark.parametrize(
         "argv",
         [["rank1", "--level", "2", "--h", "0,1/2", "--k", "0", "--j", "1"],
-         ["crystal", "--n-max", "8", "--params", "P"]],
-        ids=["short", "past-the-buffer"],
+         ["crystal", "--n-max", "8", "--params", "P"],
+         ["crystal", "--help"],
+         ["--help"]],
+        ids=["short", "past-the-buffer", "help", "top-help"],
     )
     def test_unwritable_stdout(self, golden, unbuffered, argv):
         """A stdout that cannot be written exits 2 with one error line, as
         an unwritable --out does, and the interpreter's exit adds nothing:
-        buffered, the failed bytes would stay for its final flush."""
+        buffered, the failed bytes would stay for its final flush.  Help
+        is output like any other."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
@@ -888,6 +924,19 @@ class TestIOContract:
         with pytest.raises(SystemExit) as exc:
             main(["support", "--params", golden, "--n", "2", "--frmt", "dot"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag", FORMERLY_IGNORED, ids=[f"{c} {f}" for c, f in FORMERLY_IGNORED]
+    )
+    def test_a_flag_the_command_does_not_read_is_refused(self, capsys, golden, command, flag):
+        """Each command takes only the flags it reads: a flag the argument
+        table once gave a command that ignored it, or took only one value
+        of, is an unknown flag, as the removed `--strict-ties` is."""
+        argv = [golden if a == "P" else a for a in VALID_LINES[command].split() + flag.split()]
+        assert cli._parse_args(argv[: -len(flag.split())]).command == command
+        code, err = usage_error(capsys, argv)
+        assert code == 2
+        assert err.endswith(f"unrecognized arguments: {' '.join(argv[-len(flag.split()):])}\n")
 
     def test_module_entry_point(self):
         proc = run_module("-m", "fockcrystal", "selftest", "quick")
@@ -988,8 +1037,20 @@ NEVER_LOADED = {
         ),
         (["crystal", "--n-max", "2"], {"fock", "linalg", "supports", "charged", "walls"}),
         (["wallcross", "--m", "1", "--n", "2"], {"fock", "linalg", "charged"}),
+        # the benchmark's other forms: a pinned filtration row, a Heisenberg
+        # matrix with its model, a DOT graph
+        (["fock", "filtration", "--n", "2", "--p", "2", "--q", "1"],
+         {"crystal", "supports", "charged", "walls"}),
+        (
+            ["fock", "matrix", "--op", "bplus", "--d", "1", "--degree-from", "1",
+             "--degree-to", "3", "--model", "wedge"],
+            {"linalg", "fockspace", "charged", "crystal", "supports", "walls"},
+        ),
+        (["crystal", "--n-max", "2", "--format", "dot"],
+         {"fock", "linalg", "supports", "charged", "walls"}),
     ],
-    ids=["params", "support", "fock-singular", "fock-filtration", "fock-matrix", "crystal", "wallcross"],
+    ids=["params", "support", "fock-singular", "fock-filtration", "fock-matrix", "crystal",
+         "wallcross", "fock-filtration-pinned", "fock-matrix-heisenberg", "crystal-dot"],
 )
 def test_cold_start_loads_only_what_the_subcommand_runs(
     tmp_path, golden, startup_modules, argv, unused
@@ -1015,35 +1076,56 @@ def test_cold_start_loads_only_what_the_subcommand_runs(
 
 
 # Command lines argparse accepts or refuses: every command with valid
-# flags, `--flag=value`, an abbreviation, an unknown flag, a stray
-# argument, a missing required flag, a bad int, a bad choice, help, no
-# command, an unknown command and `--` before and after the command.
+# flags, `--flag=value`, an abbreviation, an unknown flag, a flag of another
+# command, a stray argument, a missing required flag, a bad int, a bad
+# choice, `--flag=--`, help, no command, an unknown command, a group
+# without its command and `--` before and after the command.
 PARSE_ARGVS = [
     ["crystal", "--n-max", "3", "--level", "2", "--params", "p.json"],
+    ["support", "--n", "2", "--out", "o.json", "--params", "p.json"],
+    # without --params, or with a flag the command does not take
     ["support", "--n", "2", "--out", "o.json", "--format", "dot"],
     ["fock", "matrix", "--op", "bplus", "--d", "1", "--model", "wedge",
      "--degree-from", "0", "--degree-to", "2"],
     ["fock", "matrix", "--op", "e", "--z", "0:1", "--degree-from", "2", "--degree-to", "1"],
     ["fock", "singular", "--n", "3"],
     ["fock", "filtration", "--n", "4", "--p", "1", "--q", "0"],
-    ["params", "--n", "2", "--params", "p.json"],
     ["wallcross", "--m", "1", "--n", "3", "--i", "1", "--j", "0", "--direction", "down"],
+    ["fock", "matrix", "--op", "bplus", "--d", "1", "--model", "wedge",
+     "--degree-from", "0", "--degree-to", "2", "--params", "p.json"],
+    ["fock", "matrix", "--op", "e", "--z", "0:1", "--degree-from", "2", "--degree-to", "1",
+     "--params", "p.json"],
+    ["fock", "singular", "--n", "3", "--params", "p.json"],
+    ["fock", "filtration", "--n", "4", "--p", "1", "--q", "0", "--params", "p.json"],
+    ["params", "--n", "2", "--params", "p.json"],
+    ["wallcross", "--m", "1", "--n", "3", "--i", "1", "--j", "0", "--direction", "down",
+     "--params", "p.json"],
     ["rank1", "--level", "2", "--h", "0,1/2", "--k", "0", "--j", "1"],
     ["selftest"],
     ["selftest", "full", "--out", "o.txt"],
     ["crystal", "--n-max=3", "--params=p.json"],
     ["crystal", "--n-m", "3"],
+    ["crystal", "--n-m", "3", "--params", "p.json"],
     ["crystal", "--n-max", "3", "--bogus"],
+    ["support", "--n", "2", "--params", "p.json", "--format", "json"],
+    ["fock", "singular", "--n", "3", "--params", "p.json", "--p", "1"],
+    ["rank1", "--level", "2", "--h", "0", "--k", "0", "--j", "0", "--params", "p.json"],
     ["support", "--n", "2", "extra"],
     ["crystal"],
+    ["support", "--n", "2"],
+    ["fock", "matrix", "--op", "f", "--z", "0:0", "--params", "p.json"],
     ["rank1", "--level", "2", "--h", "0,1/2", "--k", "0"],
     ["crystal", "--n-max", "x"],
     ["fock", "nope", "--n", "2"],
+    ["fock", "--n", "2"],
+    ["fock"],
     ["crystal", "--n-max", "3", "--format", "xml"],
+    ["crystal", "--n-max", "3", "--params", "p.json", "--out=--"],
     ["-h"],
     ["--help"],
     ["crystal", "-h"],
     ["fock", "--help"],
+    ["fock", "filtration", "--help"],
     ["selftest", "-h"],
     [],
     ["bogus"],
@@ -1064,9 +1146,29 @@ def _outcome(parse, argv):
     return (*result, out.getvalue(), err.getvalue())
 
 
+def _command(argv):
+    """The argument table's key for the command argv names, or None."""
+    return next((key for key in cli._COMMANDS if argv[: len(key.split())] == key.split()), None)
+
+
 def _declined(argv):
     """Whether main leaves argv to the full parser."""
-    return not argv or argv[0] not in cli._COMMANDS or cli._read_table(argv[0], argv[1:]) is None
+    command = _command(argv)
+    return command is None or cli._read_table(command, argv[len(command.split()):]) is None
+
+
+def _assert_parses_as_the_full_parser(got, argv):
+    """got, the outcome of a parse of argv, is the full parser's; but where
+    argparse 3.11 reads `--flag=--` as an empty list, it is a usage error
+    (exit 2) naming the flag."""
+    full = _outcome(cli._build_parser().parse_args, argv)
+    emptied = [name for name, value in (full[0] or {}).items() if isinstance(value, list)]
+    if emptied:
+        flag = "--" + emptied[0].replace("_", "-")
+        assert got[:3] == (None, 2, "")
+        assert got[3].endswith(f"error: argument {flag}: expected one argument\n")
+    else:
+        assert got == full
 
 
 @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
@@ -1088,19 +1190,20 @@ def test_main_parses_as_the_full_parser(monkeypatch, argv):
 
     got = _outcome(parse_in_main, argv)
     assert bool(built) == _declined(argv)
-    assert got == _outcome(full().parse_args, argv)
+    _assert_parses_as_the_full_parser(got, argv)
 
 
 def test_table_reader_takes_every_exact_command_line():
-    """Every PARSE_ARGVS line the full parser accepts and that names only
-    exact flags is read off the table, so real traffic skips argparse."""
+    """Every PARSE_ARGVS line main accepts and that names only exact flags
+    is read off the table, so real traffic skips argparse."""
     taken = 0
     for argv in PARSE_ARGVS:
-        if not argv or argv[0] not in cli._COMMANDS:
+        command = _command(argv)
+        if command is None:
             continue
-        flags = {name for name, _ in cli._COMMON + cli._COMMANDS[argv[0]][1]}
+        flags = {name for name, _ in cli._COMMON + cli._COMMANDS[command][1]}
         exact = all(tok.partition("=")[0] in flags for tok in argv[1:] if tok.startswith("-"))
-        if exact and _outcome(cli._build_parser().parse_args, argv)[0] is not None:
+        if exact and _outcome(cli._parse_args, argv)[0] is not None:
             assert not _declined(argv), argv
             taken += 1
     assert taken == 12
@@ -1134,10 +1237,11 @@ def _argvs(draw):
     """A command line of one command: maybe its positional, then its
     table's flags, each maybe given, with its own kind of value or any,
     written exact, in `=` form, abbreviated, without a value or twice with
-    two values, in any order; and maybe `-h`, `--help`, `--` or a stray token somewhere."""
+    two values, in any order; and maybe `-h`, `--help`, `--`, a stray token
+    or a flag of another command somewhere."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     specs = cli._COMMON + cli._COMMANDS[command][1]
-    argv, words = [command], []
+    argv, words = command.split(), []
     for name, options in specs:
         required = options.get("required") or not (name.startswith("-") or "nargs" in options)
         if draw(st.integers(0, 9)) >= (9 if required else 4):
@@ -1154,7 +1258,8 @@ def _argvs(draw):
             word += [name, draw(_good_values(options))]
         words.append(word)
     argv += [tok for word in draw(st.permutations(words)) for tok in word]
-    extra = draw(st.sampled_from([None] * 8 + ["-h", "--help", "--", "stray"]))
+    extra = draw(st.sampled_from([None] * 8 + ["-h", "--help", "--", "stray", "--format=json",
+                                               "--params=p.json", "--p=1", "--d=1"]))
     if extra:
         argv.insert(draw(st.integers(1, len(argv))), extra)
     return argv
@@ -1166,14 +1271,17 @@ def _argvs(draw):
 @example(["support", "--n", "1", "--params", "--1"])
 @example(["support", "--n", "1", "--params", "-\u00b2"])
 @example(["support", "--n", "1", "--params=--"])  # argparse drops the "--", leaving params == []
+@example(["fock", "matrix", "--op", "e", "--z", "0:0", "--degree-from=--", "--degree-to", "0"])
+@example(["fock", "singular", "--p", "1", "--n", "1", "--params", "p.json"])
 def test_table_reader_agrees_with_the_full_parser(argv):
     """Whatever the table reader accepts, the full parser reads to the same
-    arguments; and main's parse prints and exits as the full parser does."""
-    full = _outcome(cli._build_parser().parse_args, argv)
-    read = cli._read_table(argv[0], argv[1:])
+    arguments; and main's parse prints and exits as the full parser does,
+    but for `--flag=--`, which it refuses."""
+    command = _command(argv)
+    read = None if command is None else cli._read_table(command, argv[len(command.split()):])
     if read is not None:
-        assert full == (vars(read), None, "", "")
-    assert _outcome(cli._parse_args, argv) == full
+        assert _outcome(cli._build_parser().parse_args, argv) == (vars(read), None, "", "")
+    _assert_parses_as_the_full_parser(_outcome(cli._parse_args, argv), argv)
 
 
 # The option keys `_read_table` reads; a table entry that needs any other

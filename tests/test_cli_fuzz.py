@@ -79,13 +79,13 @@ def command(head, *parts):
     return st.tuples(*parts).map(lambda drawn: head + [x for part in drawn for x in part])
 
 
-common = (st.sampled_from([[]] * 4 + [["--format=dot"], ["--format=json"]]),)
+formats = st.sampled_from([[]] * 4 + [["--format=dot"], ["--format=json"]])
 residues = st.one_of(
     st.builds(lambda c, v: f"{c}:{v}", small, sizes), st.sampled_from(["0", "a:b", ":"])
 )
 argvs = st.one_of(
-    command(["crystal"], option("--n-max", sizes), flag("--level", small), *common),
-    command(["support"], option("--n", sizes), flag("--level", small), *common),
+    command(["crystal"], option("--n-max", sizes), flag("--level", small), formats),
+    command(["support"], option("--n", sizes), flag("--level", small)),
     command(
         ["fock", "matrix"],
         option("--op", st.sampled_from(["bplus", "bminus", "e", "f"])),
@@ -94,13 +94,12 @@ argvs = st.one_of(
         flag("--model", st.sampled_from(["ribbon", "wedge"])),
         option("--degree-from", sizes),
         option("--degree-to", sizes),
-        *common,
     ),
-    command(["fock", "singular"], option("--n", sizes), *common),
+    command(["fock", "singular"], option("--n", sizes)),
     command(
-        ["fock", "filtration"], option("--n", sizes), flag("--p", sizes), flag("--q", sizes), *common
+        ["fock", "filtration"], option("--n", sizes), flag("--p", sizes), flag("--q", sizes)
     ),
-    command(["params"], option("--n", sizes), *common),
+    command(["params"], option("--n", sizes)),
     command(
         ["wallcross"],
         flag("--i", st.integers(0, 2)),
@@ -108,7 +107,6 @@ argvs = st.one_of(
         option("--m", st.integers(-3, 3)),
         flag("--direction", st.sampled_from(["up", "down"])),
         option("--n", sizes),
-        *common,
     ),
 )
 h_lists = st.one_of(
@@ -121,7 +119,6 @@ rank1_argvs = command(
     option("--h", h_lists),
     option("--k", small),
     option("--j", small),
-    *common,
 )
 
 

@@ -5,8 +5,12 @@ essential walls, Hecke exponents, and the rank-one Hom criterion."""
 import copy
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +174,49 @@ class TestParams:
             CherednikParams(2, Fraction(-1, 2), [0])
         with pytest.raises(InvalidInputError, match="level must be at least 1"):
             CherednikParams(0, Fraction(-1, 2), [])
+
+    @pytest.mark.parametrize("level", [2.0, "2", True, None], ids=repr)
+    def test_constructor_refuses_a_level_that_is_not_an_integer(self, level):
+        """A bool is not a level either: True would be taken as level 1."""
+        with pytest.raises(InvalidInputError) as exc:
+            CherednikParams(level, Fraction(-1, 2), [0, -1])
+        assert str(exc.value) == f"level must be an integer, got {level!r}"
+
+    @pytest.mark.parametrize("charge", [(1, 2, 3), [], ()], ids=repr)
+    def test_constructor_refuses_a_charge_of_the_wrong_length(self, charge):
+        with pytest.raises(InvalidInputError) as exc:
+            CherednikParams(2, Fraction(-1, 2), [0, charge])
+        assert str(exc.value) == f"charge {charge!r} must be [a] or [a, b]"
+
+    def test_exponent_is_refused_before_it_is_expanded(self):
+        """Fraction would expand "1e99999999" into an integer of 10**8
+        digits; each entry point refuses the string at once.  It runs in a
+        fresh process under a timeout, so a regression fails, not hangs."""
+        probe = (
+            "from fockcrystal import ChargeValue, CherednikParams, InvalidInputError\n"
+            "for make in (lambda: CherednikParams(1, '-1/2', ['1e99999999']),\n"
+            "             lambda: CherednikParams(1, '-1E99999999', [0]),\n"
+            "             lambda: CherednikParams(2, None, [0, ('0', '1e99999999')]),\n"
+            "             lambda: ChargeValue(0).shift('1e99999999')):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except InvalidInputError as exc:\n"
+            "        print(exc)\n"
+        )
+        import fockcrystal
+
+        env = dict(os.environ, PYTHONPATH=str(Path(fockcrystal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=5
+        )
+        assert proc.stderr == ""
+        reason = "exponents are not accepted"
+        assert proc.stdout.splitlines() == [
+            f"cannot parse rational '1e99999999': {reason}",
+            f"cannot parse rational '-1E99999999': {reason}",
+            f"cannot parse rational '1e99999999': {reason}",
+            f"cannot parse rational '1e99999999': {reason}",
+        ]
 
     def test_charge_pairs(self):
         p = CherednikParams(2, None, [0, (0, 1)])

@@ -15,13 +15,12 @@ long to convert or nests arrays or objects past the recursion limit; an
 `--out` or a stdout (help included) that cannot be written; and a number
 written with an exponent, which is refused before it is expanded.
 
-A call loads only the code its command runs.  A well-formed command line
-is read straight off one argument table, without `argparse`; any other
-(help, an error) goes to the `argparse` parser built from the same table,
-so help, usage and error messages are its own.  The modules only some
+A call loads only the code its command runs: the modules only some
 commands run (crystal, supports, walls, fock, fockspace, selftest) are
-imported inside those commands.  Without a bytecode cache, every module
-a call imports is compiled on that call.
+imported inside those commands, and every command line is read, and its
+help and usage text written, off one argument table, without `argparse`.
+Without a bytecode cache, every module a call imports is compiled on
+that call.
 
 `run` is the process entry (`python -m fockcrystal` and the `fockcrystal`
 script): it returns `main`'s exit code after freezing the heap, so the
@@ -35,7 +34,7 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import (
     FockcrystalError,
@@ -60,16 +59,17 @@ from .jsonio import (
 )
 from .partitions import enumerate_multipartitions
 
-if TYPE_CHECKING:
-    import argparse
-
 # The argument table: command -> (its help line, its own arguments).
 # Every command also takes the common arguments, first.  A two-word key is
-# a command under the group its first word names.
+# a command under the group its first word names; "" is the top level.  An
+# argument whose name does not start with "-" is an optional positional.
 _COMMON = (("--out", dict(metavar="FILE", help="write output to FILE")),)
 _PARAMS = ("--params", dict(metavar="FILE", required=True, help="parameter JSON file"))
 _LEVEL = ("--level", dict(type=int, help="cross-check against the parameter file"))
-_GROUPS = {"fock": "Fock-space computations"}
+_GROUPS = {
+    "": "Exact combinatorics of crystals, supports and Fock-space operators on multipartitions.",
+    "fock": "Fock-space computations",
+}
 _COMMANDS = {
     "crystal": ("crystal graph up to a size bound", (
         _PARAMS,
@@ -87,7 +87,7 @@ _COMMANDS = {
         ("--op", dict(choices=("bplus", "bminus", "e", "f"), required=True, help="operator")),
         ("--d", dict(type=int, help="Heisenberg degree for bplus/bminus")),
         ("--z", dict(metavar="CLASS:VALUE", help="residue for e/f")),
-        ("--model", dict(choices=("ribbon", "wedge"), default="ribbon")),
+        ("--model", dict(choices=("ribbon", "wedge"), help="bplus/bminus model, default ribbon")),
         ("--degree-from", dict(type=int, required=True, help="source degree")),
         ("--degree-to", dict(type=int, required=True, help="target degree")),
     )),
@@ -120,119 +120,145 @@ _COMMANDS = {
         ("--j", dict(type=int, required=True, help="target component index")),
     )),
     "selftest": ("run the invariant suites", (
-        ("depth", dict(nargs="?", choices=("quick", "full"), default="quick")),
+        ("depth", dict(choices=("quick", "full"), default="quick", help="quick (default) or full")),
     )),
 }
 
 
-# The option keys `_read_table` implements; a spec with any other key is
-# left to the full parser.
-_READ_KEYS = {"type", "choices", "default", "required", "metavar", "help", "nargs"}
+def _below(key: str) -> dict[str, str]:
+    """The commands and groups one word below the group key, each with
+    its help line."""
+    n = len(key.split())
+    return {
+        command.split()[n]: _GROUPS.get(" ".join(command.split()[: n + 1]), help_line)
+        for command, (help_line, _) in _COMMANDS.items()
+        if command.split()[:n] == key.split()
+    }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, which `fockcrystal --help` prints."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def print_help(self, file=None):
-            # argparse drops an OSError here; help is output like any other
-            if file is None:
-                _write_stdout(self.format_help())
-            else:
-                super().print_help(file)
-
-    parser = Parser(
-        prog="fockcrystal",
-        description="Exact combinatorics of crystals, supports and Fock-space "
-        "operators on multipartitions.",
-    )
-    # the subcommands of the whole parser ("") and of each group
-    subs = {"": parser.add_subparsers(dest="command", required=True)}
-    for command, (help_line, specs) in _COMMANDS.items():
-        group, _, name = command.rpartition(" ")
-        if group not in subs:
-            group_parser = subs[""].add_parser(group, help=_GROUPS[group])
-            subs[group] = group_parser.add_subparsers(dest="command", required=True)
-        # a flag is taken only as written in full: as a prefix of --params,
-        # `fock singular --p 1` would name the parameter file "1"
-        command_parser = subs[group].add_parser(name, help=help_line, allow_abbrev=False)
-        # a group's subparsers name only the last word; the whole key wins
-        command_parser.set_defaults(command=command)
-        for flag, options in _COMMON + specs:
-            command_parser.add_argument(flag, **options)
-    return parser
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
 
 
-def _read_table(command: str, tokens: list[str]) -> Optional[SimpleNamespace]:
-    r"""The arguments after `command`'s words as the full parser reads them,
-    when they are its positionals followed by exact flags, each given once
-    as `--flag value` or `--flag=value`; None for anything else.
+def _shown(name: str, options: dict) -> str:
+    """An argument as help and usage show it: a flag and its metavar, or a
+    positional's choices."""
+    choices = "{" + ",".join(options.get("choices", ())) + "}"
+    metavar = options.get("metavar", choices if "choices" in options else _dest(name).upper())
+    return f"{name} {metavar}" if name.startswith("-") else metavar
 
-    A separate value may start with "-" only as a negative integer, which
-    is the full parser's `^-\d+$` rule (`str.isdecimal` is `\d`)."""
-    specs = _COMMON + _COMMANDS[command][1]
-    flags, given, i = set(), {}, 0
-    for name, options in specs:
-        if not options.keys() <= _READ_KEYS:
-            return None
-        if name.startswith("-"):
-            flags.add(name)
-        elif i < len(tokens) and not tokens[i].startswith("-"):
-            given[name] = tokens[i]
-            i += 1
-        elif options.get("nargs") != "?":
-            return None
+
+def _usage(key: str) -> str:
+    if key in _COMMANDS:
+        specs = _COMMON + _COMMANDS[key][1]
+        shown = [_shown(n, o) if o.get("required") else f"[{_shown(n, o)}]" for n, o in specs]
+    else:
+        shown = ["{" + ",".join(_below(key)) + "}", "..."]
+    return " ".join(["usage: fockcrystal", *key.split(), "[-h]", *shown])
+
+
+def _help(key: str) -> None:
+    """The help of a command or group on stdout, then exit 0."""
+    if key in _COMMANDS:
+        about, specs = _COMMANDS[key]
+        heading = "arguments:"
+        rows = [(_shown(name, opts), opts.get("help", "")) for name, opts in _COMMON + specs]
+    else:
+        about, heading, rows = _GROUPS[key], "commands:", list(_below(key).items())
+    width = max(len(shown) for shown, _ in rows) + 2
+    rows = [f"  {shown:<{width}}{line}".rstrip() for shown, line in rows]
+    _write_stdout("\n".join([_usage(key), "", about, "", heading, *rows]) + "\n")
+    sys.exit(0)
+
+
+def _fail(key: str, message: str) -> None:
+    """A usage error: the usage line of the command or group key and the
+    message on stderr, then exit 2."""
+    sys.stderr.write(f"{_usage(key)}\n{('fockcrystal ' + key).rstrip()}: error: {message}\n")
+    sys.exit(2)
+
+
+def _choose(key: str, name: str, value, choices) -> None:
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        _fail(key, f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _is_value(token: str) -> bool:
+    r"""Whether token is a word, not a flag: it does not start with "-",
+    is "-", or is a negative number, `^-\d+$|^-\d*\.\d+$` (`str.isdecimal`
+    is `\d`)."""
+    whole, dot, fraction = token[1:].partition(".")
+    number = (whole + fraction).isdecimal() and bool(fraction or not dot)
+    return token[:1] != "-" or token == "-" or number
+
+
+def _read_command(command: str, tokens: list[str]) -> SimpleNamespace:
+    """The arguments after command's words, read left to right: a flag
+    takes the next token as its value when that is a word, or the text
+    after its "="; the last repeat wins.  The first free word is the
+    positional, and after "--" every token is a word.  A bad or missing
+    value ("--flag=--" included) fails at once and help exits at once; a
+    missing required flag, then unrecognized arguments, fail at the end."""
+    specs = dict(_COMMON + _COMMANDS[command][1])
+    positional = next((name for name in specs if not name.startswith("-")), None)
+
+    def value(name, text):
+        try:
+            text = specs[name].get("type", str)(text)
+        except ValueError:  # the one type is int
+            _fail(command, f"argument {name}: invalid int value: {text!r}")
+        _choose(command, name, text, specs[name].get("choices"))
+        return text
+
+    given, extras, filled, i, words_only = {}, [], None, 0, False
     while i < len(tokens):
-        name, eq, value = tokens[i].partition("=")
-        if name not in flags or name in given:
-            return None
-        if not eq:
-            i += 1
-            if i == len(tokens):
-                return None
-            value = tokens[i]
-            if value.startswith("-") and not value[1:].isdecimal():
-                return None
-        elif value == "--":
-            return None  # refused by `_parse_args`
-        given[name] = value
+        token = tokens[i]
         i += 1
-    args = SimpleNamespace(command=command)
-    for name, options in specs:
-        value = given.get(name, options.get("default"))
-        if name in given:
-            if "type" in options:
-                try:
-                    value = options["type"](value)
-                except ValueError:
-                    return None
-            if "choices" in options and value not in options["choices"]:
-                return None
-        elif options.get("required"):
-            return None
-        setattr(args, name.lstrip("-").replace("-", "_"), value)
-    return args
+        if words_only or _is_value(token):
+            if positional is None or positional in given:
+                extras.append(token)
+            else:
+                given[positional], filled = value(positional, token), i
+        elif token == "--":
+            words_only = True
+            # as in argparse, a "--" before or right after the positional's value is dropped
+            if positional is None or (positional in given and filled != i - 1):
+                extras.append(token)
+        elif token in ("-h", "--help"):
+            _help(command)
+        elif token.partition("=")[0] not in specs:
+            extras.append(token)
+        else:
+            name, eq, text = token.partition("=")
+            if not eq and i < len(tokens) and _is_value(tokens[i]):
+                text, i = tokens[i], i + 1
+            elif not eq or text == "--":
+                _fail(command, f"argument {name}: expected one argument")
+            given[name] = value(name, text)
+    missing = ", ".join(n for n, opts in specs.items() if opts.get("required") and n not in given)
+    if missing:
+        _fail(command, f"the following arguments are required: {missing}")
+    if extras:
+        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    args = {_dest(name): given.get(name, options.get("default")) for name, options in specs.items()}
+    return SimpleNamespace(command=command, **args)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
-    """argv as the full parser parses it.  A well-formed command line is
-    read off the argument table; anything else builds the full parser, so
-    help, usage and error messages, and their exit codes, are its own.
-    `--flag=--`, which argparse 3.11 reads as an empty list, is a usage
-    error."""
-    for command in _COMMANDS:
-        words = command.split()
-        if argv[: len(words)] == words:
-            args = _read_table(command, argv[len(words):])
-            if args is not None:
-                return args
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
-    return args
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read off the argument table: a command's one or two words,
+    then its arguments (`_read_command`).  Help goes to stdout and exits
+    0; a usage error names the command or group it concerns and exits 2."""
+    key, rest = "", list(argv)
+    while key not in _COMMANDS:
+        if not rest:
+            _fail(key, "the following arguments are required: command")
+        word = rest.pop(0)
+        if word in ("-h", "--help"):
+            _help(key)
+        _choose(key, "command", word, _below(key))
+        key = f"{key} {word}".lstrip()
+    return _read_command(key, rest)
 
 
 def _load_params(args):
@@ -303,7 +329,8 @@ def cmd_support(args) -> int:
 
 def _matrix_term_map(args, params):
     """The term map of `fock matrix --op`.  A missing --d or --z comes
-    first, then negative degrees, then the map's own parameter checks."""
+    first, then a flag the operator does not read, then negative degrees,
+    then the map's own parameter checks."""
     from .fock import box_term_map, heisenberg_term_map
 
     heisenberg = args.op in ("bplus", "bminus")
@@ -311,11 +338,16 @@ def _matrix_term_map(args, params):
         raise InvalidInputError(f"--op {args.op} needs --d")
     if not heisenberg and args.z is None:
         raise InvalidInputError(f"--op {args.op} needs --z CLASS:VALUE")
+    unread = {"--z": args.z} if heisenberg else {"--d": args.d, "--model": args.model}
+    for flag, value in unread.items():
+        if value is not None:
+            raise InvalidInputError(f"--op {args.op} does not take {flag}")
     z = None if heisenberg else residue_from_json(args.z)
     if min(args.degree_from, args.degree_to) < 0:
         raise InvalidInputError("total size must be nonnegative")
     if heisenberg:
-        return heisenberg_term_map(args.d, params, args.model, remove=args.op == "bminus")
+        model = args.model or "ribbon"
+        return heisenberg_term_map(args.d, params, model, remove=args.op == "bminus")
     return box_term_map(params, z, remove=args.op == "e")
 
 
@@ -334,18 +366,11 @@ def cmd_fock_singular(args) -> int:
     from .fockspace import singular_subspace
 
     basis = singular_subspace(args.n, _load_params(args))
-    doc = {
-        "degree": args.n,
-        "dimension": len(basis),
-        "basis": [
-            [
-                [multipartition_label(lam), f"{c.numerator}/{c.denominator}"]
-                for lam, c in vec.items()
-            ]
-            for vec in basis
-        ],
-    }
-    _emit(canonical_dumps(doc), args)
+    vectors = [
+        [[multipartition_label(lam), f"{c.numerator}/{c.denominator}"] for lam, c in vec.items()]
+        for vec in basis
+    ]
+    _emit(canonical_dumps({"degree": args.n, "dimension": len(basis), "basis": vectors}), args)
     return 0
 
 
@@ -382,10 +407,7 @@ def cmd_params(args) -> int:
     }
     try:
         h = hecke_exponents(params)
-        doc["hecke"] = {
-            "q": fraction_to_json(h.q_exp),
-            "Q": [fraction_to_json(x) for x in h.Q_exp],
-        }
+        doc["hecke"] = {"q": fraction_to_json(h.q_exp), "Q": [fraction_to_json(x) for x in h.Q_exp]}
     except FockcrystalError:
         doc["hecke"] = None
     _emit(canonical_dumps(doc), args)
@@ -400,15 +422,11 @@ def cmd_wallcross(args) -> int:
     if args.n < 0:
         raise InvalidInputError("--n must be >= 0")
     step = WallCrossStep(ChargeDifferenceWall(args.i, args.j, args.m), args.direction)
-    table = []
-    for lam in enumerate_multipartitions(params.level, args.n):
-        image = wall_cross(lam, step, params)
-        table.append(
-            {
-                "from": multipartition_to_json(lam),
-                "to": multipartition_to_json(image),
-            }
-        )
+    table = [
+        {"from": multipartition_to_json(lam),
+         "to": multipartition_to_json(wall_cross(lam, step, params))}
+        for lam in enumerate_multipartitions(params.level, args.n)
+    ]
     _emit(canonical_dumps(table), args)
     return 0
 
@@ -421,8 +439,7 @@ def cmd_rank1(args) -> int:
     except FockcrystalError as exc:
         raise InvalidInputError(f"cannot parse --h {args.h!r}: {exc}") from exc
     dim, n = rank_one_verma_hom(args.level, h, args.k, args.j)
-    doc = {"dim": dim, "n": n}
-    _emit(canonical_dumps(doc), args)
+    _emit(canonical_dumps({"dim": dim, "n": n}), args)
     return 0
 
 
@@ -435,17 +452,8 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-_DISPATCH = {
-    "crystal": cmd_crystal,
-    "support": cmd_support,
-    "fock matrix": cmd_fock_matrix,
-    "fock singular": cmd_fock_singular,
-    "fock filtration": cmd_fock_filtration,
-    "params": cmd_params,
-    "wallcross": cmd_wallcross,
-    "rank1": cmd_rank1,
-    "selftest": cmd_selftest,
-}
+# command "fock matrix" -> cmd_fock_matrix, and so on
+_DISPATCH = {command: globals()["cmd_" + command.replace(" ", "_")] for command in _COMMANDS}
 
 
 def main(argv: Optional[list[str]] = None) -> int:

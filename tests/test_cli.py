@@ -179,7 +179,7 @@ class TestCrystalCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_strict_ties_changes_nothing(self, capsys, golden, fmt):
-        """0.3.0 removed the no-op `--strict-ties`; argparse now rejects it."""
+        """0.3.0 removed the no-op `--strict-ties`; the parser now rejects it."""
         argv = ["crystal", "--params", golden, "--n-max", "3", "--format", fmt]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--strict-ties"])
@@ -274,6 +274,7 @@ class TestFockCommand:
         assert run_json(capsys, base + ["--model", "ribbon"]) == run_json(
             capsys, base + ["--model", "wedge"]
         )
+        assert run_json(capsys, base) == run_json(capsys, base + ["--model", "ribbon"])
 
     def test_truncation_overflow_exit_code(self, capsys, e2):
         code, _, err = run(
@@ -338,6 +339,22 @@ class TestFockCommand:
         )
         assert code == 2
         assert "the following arguments are required: --degree-from, --degree-to" in err
+
+    @pytest.mark.parametrize(
+        "line, flag",
+        [
+            ("--op f --z 0:0 --d 5 --degree-from 1 --degree-to 2", "--d"),
+            ("--op bplus --d 1 --z 9:9 --degree-from 1 --degree-to 3", "--z"),
+            ("--op e --z 0:0 --model wedge --degree-from 2 --degree-to 1", "--model"),
+        ],
+        ids=["f-d", "bplus-z", "e-model"],
+    )
+    def test_matrix_refuses_a_flag_its_operator_does_not_read(self, capsys, golden, line, flag):
+        """--d and --model belong to bplus/bminus, --z to e/f; given to the
+        other operators they are refused, not ignored."""
+        argv = ["fock", "matrix", "--params", golden, *line.split()]
+        op = line.split()[1]
+        assert run(capsys, argv) == (2, "", f"error: --op {op} does not take {flag}\n")
 
     def test_singular_dimension(self, capsys, golden):
         doc = run_json(
@@ -952,7 +969,7 @@ class TestIOContract:
 
 # Command lines for the process entry: exit 0 (one per output kind), exit
 # 2 from a command (a bad --z, a parameter file that is not JSON), from
-# argparse (an unknown flag) and --help, which exit before `run` freezes
+# the parser (an unknown flag) and --help, which exit before `run` freezes
 # the heap, and --out.  "P" stands for the golden parameter file, "BAD"
 # for one holding "{", "OUT" for a file in the test's directory.
 ENTRY_ARGVS = [
@@ -971,11 +988,10 @@ ENTRY_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", ENTRY_ARGVS, ids=" ".join)
-def test_process_entry_matches_main(capsys, monkeypatch, tmp_path, golden, argv):
+def test_process_entry_matches_main(capsys, tmp_path, golden, argv):
     """`python -m fockcrystal` gives the stdout, stderr, exit code and
     --out file of in-process `main(argv)`, and `main` leaves the
     collector's frozen generation as it found it."""
-    monkeypatch.setenv("COLUMNS", "80")  # one help layout in and out of process
     bad, out = tmp_path / "bad.json", tmp_path / "out.txt"
     bad.write_text("{")
     argv = [{"P": golden, "BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]
@@ -1075,7 +1091,98 @@ def test_cold_start_loads_only_what_the_subcommand_runs(
     assert ("fockcrystal.walls" in loaded) == (argv[0] in ("params", "support", "wallcross"))
 
 
-# Command lines argparse accepts or refuses: every command with valid
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["fock", "--help"], 0),
+        (["fock", "matrix", "--op", "e", "-h"], 0),
+        (["fock", "singular", "--n", "2", "--q", "1", "--params", "P"], 2),
+        (["crystal", "--n-max", "x", "--params", "P"], 2),
+        (["bogus"], 2),
+    ],
+    ids=["top-help", "group-help", "command-help", "unrecognized", "invalid-int", "no-command"],
+)
+def test_help_and_usage_errors_load_no_argparse(golden, startup_modules, argv, code):
+    """Help and usage errors are written from the argument table too, so
+    they load neither `argparse` nor `gettext`, nor any module that only a
+    command runs."""
+    probe = (
+        "import sys\n"
+        "from fockcrystal.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_module("-c", probe, *[golden if a == "P" else a for a in argv])
+    assert proc.returncode == code, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "fockcrystal.cli" in loaded
+    assert not (loaded - startup_modules) & {"argparse", "gettext"}
+    assert not loaded & (NEVER_LOADED | {"fockcrystal.crystal", "fockcrystal.fock"})
+
+
+@pytest.mark.parametrize("key", ["", "fock", *cli._COMMANDS])
+def test_help_lists_every_argument(capsys, key):
+    """`--help` at the top, group and command level exits 0 and shows the
+    usage line and each command, or each argument with its help line."""
+    with pytest.raises(SystemExit) as exc:
+        main([*key.split(), "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: fockcrystal", *key.split(), "[-h]"]))
+    if key in cli._COMMANDS:
+        for name, options in cli._COMMON + cli._COMMANDS[key][1]:
+            shown = name if name.startswith("-") else "{" + ",".join(options["choices"]) + "}"
+            assert f"\n  {shown}" in out and options.get("help", "") in out, name
+    else:
+        for name in {command.split()[len(key.split())] for command in cli._COMMANDS
+                     if command.startswith(key)}:
+            assert f"\n  {name} " in out, name
+
+
+def test_usage_error_names_its_command(capsys, golden):
+    """A usage error prints the usage line of the command it concerns and
+    names that command, also for an argument the command does not take."""
+    argv = ["fock", "singular", "--n", "2", "--q", "1", "--params", golden]
+    code, err = usage_error(capsys, argv)
+    assert code == 2
+    assert err == (
+        "usage: fockcrystal fock singular [-h] [--out FILE] --params FILE --n N\n"
+        "fockcrystal fock singular: error: unrecognized arguments: --q 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "support --n=-- --params P",
+        "rank1 --level 2 --h=-- --k 0 --j 1",
+        "crystal --n-max 3 --params P --out=--",
+        "crystal --n-max 3 --params P --out=-- --out OUT",
+        "crystal --n-max 3 --params P --out=-- -h",
+        "fock matrix --op e --z 0:0 --degree-from=-- --degree-to 0 --params P",
+    ],
+)
+def test_flag_equals_dashes_is_refused_at_once(capsys, tmp_path, golden, line):
+    """`--flag=--` is a flag without its value, a usage error as soon as it
+    is read, whatever follows; argparse reads it as an empty list (3.11) or
+    as "--" (3.13).  Nothing is written."""
+    out = tmp_path / "out.json"
+    argv = [{"P": golden, "OUT": str(out)}.get(a, a) for a in line.split()]
+    command = " ".join(argv[: 2 if argv[0] == "fock" else 1])
+    flag = next(a for a in argv if a.endswith("=--"))[:-3]
+    code, err = usage_error(capsys, argv)
+    assert code == 2
+    message = f"fockcrystal {command}: error: argument {flag}: expected one argument"
+    assert err.splitlines()[1:] == [message]
+    assert not out.exists()
+
+
+# Command lines the parser accepts or refuses: every command with valid
 # flags, `--flag=value`, an abbreviation, an unknown flag, a flag of another
 # command, a stray argument, a missing required flag, a bad int, a bad
 # choice, `--flag=--`, help, no command, an unknown command, a group
@@ -1131,6 +1238,19 @@ PARSE_ARGVS = [
     ["bogus"],
     ["--", "crystal", "--n-max", "3"],
     ["crystal", "--", "--n-max", "3"],
+    # a repeat (the last wins), a negative decimal value, help between a
+    # group and its command, and `--` around selftest's positional or with
+    # none to follow
+    ["crystal", "--n-max", "3", "--params", "p.json", "--n-max", "4"],
+    ["rank1", "--level", "2", "--h", "-0.5", "--k", "0", "--j", "1"],
+    ["fock", "-h", "matrix"],
+    ["fock", "singular", "--n", "2", "--q", "1", "--params", "p.json"],
+    ["crystal", "--n-max", "3", "--params", "p.json", "--out=--", "--out", "o.json"],
+    ["crystal", "--n-max", "3", "--params", "p.json", "--"],
+    ["selftest", "--"],
+    ["selftest", "quick", "--"],
+    ["selftest", "--", "full"],
+    ["selftest", "full", "--", "--out", "o.txt"],
 ]
 
 
@@ -1151,62 +1271,75 @@ def _command(argv):
     return next((key for key in cli._COMMANDS if argv[: len(key.split())] == key.split()), None)
 
 
-def _declined(argv):
-    """Whether main leaves argv to the full parser."""
+def _reference_parser():
+    """The argument table as an `argparse` parser, the reference that
+    `cli._parse_args` is held to: each group's commands are nested
+    subcommands, each command's flags are taken only as written in full,
+    and a positional is optional."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="fockcrystal")
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (help_line, specs) in cli._COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group not in subs:
+            group_parser = subs[""].add_parser(group, help=cli._GROUPS[group])
+            subs[group] = group_parser.add_subparsers(dest="command", required=True)
+        command_parser = subs[group].add_parser(name, help=help_line, allow_abbrev=False)
+        command_parser.set_defaults(command=command)
+        for flag, options in cli._COMMON + specs:
+            nargs = {} if flag.startswith("-") else {"nargs": "?"}
+            command_parser.add_argument(flag, **options, **nargs)
+    return parser
+
+
+def _error(outcome):
+    """The message of a usage error outcome, after its "error: "."""
+    return outcome[3].rpartition("error: ")[2]
+
+
+def _flag_dashes(argv):
+    """The index of the first `--flag=--` token before any `--` in argv,
+    for a flag its command takes, or None."""
     command = _command(argv)
-    return command is None or cli._read_table(command, argv[len(command.split()):]) is None
+    flags = {name for name, _ in cli._COMMON + cli._COMMANDS[command][1]} if command else ()
+    for k, token in enumerate(argv):
+        if token == "--":
+            break
+        if token.endswith("=--") and token[:-3] in flags:
+            return k
+    return None
 
 
-def _assert_parses_as_the_full_parser(got, argv):
-    """got, the outcome of a parse of argv, is the full parser's; but where
-    argparse 3.11 reads `--flag=--` as an empty list, it is a usage error
-    (exit 2) naming the flag."""
-    full = _outcome(cli._build_parser().parse_args, argv)
-    emptied = [name for name, value in (full[0] or {}).items() if isinstance(value, list)]
-    if emptied:
-        flag = "--" + emptied[0].replace("_", "-")
-        assert got[:3] == (None, 2, "")
-        assert got[3].endswith(f"error: argument {flag}: expected one argument\n")
-    else:
-        assert got == full
+def _assert_parses_as_argparse(got, argv):
+    """got, the outcome of a parse of argv, is the reference parser's: the
+    same arguments or exit code, and for a usage error after the command's
+    words the same message.  `--flag=--`, which argparse 3.11 reads as an
+    empty list and 3.13 as "--", is held to argparse's reading of
+    `--flag --`: a flag without its value, refused at once."""
+    k = _flag_dashes(argv)
+    if k is not None:
+        argv = argv[:k] + [argv[k][:-3], "--"] + argv[k + 1:]
+    ref = _outcome(_reference_parser().parse_args, argv)
+    assert got[:2] == ref[:2]
+    if got[1] == 2 and _command(argv):
+        assert _error(got) == _error(ref)
 
 
 @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_main_parses_as_the_full_parser(monkeypatch, argv):
-    """main reads a well-formed command line off the argument table and
-    builds the full parser only for the lines the table reader declines
-    (an abbreviation, help, an error, `--`), yet gives the full parser's
-    arguments, or its exit code, usage and error text."""
+    """main reads every command line off the argument table to the
+    arguments the reference `argparse` parser gives, or to its exit code
+    and error message."""
     seen = []
     for name in cli._DISPATCH:
         monkeypatch.setitem(cli._DISPATCH, name, lambda args: seen.append(args) or 0)
-    full = cli._build_parser
-    built = []
-    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or full())
 
     def parse_in_main(argv):
         assert main(argv) == 0
         return seen.pop()
 
-    got = _outcome(parse_in_main, argv)
-    assert bool(built) == _declined(argv)
-    _assert_parses_as_the_full_parser(got, argv)
-
-
-def test_table_reader_takes_every_exact_command_line():
-    """Every PARSE_ARGVS line main accepts and that names only exact flags
-    is read off the table, so real traffic skips argparse."""
-    taken = 0
-    for argv in PARSE_ARGVS:
-        command = _command(argv)
-        if command is None:
-            continue
-        flags = {name for name, _ in cli._COMMON + cli._COMMANDS[command][1]}
-        exact = all(tok.partition("=")[0] in flags for tok in argv[1:] if tok.startswith("-"))
-        if exact and _outcome(cli._parse_args, argv)[0] is not None:
-            assert not _declined(argv), argv
-            taken += 1
-    assert taken == 12
+    _assert_parses_as_argparse(_outcome(parse_in_main, argv), argv)
 
 
 # Values for the property test beyond a flag's own: integers, negative
@@ -1243,7 +1376,7 @@ def _argvs(draw):
     specs = cli._COMMON + cli._COMMANDS[command][1]
     argv, words = command.split(), []
     for name, options in specs:
-        required = options.get("required") or not (name.startswith("-") or "nargs" in options)
+        required = options.get("required", False)
         if draw(st.integers(0, 9)) >= (9 if required else 4):
             continue
         value = draw(_good_values(options) if draw(st.integers(0, 5)) else _VALUES)
@@ -1270,39 +1403,10 @@ def _argvs(draw):
 # neither is a negative number to argparse, which reads each as a flag
 @example(["support", "--n", "1", "--params", "--1"])
 @example(["support", "--n", "1", "--params", "-\u00b2"])
-@example(["support", "--n", "1", "--params=--"])  # argparse drops the "--", leaving params == []
+@example(["support", "--n", "1", "--params=--"])  # argparse 3.11 reads params == []
 @example(["fock", "matrix", "--op", "e", "--z", "0:0", "--degree-from=--", "--degree-to", "0"])
 @example(["fock", "singular", "--p", "1", "--n", "1", "--params", "p.json"])
 def test_table_reader_agrees_with_the_full_parser(argv):
-    """Whatever the table reader accepts, the full parser reads to the same
-    arguments; and main's parse prints and exits as the full parser does,
-    but for `--flag=--`, which it refuses."""
-    command = _command(argv)
-    read = None if command is None else cli._read_table(command, argv[len(command.split()):])
-    if read is not None:
-        assert _outcome(cli._build_parser().parse_args, argv) == (vars(read), None, "", "")
-    _assert_parses_as_the_full_parser(_outcome(cli._parse_args, argv), argv)
-
-
-# The option keys `_read_table` reads; a table entry that needs any other
-# (say `action=` or `nargs="+"`) must first be taught to the reader.
-READ_KEYS = {"type", "choices", "default", "required", "metavar", "help", "nargs"}
-
-
-def test_argument_table_is_readable():
-    assert cli._READ_KEYS == READ_KEYS
-    for _, specs in cli._COMMANDS.values():
-        for name, options in cli._COMMON + specs:
-            assert options.keys() <= READ_KEYS, name
-            assert options.get("type", int) is int, name
-            assert options.get("nargs", "?") == "?", name
-            assert "nargs" not in options or not name.startswith("-"), name
-            # argparse converts a string default through `type`; the reader does not
-            assert not ("type" in options and isinstance(options.get("default"), str)), name
-
-
-def test_table_reader_declines_an_unknown_option_key(monkeypatch):
-    monkeypatch.setitem(
-        cli._COMMANDS, "params", ("", (("--n", dict(type=int, action="store")),))
-    )
-    assert cli._read_table("params", ["--n", "2"]) is None
+    """The table parser reads a random command line as the reference
+    `argparse` parser does, but for `--flag=--`, which it refuses."""
+    _assert_parses_as_argparse(_outcome(cli._parse_args, argv), argv)

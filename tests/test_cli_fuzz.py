@@ -1,4 +1,4 @@
-"""The exit-code contract under fuzzed input: argparse-valid command lines
+"""The exit-code contract under fuzzed input: well-formed command lines
 for every computing subcommand, run in process against valid and
 malformed parameter documents, end in exit 0, 2 or 4, with one stderr
 line on a nonzero exit and never a traceback."""
@@ -64,7 +64,7 @@ def params_texts(draw):
 
 
 def option(name, values):
-    """[name=value], written in one word so that argparse reads a value
+    """[name=value], written in one word so that the parser reads a value
     such as "-1:0" as the value, not as an option."""
     return values.map(lambda v: [f"{name}={v}"])
 
@@ -86,12 +86,19 @@ residues = st.one_of(
 argvs = st.one_of(
     command(["crystal"], option("--n-max", sizes), flag("--level", small), formats),
     command(["support"], option("--n", sizes), flag("--level", small)),
+    # each operator with the flags it reads: any other is refused first
     command(
         ["fock", "matrix"],
-        option("--op", st.sampled_from(["bplus", "bminus", "e", "f"])),
+        option("--op", st.sampled_from(["bplus", "bminus"])),
         option("--d", sizes),
-        option("--z", residues),
         flag("--model", st.sampled_from(["ribbon", "wedge"])),
+        option("--degree-from", sizes),
+        option("--degree-to", sizes),
+    ),
+    command(
+        ["fock", "matrix"],
+        option("--op", st.sampled_from(["e", "f"])),
+        option("--z", residues),
         option("--degree-from", sizes),
         option("--degree-to", sizes),
     ),

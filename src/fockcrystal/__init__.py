@@ -5,7 +5,7 @@ arithmetic."""
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 # module -> the public names it defines.  A module is imported the first
 # time one of its names is read, so `import fockcrystal` loads nothing.
@@ -24,28 +24,25 @@ _MODULES = {
         "ChargeDifferenceWall", "HeckeExponents", "KappaDenominatorWall", "essential_walls",
         "hecke_exponents", "is_essential_charge_wall", "rank_one_verma_hom",
     ),
-    "orders": ("box_leq", "c_lambda", "leq_c", "preceq"),
+    "orders": ("c_lambda", "leq_c", "preceq"),
     "crystal": (
         "CrystalGraph", "Signature", "crystal_component", "crystal_graph",
         "e_tilde", "f_tilde", "graph_depths", "is_singular", "km_depth",
         "reduce_signature", "relevant_residues", "z_signature",
     ),
     "supports": (
-        "SupportDescriptor", "WallCrossStep", "asymptotic_q",
-        "heis_e_asymptotic", "heis_q", "level2_transport", "normalize_for_support",
-        "support", "wall_cross",
+        "SupportDescriptor", "WallCrossStep", "heis_q", "level2_transport",
+        "normalize_for_support", "support", "wall_cross",
     ),
     "fock": ("box_term_map", "heisenberg_term_map", "operator_matrix"),
-    "fockspace": ("FockVector", "filtration_dim", "singular_subspace"),
+    "fockspace": ("FockVector", "filtration_dims", "singular_subspace"),
     "fockvectors": (
-        "b_minus_op", "b_plus_op", "basis_vector", "e_z_op", "f_z_op", "inner_product",
-        "plethysm_class",
+        "b_minus_op", "b_plus_op", "basis_vector", "e_z_op", "f_z_op", "plethysm_class",
     ),
     "charged": (
         "ChargedWord", "charged_to_multipartition", "embed_to_charged", "wedge_e_op",
         "wedge_f_op",
     ),
-    "selftest": ("divide_with_remainder_search",),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -4,7 +4,7 @@ A Fock vector is a finite rational combination of multipartitions of one
 level, truncated at a degree bound: producing a term above the bound
 raises TruncationOverflowError rather than silently dropping it.
 `singular_subspace` is the joint kernel of all lowering operators in a
-fixed degree, and `filtration_dim(s)` the dimensions of the
+fixed degree, and `filtration_dims` the dimensions of the
 two-parameter filtration it generates under raising operators and
 Heisenberg monomials, every p of one q from a single run.  Both apply
 the term maps of `fock` to rows directly.
@@ -74,9 +74,6 @@ class FockVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def degrees(self) -> list[int]:
-        return sorted({lam.size for lam in self.entries})
-
     def __add__(self, other: "FockVector") -> "FockVector":
         if self.level != other.level:
             raise InvalidInputError("cannot add vectors of different levels")
@@ -97,11 +94,6 @@ class FockVector:
             self.truncation,
             {lam: c * f for lam, c in self.entries.items()},
         )
-
-    def __mul__(self, r: Scalar) -> "FockVector":
-        return self.scale(r)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
@@ -157,18 +149,14 @@ def _singular_subspace_cached(n: int, params: CherednikParams) -> tuple[FockVect
     )
 
 
-def filtration_dim(p: int, q: int, n: int, params: CherednikParams) -> int:
-    """Dimension of the degree-n slice of the filtration space built
-    from singular vectors by at most q units of Heisenberg raising and
-    at most p single-box raisings."""
-    return filtration_dims(p, q, n, params)[-1]
-
-
 def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int]:
-    """[filtration_dim(k, q, n, params) for k = 0..min(p, n)],
-    from one run of raising layers.  A run to p makes the same inserts
-    in the same order as a run to k < p over its first k layers, and
-    after n layers every vector has degree >= n, so no layer adds more.
+    """The dimensions of the degree-n slice of the filtration space built
+    from singular vectors by at most q units of Heisenberg raising and at
+    most k single-box raisings, for k = 0..min(p, n), from one run of
+    raising layers; the last is the dimension at p.  A run to p makes the
+    same inserts in the same order as a run to k < p over its first k
+    layers, and after n layers every vector has degree >= n, so no layer
+    adds more.
 
     Vectors are homogeneous integer rows over the degree's basis: each
     singular vector is scaled by its common denominator once, and

@@ -21,17 +21,6 @@ def basis_vector(lam: Multipartition, truncation: int) -> FockVector:
     return FockVector(lam.level, truncation, {lam: Fraction(1)})
 
 
-def inner_product(u: FockVector, v: FockVector) -> Fraction:
-    """Standard bilinear form with the multipartition basis orthonormal."""
-    if u.level != v.level:
-        raise InvalidInputError("inner product needs equal levels")
-    small, big = (u, v) if len(u.entries) <= len(v.entries) else (v, u)
-    return sum(
-        (c * big.entries[lam] for lam, c in small.entries.items() if lam in big.entries),
-        Fraction(0),
-    )
-
-
 def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
     if v.level != term_map.params.level:
         raise InvalidInputError(

@@ -56,16 +56,6 @@ def leq_c(tau: Multipartition, xi: Multipartition, params: CherednikParams) -> b
     return d is not None and d > 0
 
 
-def box_leq(b1, b2, params: CherednikParams) -> bool:
-    """b1 <= b2 in the box order: equivalent boxes (equal residues) whose
-    c-difference c_{b1} - c_{b2} is a nonnegative integer (smaller boxes
-    have the larger c-value)."""
-    if params.residue(b1) != params.residue(b2):
-        return False
-    d = _c_difference(params.c_of_box(b1), params.c_of_box(b2), params)
-    return d is not None and d >= 0
-
-
 @lru_cache(maxsize=None)
 def _residues_and_c(lam: Multipartition, params: CherednikParams) -> tuple:
     """lam's boxes as (residue, c-value key) pairs, in descending order."""

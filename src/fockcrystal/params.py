@@ -65,9 +65,6 @@ class ChargeValue(_ChargeValue):
     def __new__(cls, a: RationalLike, b: RationalLike = 0):
         return tuple.__new__(cls, (_frac(a), _frac(b)))
 
-    def __add__(self, other: "ChargeValue") -> "ChargeValue":
-        return ChargeValue(self.a + other.a, self.b + other.b)
-
     def __sub__(self, other: "ChargeValue") -> "ChargeValue":
         return ChargeValue(self.a - other.a, self.b - other.b)
 
@@ -157,11 +154,6 @@ class CherednikParams(_CherednikParams):
         """Denominator of kappa in lowest terms; None stands for infinity."""
         return None if self.kappa is None else self.kappa.denominator
 
-    def charged_content(self, b: Box) -> ChargeValue:
-        if not 0 <= b.comp < self.level:
-            raise InvalidInputError(f"component {b.comp} out of range")
-        return self.s[b.comp].shift(b.x - b.y)
-
     def c_of_box(self, b: Box) -> CKey:
         """c_b = kappa*l*cont(b) - comp as its integer key (see `c_keys`):
         keys sort as the c-values do, lexicographically at symbolic kappa."""
@@ -172,15 +164,6 @@ class CherednikParams(_CherednikParams):
         if self.kappa is None:
             return (base[0] + step * (b.x - b.y), base[1])
         return base + step * (b.x - b.y)
-
-    def box_equivalent(self, b1: Box, b2: Box) -> bool:
-        d = self.charged_content(b1) - self.charged_content(b2)
-        return _in_kappa_inv_lattice(d, self.kappa)
-
-    def class_of_component(self, i: int) -> int:
-        if not 0 <= i < self.level:
-            raise InvalidInputError(f"component {i} out of range")
-        return self.bases[i][0]
 
     def residue(self, b: Box) -> Residue:
         if not 0 <= b.comp < self.level:

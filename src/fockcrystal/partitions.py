@@ -20,10 +20,6 @@ class Box(NamedTuple):
     y: int
     comp: int
 
-    @property
-    def content(self) -> int:
-        return self.x - self.y
-
 
 class RibbonMove(NamedTuple):
     """One way of adding or removing a border strip.

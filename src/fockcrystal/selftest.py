@@ -213,14 +213,6 @@ def division_candidates(nu: Partition, e: int) -> Iterator[tuple[Partition, Part
                 yield quot, Partition(rows[:-1])
 
 
-def divide_with_remainder_search(nu: Partition, e: int) -> tuple[Partition, Partition]:
-    """Reference implementation of divide_with_remainder: the first
-    (largest-remainder) candidate of division_candidates."""
-    for found in division_candidates(nu, e):
-        return found
-    raise AssertionError("remainder search must at least reach quot = nu div e")
-
-
 def division(bound: int) -> None:
     """divide_with_remainder is the one decomposition the search finds."""
     assert divide_with_remainder(Partition([7, 3, 1]), 3) == (

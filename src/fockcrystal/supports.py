@@ -52,40 +52,6 @@ class WallCrossStep(NamedTuple):
     direction: str = "up"
 
 
-def _require_rational(params: CherednikParams, what: str) -> int:
-    if params.kappa is None:
-        raise UnsupportedParameterError(f"{what} needs rational kappa")
-    reject_integer_kappa(params)
-    return params.e
-
-
-def _check_asymptotic(lam: Multipartition, j: int, params: CherednikParams) -> None:
-    reject_level_mismatch(lam, params)
-    if not 0 <= j < params.level:
-        raise InvalidInputError(f"component {j} out of range")
-    if params.level == 1:
-        return
-    n = lam.size
-    sj = params.s[j].collapse(params.kappa)
-    for i in range(params.level):
-        if i != j and not sj < params.s[i].collapse(params.kappa) - n:
-            raise UnsupportedParameterError(
-                f"charges are not asymptotic in component {j}: "
-                f"s_{j} must sit below s_{i} - {n}"
-            )
-
-
-def asymptotic_q(
-    lam: Multipartition, j: int, params: CherednikParams
-) -> tuple[int, Partition, Partition]:
-    """q together with the division witness, valid when s_j lies below
-    every other charge by more than |lam|."""
-    e = _require_rational(params, "asymptotic q")
-    _check_asymptotic(lam, j, params)
-    quot, rem = divide_with_remainder(lam[j], e)
-    return quot.size, quot, rem
-
-
 @lru_cache(maxsize=None)
 def _boundary(nu: Partition) -> dict[int, tuple[int, int, str]]:
     """Content -> the one removable ("-") or addable ("+") cell of nu on
@@ -93,23 +59,6 @@ def _boundary(nu: Partition) -> dict[int, tuple[int, int, str]]:
     cells = {x - y: (x, y, "+") for x, y in nu.addable_cells()}
     cells.update((x - y, (x, y, "-")) for x, y in nu.removable_cells())
     return cells
-
-
-def heis_e_asymptotic(
-    lam: Multipartition, j: int, content: int, params: CherednikParams
-) -> Optional[Multipartition]:
-    """One Heisenberg raising step in an asymptotic chamber: divide the
-    j-th component, raise the quotient at the given content, recombine."""
-    e = _require_rational(params, "the asymptotic Heisenberg operator")
-    _check_asymptotic(lam, j, params)
-    quot, rem = divide_with_remainder(lam[j], e)
-    cell = _boundary(quot).get(content)
-    if cell is None or cell[2] != "-":
-        return None
-    up = quot.remove_cell(cell[0], cell[1])
-    rows = max(len(up), len(rem))
-    merged = Partition(e * up.row(y) + rem.row(y) for y in range(1, rows + 1))
-    return lam.replace_component(j, merged)
 
 
 def _two_slot_move(

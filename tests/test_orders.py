@@ -11,18 +11,27 @@ from fockcrystal import (
     Box,
     CherednikParams,
     Multipartition,
-    box_leq,
     c_lambda,
     enumerate_multipartitions,
     leq_c,
     preceq,
 )
-from fockcrystal import selftest
+from fockcrystal import orders, selftest
 from fockcrystal.selftest import GOLDEN
 
 
 def make_lam(components):
     return Multipartition(components)
+
+
+def box_leq(b1, b2, params):
+    """b1 <= b2 in the box order: equivalent boxes (equal residues) whose
+    c-difference c_{b1} - c_{b2} is a nonnegative integer (smaller boxes
+    have the larger c-value)."""
+    if params.residue(b1) != params.residue(b2):
+        return False
+    d = orders._c_difference(params.c_of_box(b1), params.c_of_box(b2), params)
+    return d is not None and d >= 0
 
 
 def brute_preceq(lam, mu, params):

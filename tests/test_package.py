@@ -1,17 +1,24 @@
-"""The package surface: public names resolved on first access, the
-record types, which are tuples of their fields, and the label types,
-which are tuples of their parts and of their partitions."""
+"""The package surface: public names resolved on first access, every
+function in the package run by some command, the record types, which are
+tuples of their fields, and the label types, which are tuples of their
+parts and of their partitions."""
 
+import ast
 import copy
 import inspect
+import json
+import os
 import pickle
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import fockcrystal
 from fockcrystal.crystal import Signature, crystal_graph, z_signature
+from fockcrystal.jsonio import params_to_json
 from fockcrystal.params import ChargeValue, CherednikParams, Residue
 from fockcrystal.partitions import Multipartition, Partition
 from fockcrystal.supports import WallCrossStep, support
@@ -47,14 +54,114 @@ def test_no_public_call_takes_level_and_params():
 
 
 def test_unknown_name_is_an_attribute_error():
-    """Also every public name removed in 0.3.0 and 0.6.0, so none comes back
-    by accident."""
+    """Also every public name removed in 0.3.0, 0.6.0 and 0.8.0, so none
+    comes back by accident."""
     for name in ("no_such_name", "CValue", "c_sort_key", "cvalue_integer_difference",
                  "equivalence_classes", "KappaValue", "IRRATIONAL", "rational_kappa",
-                 "make_params", "charge"):
+                 "make_params", "charge", "filtration_dim", "asymptotic_q",
+                 "heis_e_asymptotic", "inner_product", "box_leq",
+                 "divide_with_remainder_search"):
         assert name not in fockcrystal.__all__
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(fockcrystal, name)
+
+
+# Run in a fresh process, so no cache filled by another test hides a call.
+# A call that ends in a usage error or help raises SystemExit.
+_TRACE_CALLS = """
+import contextlib, io, json, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+from fockcrystal import cli
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in entered})))
+"""
+
+# name -> (params, the --m of an essential charge wall, or one that is not)
+REACH_POINTS = {
+    "l2": (GOLDEN, 1),
+    "l3": (CherednikParams(3, Fraction(-1, 3), [0, 1, -1]), 2),
+    "symbolic": (CherednikParams(2, None, [0, (0, 1)]), 0),
+    "positive-pair": (CherednikParams(2, Fraction(1, 2), [0, (1, 1)]), 1),
+    "two-class": (CherednikParams(2, Fraction(-1, 2), [0, Fraction(1, 2)]), 1),
+}
+
+
+def _reach_argvs(tmp_path):
+    argvs = [
+        ["rank1", "--level", "2", "--h", "0,1/2", "--k", "0", "--j", "1"],
+        ["--help"], ["fock", "--help"], ["support", "--nope"], ["selftest", "quick"],
+    ]
+    for name, (params, m) in REACH_POINTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(params_to_json(params)))
+        # B_1 moves degree 1 to 1 + e; symbolic kappa refuses it
+        p, above = ["--params", str(path)], str(1 + (params.e or 2))
+        argvs += [
+            ["crystal", *p, "--n-max", "3"],
+            ["crystal", *p, "--format", "dot", "--n-max", "3", "--out", str(tmp_path / "g.dot")],
+            ["support", *p, "--n", "4"],
+            ["fock", "matrix", *p, "--op", "bplus", "--d", "1", "--degree-from", "1",
+             "--degree-to", above],
+            ["fock", "matrix", *p, "--op", "bminus", "--d", "1", "--model", "wedge",
+             "--degree-from", above, "--degree-to", "1"],
+            ["fock", "matrix", *p, "--op", "e", "--z", "0:0", "--degree-from", "2",
+             "--degree-to", "1"],
+            ["fock", "matrix", *p, "--op", "f", "--z", "0:0", "--degree-from", "1",
+             "--degree-to", "2"],
+            ["fock", "singular", *p, "--n", "3"],
+            ["fock", "filtration", *p, "--n", "3"],
+            ["params", *p, "--n", "3"],
+            ["wallcross", *p, "--m", str(m), "--n", "3"],
+        ]
+    return argvs
+
+
+def _package_defs():
+    """(file, first line) -> dotted name of every def in the package that
+    is not a dunder; the first line is a decorator's, as in co_firstlineno."""
+    found = {}
+
+    def visit(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}{child.name}"
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[(file, first)] = name
+                visit(child, file, f"{name}.")
+            else:
+                visit(child, file, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
+    for path in Path(fockcrystal.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.resolve(), f"{path.stem}.")
+    return found
+
+
+def test_every_def_is_run_by_a_command_or_selftest(tmp_path):
+    """Every command at five points (levels 2 and 3 at rational kappa,
+    symbolic kappa, positive kappa with a pair charge, two charge classes),
+    plus rank1, help, a usage error and `selftest quick`, run in one
+    process, enter every function and method of the package but dunders.
+    `cli.run` is left out: it is the process entry, which
+    test_process_entry_matches_main runs in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fockcrystal.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_CALLS], input=json.dumps(_reach_argvs(tmp_path)),
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    entered = {(Path(file).resolve(), line) for file, line in json.loads(proc.stdout)}
+    unreached = sorted(
+        name for key, name in _package_defs().items() if key not in entered and name != "cli.run"
+    )
+    assert not unreached, f"run by no command: {unreached}"
 
 
 RECORDS = [

@@ -27,10 +27,8 @@ from fockcrystal import (
     Residue,
     UnsupportedParameterError,
     WallCrossStep,
-    asymptotic_q,
     b_plus_op,
     basis_vector,
-    box_leq,
     c_lambda,
     crystal_component,
     crystal_graph,
@@ -40,9 +38,8 @@ from fockcrystal import (
     essential_walls,
     f_tilde,
     f_z_op,
-    filtration_dim,
+    filtration_dims,
     hecke_exponents,
-    heis_e_asymptotic,
     heis_q,
     is_essential_charge_wall,
     is_singular,
@@ -131,7 +128,6 @@ class TestChargeAndCValues:
             ChargeValue(3, 1).collapse(None)
 
     def test_charge_arithmetic(self):
-        assert ChargeValue(1, 2) + ChargeValue(3, -1) == ChargeValue(4, 1)
         assert ChargeValue(1, 2) - ChargeValue(3, -1) == ChargeValue(-2, 3)
         assert ChargeValue(1, 2).shift(Fraction(1, 2)) == ChargeValue(Fraction(3, 2), 2)
 
@@ -227,10 +223,10 @@ class TestParams:
         assert GOLDEN.c_of_box(Box(1, 1, 0)) == GOLDEN.c_of_box(Box(1, 1, 1)) == 0
 
     def test_charged_content(self):
-        assert GOLDEN.charged_content(Box(1, 4, 1)) == ChargeValue(-4)
-        assert GOLDEN.charged_content(Box(2, 2, 0)) == ChargeValue(0)
+        assert charged_content(GOLDEN, Box(1, 4, 1)) == ChargeValue(-4)
+        assert charged_content(GOLDEN, Box(2, 2, 0)) == ChargeValue(0)
         with pytest.raises(InvalidInputError):
-            GOLDEN.charged_content(Box(1, 1, 2))
+            charged_content(GOLDEN, Box(1, 1, 2))
 
     def test_c_of_box(self):
         assert GOLDEN.c_keys[0] == 1
@@ -241,16 +237,15 @@ class TestParams:
 
     def test_box_equivalence(self):
         # charged contents must differ by a multiple of 1/kappa = -2
-        assert GOLDEN.box_equivalent(Box(1, 4, 1), Box(2, 2, 0))
-        assert GOLDEN.box_equivalent(Box(1, 1, 0), Box(2, 1, 1))
-        assert not GOLDEN.box_equivalent(Box(1, 1, 0), Box(1, 1, 1))
+        assert box_equivalent(GOLDEN, Box(1, 4, 1), Box(2, 2, 0))
+        assert box_equivalent(GOLDEN, Box(1, 1, 0), Box(2, 1, 1))
+        assert not box_equivalent(GOLDEN, Box(1, 1, 0), Box(1, 1, 1))
 
 
 class TestEquivalenceClasses:
     def test_golden_single_class(self):
         assert GOLDEN.classes == ((0, 1),)
-        assert GOLDEN.class_of_component(0) == 0
-        assert GOLDEN.class_of_component(1) == 0
+        assert [cid for cid, _ in GOLDEN.bases] == [0, 0]
 
     def test_split_classes(self):
         p = CherednikParams(2, Fraction(-1, 2), [0, Fraction(1, 2)])
@@ -327,6 +322,22 @@ class TestResidues:
         assert sorted(residues) == [Residue(0, -1), Residue(0, 2), Residue(1, 0)]
 
 
+def charged_content(p, b):
+    """s_i + x - y for a box b = (x, y, i)."""
+    if not 0 <= b.comp < p.level:
+        raise InvalidInputError(f"component {b.comp} out of range")
+    return p.s[b.comp].shift(b.x - b.y)
+
+
+def box_equivalent(p, b1, b2):
+    """Whether the charged contents of b1 and b2 differ by an element of
+    (1/kappa)Z."""
+    d = charged_content(p, b1) - charged_content(p, b2)
+    if p.kappa is None:
+        return d.a == 0 and d.b.denominator == 1
+    return (p.kappa * d.collapse(p.kappa)).denominator == 1
+
+
 def reference_residue(p, b):
     """A box's residue worked out from the charges with Fractions, box by
     box: the class representative's charge fixes an offset, and the
@@ -334,7 +345,7 @@ def reference_residue(p, b):
     reduced mod e after dividing by r."""
     cid = next(cid for cid, members in enumerate(p.classes) if b.comp in members)
     rep = p.classes[cid][0]
-    cont = p.charged_content(b)
+    cont = charged_content(p, b)
     if p.kappa is not None:
         r = abs(p.kappa.numerator)
         e = p.e
@@ -385,7 +396,6 @@ class TestCompiledResidue:
         p, boxes = drawn
         for b in boxes:
             assert p.residue(b) == reference_residue(p, b), (p, b)
-            assert p.class_of_component(b.comp) == p.residue(b).class_id
 
     @settings(max_examples=300, deadline=None)
     @given(params_and_boxes())
@@ -393,7 +403,7 @@ class TestCompiledResidue:
         p, boxes = drawn
         for b1 in boxes:
             for b2 in boxes:
-                assert (p.residue(b1) == p.residue(b2)) == p.box_equivalent(b1, b2), (p, b1, b2)
+                assert (p.residue(b1) == p.residue(b2)) == box_equivalent(p, b1, b2), (p, b1, b2)
 
     @settings(max_examples=100, deadline=None)
     @given(params_and_boxes(), st.data())
@@ -402,14 +412,12 @@ class TestCompiledResidue:
         comp = data.draw(st.one_of(st.integers(-6, -1), st.integers(p.level, p.level + 4)))
         with pytest.raises(InvalidInputError, match=f"component {comp} out of range"):
             p.residue(Box(1, 1, comp))
-        with pytest.raises(InvalidInputError, match=f"component {comp} out of range"):
-            p.class_of_component(comp)
 
 
 def reference_c(p, b):
     """c_b = kappa*l*(s_i + x - y) - i worked out with Fractions, or the
     pair (u, v) of c_b = u*kappa + v at symbolic kappa."""
-    cont = p.charged_content(b)
+    cont = charged_content(p, b)
     if p.kappa is not None:
         return p.kappa * p.level * cont.collapse(p.kappa) - b.comp
     return (p.level * cont.a, p.level * cont.b - b.comp)
@@ -486,9 +494,6 @@ class TestCKeys:
             for mu in labels:
                 leq_c(lam, mu, p)
                 preceq(lam, mu, p)
-            for b1 in lam.boxes():
-                for b2 in lam.boxes():
-                    box_leq(b1, b2, p)
         monkeypatch.undo()
         assert Fraction(2, 4) == Fraction(1, 2)
 
@@ -537,7 +542,7 @@ class TestIntegerKappa:
             lambda: e_z_op(v, z, p),
             lambda: b_plus_op(v, 1, p),
             lambda: singular_subspace(2, p),
-            lambda: filtration_dim(0, 0, 2, p),
+            lambda: filtration_dims(0, 0, 2, p),
             lambda: support(lam, p),
             lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 0)), p),
         ]
@@ -567,8 +572,6 @@ class TestLevelMismatch:
             lambda: support(lam, GOLDEN),
             lambda: heis_q(lam, GOLDEN),
             lambda: wall_cross(lam, WallCrossStep(ChargeDifferenceWall(0, 1, 1)), GOLDEN),
-            lambda: asymptotic_q(lam, 1, CherednikParams(2, Fraction(-1, 2), [0, -9])),
-            lambda: heis_e_asymptotic(lam, 1, 0, CherednikParams(2, Fraction(-1, 2), [0, -9])),
             lambda: c_lambda(lam, GOLDEN),
             lambda: leq_c(lam, lam, GOLDEN),
             lambda: leq_c(ok, lam, GOLDEN),

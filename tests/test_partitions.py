@@ -15,7 +15,6 @@ from fockcrystal import (
     Multipartition,
     Partition,
     divide_with_remainder,
-    divide_with_remainder_search,
     enumerate_multipartitions,
     enumerate_partitions,
     ribbon_additions,
@@ -278,7 +277,7 @@ class TestDivision:
     def test_fixture(self):
         want = (Partition([1]), Partition([4, 3, 1]))
         assert divide_with_remainder(Partition([7, 3, 1]), 3) == want
-        assert divide_with_remainder_search(Partition([7, 3, 1]), 3) == want
+        assert next(selftest.division_candidates(Partition([7, 3, 1]), 3)) == want
 
     def test_small_fixtures(self):
         assert divide_with_remainder(Partition([2]), 2) == (

@@ -1,4 +1,5 @@
-"""Support descriptors: asymptotic Heisenberg depth via division,
+"""Support descriptors: asymptotic Heisenberg depth via division, with
+a reference Heisenberg step in an asymptotic chamber,
 wall-crossing bijections with their invariance properties, and the
 (p, q) tables that decide finite-dimensionality."""
 
@@ -18,10 +19,9 @@ from fockcrystal import (
     Partition,
     UnsupportedParameterError,
     WallCrossStep,
-    asymptotic_q,
+    divide_with_remainder,
     enumerate_multipartitions,
     enumerate_partitions,
-    heis_e_asymptotic,
     heis_q,
     level2_transport,
     support,
@@ -35,29 +35,35 @@ ASYM = CherednikParams(2, Fraction(-1, 2), [0, -10])
 UP_WALL = WallCrossStep(ChargeDifferenceWall(0, 1, 1), "up")
 
 
+def heis_e_asymptotic(lam, j, content, params):
+    """One Heisenberg raising step in an asymptotic chamber, where s_j
+    sits below every other charge by more than |lam|: divide the j-th
+    component, raise the quotient at the given content, recombine.
+    None when the quotient has no removable cell of that content."""
+    sj = params.s[j].collapse(params.kappa)
+    others = [s.collapse(params.kappa) for i, s in enumerate(params.s) if i != j]
+    assert all(sj < si - lam.size for si in others), f"not asymptotic in component {j}"
+    e = params.e
+    quot, rem = divide_with_remainder(lam[j], e)
+    cell = next(((x, y) for x, y in quot.removable_cells() if x - y == content), None)
+    if cell is None:
+        return None
+    up = quot.remove_cell(*cell)
+    rows = max(len(up), len(rem))
+    merged = Partition(e * up.row(y) + rem.row(y) for y in range(1, rows + 1))
+    return lam.replace_component(j, merged)
+
+
 class TestAsymptoticQ:
+    """In an asymptotic chamber q is the size of the division quotient."""
+
     def test_division_witness(self):
-        q, quot, rem = asymptotic_q(Multipartition([[], [4]]), 1, ASYM)
-        assert (q, quot, rem) == (2, Partition([2]), Partition([]))
+        assert divide_with_remainder(Partition([4]), 2) == (Partition([2]), Partition([]))
+        assert heis_q(Multipartition([[], [4]]), ASYM) == 2
 
     def test_remainder_only(self):
-        q, quot, rem = asymptotic_q(Multipartition([[1], [2, 1]]), 1, ASYM)
-        assert (q, quot, rem) == (0, Partition([]), Partition([2, 1]))
-
-    def test_needs_asymptotic_chamber(self):
-        with pytest.raises(UnsupportedParameterError):
-            asymptotic_q(Multipartition([[], [4]]), 0, ASYM)
-        with pytest.raises(UnsupportedParameterError):
-            asymptotic_q(Multipartition([[], [4]]), 1, GOLDEN)
-
-    def test_component_range(self):
-        with pytest.raises(InvalidInputError):
-            asymptotic_q(Multipartition([[], [4]]), 2, ASYM)
-
-    def test_needs_rational_kappa(self):
-        p = CherednikParams(2, None, [0, -10])
-        with pytest.raises(UnsupportedParameterError):
-            asymptotic_q(Multipartition([[], [4]]), 1, p)
+        assert divide_with_remainder(Partition([2, 1]), 2) == (Partition([]), Partition([2, 1]))
+        assert heis_q(Multipartition([[1], [2, 1]]), ASYM) == 0
 
 
 class TestAsymptoticHeisenberg:
@@ -74,12 +80,12 @@ class TestAsymptoticHeisenberg:
         for n in range(6):
             for part in enumerate_partitions(n):
                 lam = Multipartition([[], part])
-                q0 = asymptotic_q(lam, 1, ASYM)[0]
+                q0 = heis_q(lam, ASYM)
                 for content in range(-n, n + 1):
                     up = heis_e_asymptotic(lam, 1, content, ASYM)
                     if up is not None:
                         assert up.size == lam.size - 2
-                        assert asymptotic_q(up, 1, ASYM)[0] == q0 - 1
+                        assert heis_q(up, ASYM) == q0 - 1
 
 
 class TestTransport:
@@ -224,7 +230,7 @@ class TestHeisQ:
     def test_matches_asymptotic_chamber_directly(self):
         for n in range(5):
             for lam in enumerate_multipartitions(2, n):
-                assert heis_q(lam, ASYM) == asymptotic_q(lam, 1, ASYM)[0]
+                assert heis_q(lam, ASYM) == divide_with_remainder(lam[1], 2)[0].size
 
 
 class TestSupportTable:

@@ -77,10 +77,10 @@ def _cell_moves(
     return [(r, move(x, y)) for r, x, y in residues if z is None or r == z]
 
 
-def _box_moves(lam: Multipartition, params: CherednikParams, remove: bool) -> Iterator[tuple]:
-    """(residue, result) for each single-box removal (or addition) on lam."""
+def _box_moves(lam: Multipartition, params: CherednikParams) -> Iterator[tuple]:
+    """(residue, result) for each single-box addition on lam."""
     for i, comp in enumerate(lam):
-        for z, p in _cell_moves(params, i, comp, remove):
+        for z, p in _cell_moves(params, i, comp, remove=False):
             yield z, lam.replace_component(i, p)
 
 

@@ -6,8 +6,9 @@ raises TruncationOverflowError rather than silently dropping it.
 `singular_subspace` is the joint kernel of all lowering operators in a
 fixed degree, and `filtration_dims` the dimensions of the
 two-parameter filtration it generates under raising operators and
-Heisenberg monomials, every p of one q from a single run.  Both apply
-the term maps of `fock` to rows directly.
+Heisenberg monomials, every p of one q from a single run.  Both read
+each label's raising moves from one process-life table; e_z and B_{-d}
+are the transposes of f_z and B_d, so no code here lowers.
 
 `fock singular`, `fock filtration` and `selftest` import this module; it
 is the one module that imports `linalg`.  The operators on vectors and
@@ -118,35 +119,43 @@ def singular_subspace(n: int, params: CherednikParams) -> list[FockVector]:
     if n < 0:
         raise InvalidInputError(f"degree must be >= 0, got {n}")
     reject_integer_kappa(params)
-    return list(_singular_subspace_cached(n, params))
+    basis = enumerate_multipartitions(params.level, n)
+    return [
+        FockVector(params.level, n, {basis[i]: c for i, c in vec.items()})
+        for vec in _singular_kernel(n, params)
+    ]
 
 
 @lru_cache(maxsize=None)
-def _singular_subspace_cached(n: int, params: CherednikParams) -> tuple[FockVector, ...]:
-    basis = enumerate_multipartitions(params.level, n)
+def _raisings(params: CherednikParams, g: int, d: int) -> tuple[list[tuple], ...]:
+    """One list per label of degree g, in basis order: for d = 0 the
+    (residue, column in degree g + 1) of each one-box raising, else the
+    (sign, column in degree g + d*e) of each B_d ribbon term.  Built once
+    per process; the singular kernels and every filtration run only read it."""
+    top = g + (d * params.e if d else 1)
+    index = {lam: i for i, lam in enumerate(enumerate_multipartitions(params.level, top))}
+    basis = enumerate_multipartitions(params.level, g)
+    if d == 0:
+        return tuple([(z, index[mu]) for z, mu in _box_moves(lam, params)] for lam in basis)
+    b_d = heisenberg_term_map(d, params, "ribbon", remove=False)
+    return tuple([(sign, index[mu]) for mu, sign in b_d.moves(lam)] for lam in basis)
 
-    # One pass over the basis fills the matrix of every e_z at once:
-    # the row of (z, mu) holds a 1 in column j when removing one box of
-    # residue z from basis[j] gives mu (distinct boxes give distinct mu).
-    e_rows: dict[Residue, dict[Multipartition, dict[int, int]]] = {}
-    for j, lam in enumerate(basis):
-        for z, mu in _box_moves(lam, params, remove=True):
-            e_rows.setdefault(z, {}).setdefault(mu, {})[j] = 1
-    rows = [row for z in sorted(e_rows) for row in e_rows[z].values()]
+
+@lru_cache(maxsize=None)
+def _singular_kernel(n: int, params: CherednikParams) -> tuple[dict[int, Fraction], ...]:
+    """kernel_basis of the degree-n lowering maps.  On the label basis e_z
+    and B_{-d} are the transposes of f_z and B_d: the e_z row at (mu, z)
+    holds a 1 at each raising of mu by a box of residue z, and the B_{-d}
+    row at mu the terms of B_d mu."""
+    rows = [
+        {j: 1 for y, j in raisings if y == z}
+        for raisings in (_raisings(params, n - 1, 0) if n else ())
+        for z in dict.fromkeys(z for z, _ in raisings)
+    ]
     e = params.e
-    if e is not None:
-        for d in range(1, n // e + 1):
-            term_map = heisenberg_term_map(d, params, "ribbon", remove=True)
-            b_rows: dict[Multipartition, dict[int, int]] = {}
-            for j, lam in enumerate(basis):
-                for mu, sign in term_map.moves(lam):
-                    b_rows.setdefault(mu, {})[j] = sign
-            rows.extend(b_rows.values())
-
-    return tuple(
-        FockVector(params.level, n, {basis[i]: c for i, c in vec.items()})
-        for vec in kernel_basis(rows, len(basis))
-    )
+    for d in range(1, n // e + 1) if e is not None else ():
+        rows.extend({j: sign for sign, j in terms} for terms in _raisings(params, n - d * e, d))
+    return tuple(kernel_basis(rows, len(enumerate_multipartitions(params.level, n))))
 
 
 def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int]:
@@ -161,8 +170,8 @@ def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int
     Vectors are homogeneous integer rows over the degree's basis: each
     singular vector is scaled by its common denominator once, and
     positive scaling leaves RowSpan's primitive rows, hence every
-    decision, as they are.  Each multipartition's moves are read once
-    per run."""
+    decision, as they are.  Monomials and raising layers read the move
+    tables of `_raisings`, which the singular kernels read too."""
     if p < 0 or q < 0 or n < 0:
         raise InvalidInputError("filtration indices must be >= 0")
     reject_integer_kappa(params)
@@ -171,42 +180,25 @@ def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int
     # stays in degree n
     p, q = min(p, n), min(q, n // e) if e is not None else 0
 
-    bases = [enumerate_multipartitions(params.level, g) for g in range(n + 1)]
-    indexes = [{lam: i for i, lam in enumerate(basis)} for basis in bases]
-    spans = [RowSpan(len(basis)) for basis in bases]
-    b_maps = {
-        d: heisenberg_term_map(d, params, "ribbon", remove=False) for d in range(1, q + 1)
-    }
-
-    @lru_cache(maxsize=None)
-    def moves(g: int, i: int, d: int) -> list[tuple]:
-        """(residue, column) of each one-box raising of column i of
-        degree g when d = 0, else (sign, column) of each B_d term."""
-        lam = bases[g][i]
-        if d == 0:
-            return [(z, indexes[g + 1][mu]) for z, mu in _box_moves(lam, params, remove=False)]
-        return [(sign, indexes[g + d * e][mu]) for mu, sign in b_maps[d].moves(lam)]
-
+    spans = [RowSpan() for _ in range(n + 1)]
     layer: list[tuple[int, Row]] = []
     for g in range(n + 1):
-        for sing in singular_subspace(g, params):
-            den = math.lcm(*(c.denominator for c in sing.entries.values()))
-            base = {
-                indexes[g][lam]: c.numerator * (den // c.denominator)
-                for lam, c in sing.entries.items()
-            }
+        for sing in _singular_kernel(g, params):
+            den = math.lcm(*(c.denominator for c in sing.values()))
+            base = {i: c.numerator * (den // c.denominator) for i, c in sing.items()}
             for total in range(min(q, (n - g) // e) + 1 if e else 1):
                 for mono in enumerate_partitions(total):
                     row, deg = base, g
                     for d in mono:
-                        out: Row = {}
+                        table, out = _raisings(params, deg, d), {}
                         for i, c in row.items():
-                            for sign, j in moves(deg, i, d):
+                            for sign, j in table[i]:
                                 out[j] = out.get(j, 0) + c * sign
                         row, deg = {j: c for j, c in out.items() if c}, deg + d * e
                     if row and spans[deg].insert(row):
                         layer.append((deg, row))
 
+    box_raisings = [_raisings(params, g, 0) for g in range(n)]
     dims = [spans[n].dim]
     while layer and len(dims) <= p:
         next_layer = []
@@ -216,7 +208,7 @@ def filtration_dims(p: int, q: int, n: int, params: CherednikParams) -> list[int
             # f_z(row) for every residue z, from one pass over row's terms
             images: dict[Residue, Row] = {}
             for i, c in row.items():
-                for z, j in moves(deg, i, 0):
+                for z, j in box_raisings[deg][i]:
                     terms = images.setdefault(z, {})
                     terms[j] = terms.get(j, 0) + c
             for z in sorted(images):

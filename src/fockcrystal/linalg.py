@@ -56,12 +56,11 @@ def _eliminate(row: Row, col: int, pivot_row: Row) -> Row:
 
 
 class RowSpan:
-    """A growing subspace of Q^ncols kept in reduced echelon form.
+    """The growing span of sparse rational rows, in reduced echelon form.
 
     ``rows`` maps each pivot column to its primitive integer row."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: dict[int, Row] = {}
 
     @property
@@ -93,7 +92,7 @@ def kernel_basis(
     """Basis of the right kernel of the matrix with the given rows, one
     sparse vector per free column in ascending order: 1 in its own free
     column, 0 in every other free column."""
-    span = RowSpan(ncols)
+    span = RowSpan()
     for row in rows:
         span._add(_primitive(row))
     basis = []

@@ -68,6 +68,9 @@ class ChargeValue(_ChargeValue):
     def __sub__(self, other: "ChargeValue") -> "ChargeValue":
         return ChargeValue(self.a - other.a, self.b - other.b)
 
+    def __add__(self, other: object):  # refused: tuple `+` would concatenate
+        return NotImplemented
+
     def shift(self, t: RationalLike) -> "ChargeValue":
         return ChargeValue(self.a + _frac(t), self.b)
 

@@ -260,18 +260,21 @@ def heisenberg_box_commute(params, bound: int) -> None:
 
 
 def adjointness(params, bound: int) -> None:
-    """<B_d lam, mu> = <lam, B_{-d} mu> on basis vectors."""
-    for d in (1, 2):
+    """<B_d lam, mu> = <lam, B_{-d} mu> for d = 1, 2 and <f_z lam, mu> =
+    <lam, e_z mu> for every residue z, on basis vectors."""
+    zs = [Residue(c, value) for c in range(len(params.classes)) for value in range(params.e)]
+    pairs = [(d, d * params.e, b_plus_op, b_minus_op) for d in (1, 2)]
+    for x, step, raise_op, lower_op in pairs + [(z, 1, f_z_op, e_z_op) for z in zs]:
         for n in range(bound + 1):
-            top = n + d * params.e
+            top = n + step
             up = {
-                lam: b_plus_op(basis_vector(lam, top), d, params)
+                lam: raise_op(basis_vector(lam, top), x, params)
                 for lam in enumerate_multipartitions(params.level, n)
             }
             for mu in enumerate_multipartitions(params.level, top):
-                down = b_minus_op(basis_vector(mu, top), d, params)
+                down = lower_op(basis_vector(mu, top), x, params)
                 for lam, image in up.items():
-                    assert image.coeff(mu) == down.coeff(lam), (lam, mu, d)
+                    assert image.coeff(mu) == down.coeff(lam), (lam, mu, x)
 
 
 def order_refinement(params, bound: int) -> None:

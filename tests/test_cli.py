@@ -15,7 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockcrystal import cli, supports
+from fockcrystal import (
+    ChargeDifferenceWall,
+    CherednikParams,
+    InvalidInputError,
+    Multipartition,
+    cli,
+    supports,
+)
 from fockcrystal.cli import main
 
 GOLDEN_DOC = {"level": 2, "kappa": {"num": -1, "den": 2}, "s": [0, -1]}
@@ -763,6 +770,16 @@ class TestWallcrossCommand:
         )
         assert code == 2
         assert "essential" in err
+
+    # a repeated index, one past the level 2 and one below 0, on either side
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (-1, 1), (2, 1), (0, -1)])
+    def test_bad_wall_pair_rejected(self, capsys, golden, i, j):
+        argv = f"wallcross --i {i} --j {j} --m 1 --n 3 --params".split() + [golden]
+        assert run(capsys, argv) == (2, "", f"error: bad wall pair ({i}, {j})\n")
+        step = supports.WallCrossStep(ChargeDifferenceWall(i, j, 1), "up")
+        params = CherednikParams(2, "-1/2", [0, -1])
+        with pytest.raises(InvalidInputError, match=rf"^bad wall pair \({i}, {j}\)$"):
+            supports.wall_cross(Multipartition([[1], [1]]), step, params)
 
 
 class TestRank1Command:

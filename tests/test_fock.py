@@ -49,6 +49,7 @@ from fockcrystal import cli, selftest
 from fockcrystal.fock import _cell_moves
 from fockcrystal.fockvectors import _mn_character
 from fockcrystal.jsonio import params_to_json
+from fockcrystal.linalg import kernel_basis
 from fockcrystal.selftest import E2, E3, GOLDEN
 
 
@@ -390,6 +391,59 @@ class TestSingularSubspace:
             for z in (ZERO2, ONE2):
                 assert e_z_op(vec, z, GOLDEN).is_zero()
             assert b_minus_op(vec, 1, GOLDEN).is_zero()
+
+
+def reference_singular_subspace(n, params):
+    """The degree-n singular vectors from lowering moves: one row per
+    (residue z, mu) of e_z and one per mu of each B_{-d}, read off the
+    box and ribbon removals of each degree-n label."""
+    basis = enumerate_multipartitions(params.level, n)
+    e_rows = {}
+    for j, lam in enumerate(basis):
+        for i, comp in enumerate(lam):
+            for z, p in _cell_moves(params, i, comp, remove=True):
+                e_rows.setdefault(z, {}).setdefault(lam.replace_component(i, p), {})[j] = 1
+    rows = [row for z in sorted(e_rows) for row in e_rows[z].values()]
+    e = params.e
+    for d in range(1, n // e + 1) if e is not None else ():
+        term_map = heisenberg_term_map(d, params, "ribbon", remove=True)
+        b_rows = {}
+        for j, lam in enumerate(basis):
+            for mu, sign in term_map.moves(lam):
+                b_rows.setdefault(mu, {})[j] = sign
+        rows.extend(b_rows.values())
+    return [
+        FockVector(params.level, n, {basis[i]: c for i, c in vec.items()})
+        for vec in kernel_basis(rows, len(basis))
+    ]
+
+
+@st.composite
+def singular_points(draw):
+    """Levels 1-3 at kappa = +-a/e (e <= 4) or symbolic, with integer,
+    rational and (a, b) charges, so some points have two charge classes;
+    n <= 6, or n <= 4 at level 3."""
+    level = draw(st.integers(1, 3), label="level")
+    e = draw(st.integers(2, 4), label="e")
+    a = draw(st.sampled_from([a for a in range(1, 2 * e) if math.gcd(a, e) == 1]), label="a")
+    kappa = draw(st.sampled_from([Fraction(-a, e), Fraction(a, e), None]), label="kappa")
+    charge = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)]),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    charges = draw(st.lists(charge, min_size=level, max_size=level), label="charges")
+    n = draw(st.integers(0, 6 if level < 3 else 4), label="n")
+    return CherednikParams(level, kappa, charges), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(singular_points())
+def test_singular_subspace_equals_the_build_from_lowering_moves(point):
+    """The kernel whose rows are raising images is the kernel of the
+    lowering maps, vector for vector and in order."""
+    params, n = point
+    assert singular_subspace(n, params) == reference_singular_subspace(n, params)
 
 
 class TestFiltration:

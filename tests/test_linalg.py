@@ -59,7 +59,7 @@ def sparse(row):
 @given(matrices())
 def test_kernel_basis_is_the_rref_kernel_basis(matrix):
     rows, ncols = matrix
-    span = RowSpan(ncols)
+    span = RowSpan()
     for r in rows:
         span.insert(sparse(r))
     assert span.dim == rank(rows)
@@ -82,7 +82,7 @@ def test_kernel_basis_is_the_rref_kernel_basis(matrix):
 @given(matrices(), st.lists(entries, min_size=4, max_size=4))
 def test_row_span_accepts_exactly_the_independent_rows(matrix, coeffs):
     rows, ncols = matrix
-    span = RowSpan(ncols)
+    span = RowSpan()
     for k, r in enumerate(rows):
         accepted = span.insert(sparse(r))
         assert accepted == (rank(rows[: k + 1]) > rank(rows[:k]))

@@ -131,6 +131,13 @@ class TestChargeAndCValues:
         assert ChargeValue(1, 2) - ChargeValue(3, -1) == ChargeValue(-2, 3)
         assert ChargeValue(1, 2).shift(Fraction(1, 2)) == ChargeValue(Fraction(3, 2), 2)
 
+    def test_charges_do_not_add(self):
+        # `+` on a record would be the tuple concatenation (1, 2, 3, -1)
+        with pytest.raises(TypeError):
+            ChargeValue(1, 2) + ChargeValue(3, -1)
+        with pytest.raises(TypeError):
+            ChargeValue(1, 2) + (3, -1)
+
     def test_cvalue_collapse(self):
         # kappa*l = -4/3 and c at content 0 is -5/3 in component 1, so D = 3
         p = CherednikParams(2, Fraction(-2, 3), [0, Fraction(1, 2)])

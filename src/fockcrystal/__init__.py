@@ -5,7 +5,7 @@ arithmetic."""
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # module -> the public names it defines.  A module is imported the first
 # time one of its names is read, so `import fockcrystal` loads nothing.

@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the command line front end (3 is unused):
   2  malformed input (bad JSON, invalid partition data, bad parameters)
-  4  truncation overflow (an operator pushed weight past the chosen cutoff)
+  4  truncation overflow (`fock matrix`: a term above both requested degrees)
   5  internal error (a violated internal invariant, or any exception that
      is not a FockcrystalError)
 """
@@ -21,7 +21,7 @@ class InvalidMoveError(FockcrystalError):
 
 
 class TruncationOverflowError(FockcrystalError):
-    """An operator produced a vector of weight above the truncation bound."""
+    """operator_matrix (`fock matrix`) met a term above both its degrees."""
 
 
 class UnsupportedParameterError(FockcrystalError):

@@ -2,8 +2,8 @@
 
 A term map lists, for each component partition of a label, the terms that
 replace it; `operator_matrix` reads one between two graded pieces, with
-integer entries.  Terms above a truncation degree raise
-TruncationOverflowError rather than being dropped.  Realized here:
+integer entries, and is the one place a term above a degree bound (the
+larger of its two degrees) raises TruncationOverflowError.  Realized here:
 
   * box_term_map: f_z / e_z, the sum of additions (removals) of a single
             box of a given residue, no signs;
@@ -48,9 +48,9 @@ class TermMap(NamedTuple):
     lists the (partition, integer coefficient) terms that replace component i
     of a label of `params.level` when it is p.  The maps built here compute
     each list once and hand the same list out again, so callers only read it.
-    When every label has a term, each of degree `raising` above it, a label
-    that would overflow a truncation is rejected before any term is built;
-    `raising` is 0 otherwise."""
+    When every label has a term, each of degree `raising` above it,
+    `operator_matrix` refuses a label whose terms would pass its degree
+    bound before any term is built; `raising` is 0 otherwise."""
 
     params: CherednikParams
     component_moves: Callable[[int, Partition], Iterable[tuple[Partition, int]]]

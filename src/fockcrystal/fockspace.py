@@ -1,8 +1,7 @@
 """Fock vectors and the subspaces of the filtration.
 
 A Fock vector is a finite rational combination of multipartitions of one
-level, truncated at a degree bound: producing a term above the bound
-raises TruncationOverflowError rather than silently dropping it.
+level and of any degrees; it carries no degree bound.
 `singular_subspace` is the joint kernel of all lowering operators in a
 fixed degree, and `filtration_dims` the dimensions of the
 two-parameter filtration it generates under raising operators and
@@ -24,7 +23,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import InvalidInputError
-from .fock import _box_moves, _check_truncation, heisenberg_term_map
+from .fock import _box_moves, heisenberg_term_map
 from .linalg import Row, RowSpan, kernel_basis
 from .params import CherednikParams, Residue, reject_integer_kappa
 from .partitions import Multipartition, enumerate_multipartitions, enumerate_partitions
@@ -33,33 +32,21 @@ Scalar = Union[int, Fraction]
 
 
 class FockVector:
-    """Finite rational combination of multipartitions of one level.
+    """Finite rational combination of multipartitions of one level, of
+    any degrees; zero coefficients are dropped on construction."""
 
-    Entries of degree above ``truncation`` are rejected loudly; zero
-    coefficients are dropped on construction.
-    """
+    __slots__ = ("level", "entries")
 
-    __slots__ = ("level", "truncation", "entries")
-
-    def __init__(
-        self,
-        level: int,
-        truncation: int,
-        entries: Optional[dict[Multipartition, Scalar]] = None,
-    ):
+    def __init__(self, level: int, entries: Optional[dict[Multipartition, Scalar]] = None):
         if level < 1:
             raise InvalidInputError(f"level must be >= 1, got {level}")
-        if truncation < 0:
-            raise InvalidInputError(f"truncation must be >= 0, got {truncation}")
         self.level = level
-        self.truncation = truncation
         clean: dict[Multipartition, Fraction] = {}
         for lam, coeff in (entries or {}).items():
             if lam.level != level:
                 raise InvalidInputError(
                     f"term {lam} has level {lam.level}, expected {level}"
                 )
-            _check_truncation(lam.size, truncation)
             c = Fraction(coeff)
             if c != 0:
                 clean[lam] = c
@@ -81,20 +68,14 @@ class FockVector:
         merged = dict(self.entries)
         for lam, c in other.entries.items():
             merged[lam] = merged.get(lam, Fraction(0)) + c
-        return FockVector(
-            self.level, max(self.truncation, other.truncation), merged
-        )
+        return FockVector(self.level, merged)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, r: Scalar) -> "FockVector":
         f = Fraction(r)
-        return FockVector(
-            self.level,
-            self.truncation,
-            {lam: c * f for lam, c in self.entries.items()},
-        )
+        return FockVector(self.level, {lam: c * f for lam, c in self.entries.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
@@ -115,13 +96,13 @@ def singular_subspace(n: int, params: CherednikParams) -> list[FockVector]:
     """Basis of the degree-n joint kernel of every lowering operator:
     all e_z for residues z present on degree-n multipartitions, and all
     Heisenberg b_minus_op of degree d with d*e <= n when kappa is
-    rational.  Returned vectors have truncation n."""
+    rational.  Every returned vector is homogeneous of degree n."""
     if n < 0:
         raise InvalidInputError(f"degree must be >= 0, got {n}")
     reject_integer_kappa(params)
     basis = enumerate_multipartitions(params.level, n)
     return [
-        FockVector(params.level, n, {basis[i]: c for i, c in vec.items()})
+        FockVector(params.level, {basis[i]: c for i, c in vec.items()})
         for vec in _singular_kernel(n, params)
     ]
 

@@ -1,7 +1,7 @@
 """The operators of `fock` applied termwise to a `FockVector` (f_z_op,
 e_z_op, b_plus_op, b_minus_op), and plethysm_class, the class of
-s_mu[p_e] via Murnaghan-Nakayama characters.  No command but `selftest`
-loads this module."""
+s_mu[p_e] via Murnaghan-Nakayama characters.  Each operator applies to
+any vector, a finite sum, exactly.  Only `selftest` loads this module."""
 
 from __future__ import annotations
 
@@ -11,14 +11,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidInputError, UnsupportedParameterError
-from .fock import TermMap, _check_truncation, box_term_map, heisenberg_term_map
+from .fock import TermMap, box_term_map, heisenberg_term_map
 from .fockspace import FockVector
 from .params import CherednikParams, Residue
 from .partitions import Multipartition, Partition, enumerate_partitions, ribbon_additions
 
 
-def basis_vector(lam: Multipartition, truncation: int) -> FockVector:
-    return FockVector(lam.level, truncation, {lam: Fraction(1)})
+def basis_vector(lam: Multipartition) -> FockVector:
+    return FockVector(lam.level, {lam: Fraction(1)})
 
 
 def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
@@ -26,13 +26,11 @@ def _apply_termwise(v: FockVector, term_map: TermMap) -> FockVector:
         raise InvalidInputError(
             f"vector level {v.level} does not match parameter level {term_map.params.level}"
         )
-    for lam in v.entries:
-        _check_truncation(lam.size + term_map.raising, v.truncation)
     out: dict[Multipartition, Fraction] = {}
     for lam, c in v.entries.items():
         for mu, w in term_map.moves(lam):
             out[mu] = out.get(mu, Fraction(0)) + c * w
-    return FockVector(v.level, v.truncation, out)
+    return FockVector(v.level, out)
 
 
 def f_z_op(v: FockVector, z: Residue, params: CherednikParams) -> FockVector:
@@ -49,9 +47,8 @@ def b_plus_op(
     v: FockVector, d: int, params: CherednikParams, model: str = "ribbon"
 ) -> FockVector:
     """Degree-d raising Heisenberg operator: add one d*e-ribbon to a
-    single component, sign (-1)^(ribbon height).  Every label takes at
-    least one ribbon, so a label that would overflow the truncation is
-    rejected before any ribbon is built."""
+    single component, sign (-1)^(ribbon height), on a vector of any
+    degree."""
     return _apply_termwise(v, heisenberg_term_map(d, params, model, remove=False))
 
 
@@ -91,7 +88,7 @@ def _z_rho(rho: Partition) -> int:
 
 
 def plethysm_class(mu, e: int) -> FockVector:
-    """Class of s_mu[p_e] in the level-1 Fock space, truncation e*|mu|.
+    """Class of s_mu[p_e] in the level-1 Fock space, of degree e*|mu|.
 
     Expands s_mu = sum_rho chi^mu(rho)/z_rho * p_rho and substitutes
     p_d -> B_d acting on the vacuum, so the result is the alternating
@@ -104,15 +101,14 @@ def plethysm_class(mu, e: int) -> FockVector:
             f"plethysm classes need quantization e >= 2, got {e}"
         )
     n = mu.size
-    truncation = e * n
     params = CherednikParams(1, Fraction(-1, e), [0])
     vacuum = Multipartition([[]])
-    acc = FockVector(1, truncation)
+    acc = FockVector(1)
     for rho in enumerate_partitions(n):
         chi = _mn_character(mu, rho)
         if chi == 0:
             continue
-        vec = basis_vector(vacuum, truncation)
+        vec = basis_vector(vacuum)
         for part in rho:
             vec = b_plus_op(vec, part, params, model="ribbon")
         acc = acc + vec.scale(Fraction(chi, _z_rho(rho)))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockcrystal import (
@@ -45,7 +45,7 @@ from fockcrystal import (
     wedge_e_op,
     wedge_f_op,
 )
-from fockcrystal import cli, selftest
+from fockcrystal import cli, fockvectors, selftest
 from fockcrystal.fock import _cell_moves
 from fockcrystal.fockvectors import _mn_character
 from fockcrystal.jsonio import params_to_json
@@ -62,8 +62,7 @@ def mp(*components):
     return Multipartition(components)
 
 
-def bv(lam, truncation):
-    return basis_vector(lam, truncation)
+bv = basis_vector
 
 
 def inner_product(u, v):
@@ -75,48 +74,44 @@ def inner_product(u, v):
 
 class TestFockVector:
     def test_zero_coefficients_dropped(self):
-        v = FockVector(1, 3, {mp([2]): Fraction(0), mp([1]): Fraction(2)})
+        v = FockVector(1, {mp([2]): Fraction(0), mp([1]): Fraction(2)})
         assert v.coeff(mp([2])) == 0
         assert v.coeff(mp([1])) == 2
         assert not v.is_zero()
-        assert FockVector(1, 3, {}).is_zero()
-
-    def test_truncation_enforced(self):
-        with pytest.raises(TruncationOverflowError):
-            FockVector(1, 2, {mp([3]): Fraction(1)})
+        assert FockVector(1, {}).is_zero()
 
     def test_level_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            FockVector(2, 3, {mp([1]): Fraction(1)})
+            FockVector(2, {mp([1]): Fraction(1)})
         with pytest.raises(InvalidInputError):
-            bv(mp([1]), 2) + bv(mp([1], []), 2)
+            bv(mp([1])) + bv(mp([1], []))
 
     def test_linear_arithmetic(self):
-        u = bv(mp([2]), 3) + bv(mp([1, 1]), 3).scale(Fraction(1, 2))
-        w = u - bv(mp([2]), 3)
+        u = bv(mp([2])) + bv(mp([1, 1])).scale(Fraction(1, 2))
+        w = u - bv(mp([2]))
         assert w.coeff(mp([2])) == 0
         assert w.coeff(mp([1, 1])) == Fraction(1, 2)
         assert w.scale(4).coeff(mp([1, 1])) == 2
         assert {lam.size for lam in u.entries} == {2}
 
     def test_items_ordering_is_graded(self):
-        v = bv(mp([3]), 3) + bv(mp([1]), 3)
+        v = bv(mp([3])) + bv(mp([1]))
         assert [lam.size for lam, _ in v.items()] == [1, 3]
 
     def test_inner_product_orthonormal(self):
         nodes = enumerate_multipartitions(2, 2)
         for a in nodes:
             for b in nodes:
-                got = inner_product(bv(a, 2), bv(b, 2))
+                got = inner_product(bv(a), bv(b))
                 assert got == (1 if a == b else 0)
 
 
 class TestBoxOperators:
     def test_lowering_adds_residue_boxes(self):
-        v = f_z_op(bv(mp([], []), 1), ZERO2, GOLDEN)
+        v = f_z_op(bv(mp([], [])), ZERO2, GOLDEN)
         assert v.coeff(mp([1], [])) == 1
         assert v.coeff(mp([], [1])) == 0
-        w = f_z_op(bv(mp([], []), 1), ONE2, GOLDEN)
+        w = f_z_op(bv(mp([], [])), ONE2, GOLDEN)
         assert w.coeff(mp([], [1])) == 1
 
     def test_raising_is_adjoint_to_lowering(self):
@@ -125,18 +120,18 @@ class TestBoxOperators:
                 for mu in enumerate_multipartitions(2, n + 1):
                     for z in (ZERO2, ONE2):
                         lhs = inner_product(
-                            f_z_op(bv(lam, n + 1), z, GOLDEN), bv(mu, n + 1)
+                            f_z_op(bv(lam), z, GOLDEN), bv(mu)
                         )
                         rhs = inner_product(
-                            bv(lam, n + 1), e_z_op(bv(mu, n + 1), z, GOLDEN)
+                            bv(lam), e_z_op(bv(mu), z, GOLDEN)
                         )
                         assert lhs == rhs
 
     def test_linear_extension(self):
-        u = bv(mp([1], []), 3) + bv(mp([], [1]), 3).scale(3)
+        u = bv(mp([1], [])) + bv(mp([], [1])).scale(3)
         img = f_z_op(u, ZERO2, GOLDEN)
-        want = f_z_op(bv(mp([1], []), 3), ZERO2, GOLDEN) + f_z_op(
-            bv(mp([], [1]), 3), ZERO2, GOLDEN
+        want = f_z_op(bv(mp([1], [])), ZERO2, GOLDEN) + f_z_op(
+            bv(mp([], [1])), ZERO2, GOLDEN
         ).scale(3)
         assert img == want
 
@@ -171,20 +166,20 @@ class TestBoxTermMapResidues:
                 box_term_map(params, z, remove)
         for op in (f_z_op, e_z_op):
             with pytest.raises(InvalidInputError, match=message):
-                op(bv(mp([1], [1]), 3), z, params)
+                op(bv(mp([1], [1])), z, params)
 
     def test_a_residue_is_named_by_its_value_in_0_to_e_minus_1(self):
         """-1 and 1 are the same value mod 2; 0:1 names that residue (0:-1
         is refused), and its f map adds the boxes of both components."""
         rows, cols, entries = operator_matrix(box_term_map(L2_SHIFTED, ONE2, False), 1, 2)
         assert len(entries) == 3
-        got = f_z_op(bv(mp([1], []), 2), ONE2, L2_SHIFTED)
+        got = f_z_op(bv(mp([1], [])), ONE2, L2_SHIFTED)
         assert set(got.entries) == {mp([2], []), mp([1, 1], []), mp([1], [1])}
 
     def test_every_class_of_a_multi_class_point_is_accepted(self):
         """At s = (0, 1/2) each component is its own class, of base 0."""
-        assert f_z_op(bv(mp([], []), 1), Residue(1, 0), L2_TWO_CLASSES) == bv(mp([], [1]), 1)
-        got = f_z_op(bv(mp([], [1]), 2), Residue(1, 1), L2_TWO_CLASSES)
+        assert f_z_op(bv(mp([], [])), Residue(1, 0), L2_TWO_CLASSES) == bv(mp([], [1]))
+        got = f_z_op(bv(mp([], [1])), Residue(1, 1), L2_TWO_CLASSES)
         assert set(got.entries) == {mp([], [2]), mp([], [1, 1])}
 
     @pytest.mark.parametrize("value", [-3, -1, 0, 2, 7])
@@ -195,18 +190,16 @@ class TestBoxTermMapResidues:
         want = {
             lam.add_box(b) for b in lam.addable_boxes() if L2_SYMBOLIC.residue(b).value == value
         }
-        got = f_z_op(bv(lam, 19), Residue(0, value), L2_SYMBOLIC)
+        got = f_z_op(bv(lam), Residue(0, value), L2_SYMBOLIC)
         assert set(got.entries) == want
 
 
 @pytest.mark.parametrize("op", [f_z_op, e_z_op, b_plus_op, b_minus_op])
 def test_operators_reject_a_vector_of_another_level(op):
-    """A level-1 vector under level-2 operators is refused by its level,
-    and b_plus_op refuses it before its truncation check: B_1 would push
-    the vacuum past truncation 0."""
+    """A level-1 vector under level-2 operators is refused by its level."""
     arg = ZERO2 if op in (f_z_op, e_z_op) else 1
     with pytest.raises(InvalidInputError, match="^vector level 1 does not match parameter level 2$"):
-        op(bv(mp([]), 0), arg, GOLDEN)
+        op(bv(mp([])), arg, GOLDEN)
 
 
 @pytest.mark.parametrize("op", [f_z_op, e_z_op, b_plus_op, b_minus_op])
@@ -215,7 +208,26 @@ def test_operators_reject_a_zero_vector_of_another_level(op):
     another level is refused too."""
     arg = ZERO2 if op in (f_z_op, e_z_op) else 1
     with pytest.raises(InvalidInputError, match="^vector level 3 does not match parameter level 2$"):
-        op(FockVector(3, 4, {}), arg, GOLDEN)
+        op(FockVector(3, {}), arg, GOLDEN)
+
+
+@pytest.mark.parametrize("n", [0, 4, 9])
+def test_operators_apply_at_any_degree(n):
+    """A Fock vector is a finite sum and carries no degree bound: each
+    operator applies to a basis vector of any degree, its terms one step
+    of the operator away, and [B_{-1}, B_1] acts as the scalar e*level."""
+    lam = mp([n], [])
+    v = bv(lam)
+    assert not hasattr(v, "truncation")
+    for op, arg, step in ((f_z_op, ZERO2, 1), (e_z_op, ZERO2, -1),
+                          (b_plus_op, 1, 2), (b_minus_op, 1, -2)):
+        image = op(v, arg, GOLDEN)
+        assert all(mu.size == n + step for mu in image.entries), op.__name__
+    assert b_plus_op(v, 1, GOLDEN).coeff(mp([n + 2], [])) == 1
+    lhs = b_minus_op(b_plus_op(v, 1, GOLDEN), 1, GOLDEN) - b_plus_op(
+        b_minus_op(v, 1, GOLDEN), 1, GOLDEN
+    )
+    assert lhs == v.scale(GOLDEN.e * GOLDEN.level)
 
 
 TERM_MAPS = {
@@ -249,11 +261,11 @@ def test_term_map_carries_its_params_and_raising_degree(name):
 
 class TestHeisenberg:
     def test_degree_one_fixture(self):
-        got = b_plus_op(bv(mp([]), 2), 1, E2)
-        assert got == bv(mp([2]), 2) - bv(mp([1, 1]), 2)
+        got = b_plus_op(bv(mp([])), 1, E2)
+        assert got == bv(mp([2])) - bv(mp([1, 1]))
 
     def test_degree_two_signs(self):
-        got = b_plus_op(bv(mp([]), 4), 2, E2)
+        got = b_plus_op(bv(mp([])), 2, E2)
         assert got.coeff(mp([4])) == 1
         assert got.coeff(mp([3, 1])) == -1
         assert got.coeff(mp([2, 2])) == 0
@@ -271,7 +283,7 @@ class TestHeisenberg:
     def test_different_degrees_commute(self):
         for n in range(3):
             for lam in enumerate_multipartitions(1, n):
-                v = bv(lam, n + 6)
+                v = bv(lam)
                 ab = b_plus_op(b_plus_op(v, 1, E2), 2, E2)
                 ba = b_plus_op(b_plus_op(v, 2, E2), 1, E2)
                 assert ab == ba
@@ -286,16 +298,33 @@ class TestHeisenberg:
     def test_adjointness(self):
         selftest.adjointness(GOLDEN, 3)
 
+    def test_quick_adjointness_catches_an_e_z_missing_removals(self, monkeypatch):
+        """An e_z that keeps only the first removal of each component agrees
+        with f_z through degree 2, so only a bound of 2 or more (one box up
+        to degree 3) tells it apart; `selftest quick` runs bound 2."""
+        build = fockvectors.box_term_map
+
+        def first_removal_only(params, z, remove):
+            term_map = build(params, z, remove)
+            if not remove:
+                return term_map
+            moves = term_map.component_moves
+            return term_map._replace(component_moves=lambda i, p: list(moves(i, p))[:1])
+
+        monkeypatch.setattr(fockvectors, "box_term_map", first_removal_only)
+        with pytest.raises(AssertionError):
+            dict(selftest.CHECKS)["adjointness"](False)
+
     def test_degree_validation(self):
         with pytest.raises(InvalidInputError):
-            b_plus_op(bv(mp([]), 2), 0, E2)
+            b_plus_op(bv(mp([])), 0, E2)
         with pytest.raises(InvalidInputError):
-            b_plus_op(bv(mp([]), 2), 1, E2, model="spin")
+            b_plus_op(bv(mp([])), 1, E2, model="spin")
 
     def test_irrational_unsupported(self):
         p = CherednikParams(1, None, [0])
         with pytest.raises(UnsupportedParameterError):
-            b_plus_op(FockVector(1, 2, {mp([]): Fraction(1)}), 1, p)
+            b_plus_op(FockVector(1, {mp([]): Fraction(1)}), 1, p)
 
 
 def principal_specialization(p, t):
@@ -312,7 +341,7 @@ def principal_specialization(p, t):
 class TestPlethysm:
     def test_single_box_fixture(self):
         got = plethysm_class(Partition([1]), 2)
-        assert got == bv(mp([2]), 2) - bv(mp([1, 1]), 2)
+        assert got == bv(mp([2])) - bv(mp([1, 1]))
 
     @pytest.mark.parametrize("e", [2, 3])
     def test_specialization_oracle(self, e):
@@ -381,7 +410,7 @@ class TestSingularSubspace:
     def test_vectors_have_the_params_level(self, params):
         for n in range(4):
             for vec in singular_subspace(n, params):
-                assert (vec.level, vec.truncation) == (params.level, n)
+                assert vec.level == params.level
                 assert all(
                     lam.level == params.level and lam.size == n for lam in vec.entries
                 )
@@ -413,7 +442,7 @@ def reference_singular_subspace(n, params):
                 b_rows.setdefault(mu, {})[j] = sign
         rows.extend(b_rows.values())
     return [
-        FockVector(params.level, n, {basis[i]: c for i, c in vec.items()})
+        FockVector(params.level, {basis[i]: c for i, c in vec.items()})
         for vec in kernel_basis(rows, len(basis))
     ]
 
@@ -444,6 +473,38 @@ def test_singular_subspace_equals_the_build_from_lowering_moves(point):
     lowering maps, vector for vector and in order."""
     params, n = point
     assert singular_subspace(n, params) == reference_singular_subspace(n, params)
+
+
+@st.composite
+def single_class_points(draw):
+    """Levels 1-3 at kappa = +-a/e (e <= 4) or symbolic, with integer
+    charges, rational charges of denominator <= 5 and (a, b) pairs, kept
+    when the charges form one class."""
+    level = draw(st.integers(1, 3), label="level")
+    e = draw(st.integers(2, 4), label="e")
+    a = draw(st.sampled_from([a for a in range(1, 2 * e) if math.gcd(a, e) == 1]), label="a")
+    kappa = draw(st.sampled_from([Fraction(-a, e), Fraction(a, e), None]), label="kappa")
+    charge = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(-3, 3, max_denominator=5),
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    charges = draw(st.lists(charge, min_size=level, max_size=level), label="charges")
+    params = CherednikParams(level, kappa, charges)
+    assume(len(params.classes) == 1)
+    return params
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_class_points())
+def test_fock_counts_match_support_at_drawn_points(params):
+    """The filtration dimensions, and at rational kappa the singular
+    dimensions, count labels by support at drawn one-class points, up to
+    size 4 (3 at level 3)."""
+    bound = 4 if params.level <= 2 else 3
+    selftest.filtration_counts(params, bound)
+    if params.kappa is not None:
+        selftest.singular_dimension(params, bound)
 
 
 class TestFiltration:
@@ -625,15 +686,21 @@ class TestOperatorMatrix:
 
 def reference_operator_matrix(apply_op, level, degree_from, degree_to):
     """operator_matrix as it was before it took term maps: each column is
-    the public operator applied to a basis vector, with Fraction entries."""
+    the public operator applied to a basis vector, with Fraction entries.
+    The vector operators take no bound, so a term above both degrees is
+    refused here, before a term outside degree_to."""
     cols = enumerate_multipartitions(level, degree_from)
     rows = enumerate_multipartitions(level, degree_to)
     row_index = {lam: i for i, lam in enumerate(rows)}
     truncation = max(degree_from, degree_to)
     entries = {}
     for j, lam in enumerate(cols):
-        image = apply_op(basis_vector(lam, truncation))
+        image = apply_op(basis_vector(lam))
         for mu, c in image.entries.items():
+            if mu.size > truncation:
+                raise TruncationOverflowError(
+                    f"term of degree {mu.size} exceeds truncation {truncation}"
+                )
             if mu.size != degree_to:
                 raise InvalidInputError(
                     f"operator image leaves degree {degree_to}: got degree {mu.size}"

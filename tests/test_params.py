@@ -539,7 +539,7 @@ class TestIntegerKappa:
     def test_every_computation_rejects_integer_kappa(self):
         p = CherednikParams(2, -1, [0, 0])
         lam = Multipartition([[1], []])
-        v = basis_vector(lam, 2)
+        v = basis_vector(lam)
         z = Residue(0, 0)
         calls = [
             lambda: z_signature(lam, z, p),
